@@ -48,9 +48,9 @@ const (
 	StageGather    // result left the leader -> claimed by the collector
 
 	// Comm substrate.
-	StageSend          // one point-to-point send (eager, near-zero duration)
-	StageRecv          // receive wait: blocked until the message arrived
-	StageAllreduce     // blocking collectives, by kind
+	StageSend      // one point-to-point send (eager, near-zero duration)
+	StageRecv      // receive wait: blocked until the message arrived
+	StageAllreduce // blocking collectives, by kind
 	StageBcast
 	StageReduce
 	StageCollGather

@@ -29,6 +29,7 @@ import (
 // wireUS (send -> dequeue) and computeUS (executor forward) back in the
 // result header, feeding the latency-decomposition histograms and the
 // flight recorder without any extra messages.
+//
 //	tagHB     leader -> front-end   [queueDepth]; < 0: goodbye
 //
 // With FrontEnds > 1 the same protocol runs fan-in/fan-out: a leader
@@ -109,8 +110,8 @@ func (l repLife) String() string {
 // nn.InferNet clone.
 type fleet struct {
 	world      *comm.World
-	reps       []*repState // shared across every front-end's router
-	probeC     *comm.Comm  // monitor's send handle (front-end rank 0)
+	reps       []*repState    // shared across every front-end's router
+	probeC     *comm.Comm     // monitor's send handle (front-end rank 0)
 	repWG      sync.WaitGroup // replica rank goroutines, every incarnation
 	groups     []*groupRuntime
 	ck         *nn.Checkpoint // captured state sharded groups restore from on rejoin

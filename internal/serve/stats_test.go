@@ -12,17 +12,17 @@ func TestLatBucketEdges(t *testing.T) {
 		d    time.Duration
 		want int
 	}{
-		{0, 0},                        // sub-µs clamps to the 1µs bucket
-		{500 * time.Nanosecond, 0},    // ditto
-		{time.Microsecond, 0},         // first bucket proper
-		{2 * time.Microsecond, 8},     // octave 1; no sub-bits below 8µs
-		{3 * time.Microsecond, 8},     //
-		{7 * time.Microsecond, 16},    // last value of octave 2
-		{8 * time.Microsecond, 24},    // first octave with mantissa bits
-		{9 * time.Microsecond, 25},    // ... resolved at 1µs here
-		{15 * time.Microsecond, 31},   // top sub-bucket of the 8µs octave
-		{16 * time.Microsecond, 32},   // next octave, sub 0
-		{24 * time.Microsecond, 36},   // halfway through the 16µs octave
+		{0, 0},                       // sub-µs clamps to the 1µs bucket
+		{500 * time.Nanosecond, 0},   // ditto
+		{time.Microsecond, 0},        // first bucket proper
+		{2 * time.Microsecond, 8},    // octave 1; no sub-bits below 8µs
+		{3 * time.Microsecond, 8},    //
+		{7 * time.Microsecond, 16},   // last value of octave 2
+		{8 * time.Microsecond, 24},   // first octave with mantissa bits
+		{9 * time.Microsecond, 25},   // ... resolved at 1µs here
+		{15 * time.Microsecond, 31},  // top sub-bucket of the 8µs octave
+		{16 * time.Microsecond, 32},  // next octave, sub 0
+		{24 * time.Microsecond, 36},  // halfway through the 16µs octave
 		{4 * time.Hour, 269},         // deep in-range octave (e=33, sub=5)
 		{1 << 62, latBuckets - 1},    // overflow clamps to the last bucket
 		{time.Duration(-1) << 20, 0}, // negative (clock skew) clamps low

@@ -8,15 +8,15 @@ package sim
 type evKind uint8
 
 const (
-	evArrival     evKind = iota // next open-loop request arrives
-	evFlush                     // forming batch hits its deadline
-	evBatchArrive               // dispatched batch lands on a replica queue
-	evServiceDone               // replica finishes a service slice
-	evResultArrive              // batch results land back on the front-end
-	evDetect                    // failure detector notices a dead replica
-	evRejoin                    // quarantined replica rejoins the fleet
-	evLost                      // a dispatched batch message was dropped
-	evAdmit                     // a front-end finishes admitting a request
+	evArrival      evKind = iota // next open-loop request arrives
+	evFlush                      // forming batch hits its deadline
+	evBatchArrive                // dispatched batch lands on a replica queue
+	evServiceDone                // replica finishes a service slice
+	evResultArrive               // batch results land back on the front-end
+	evDetect                     // failure detector notices a dead replica
+	evRejoin                     // quarantined replica rejoins the fleet
+	evLost                       // a dispatched batch message was dropped
+	evAdmit                      // a front-end finishes admitting a request
 )
 
 type event struct {

@@ -95,28 +95,28 @@ func (r *simReplica) speedAt(now int64) float64 {
 
 // World is one deterministic simulation run.
 type World struct {
-	cfg      Config
-	pol      sched.Policy
-	orderer  sched.QueueOrderer
-	quantum  int64
-	heap     eventHeap
-	now      int64
-	endAt    int64
-	gen      *trafficGen
-	nextReq  arrival // request whose evArrival is on the heap
-	faultRG  *rng    // batch-drop draws, separate stream from traffic
-	feFree   []int64 // admission stage: instant each front-end frees up (nil when AdmitNS 0)
-	feRR     int     // rotating tie-break start for idle front-ends
-	reps     []*simReplica
-	live     int
-	views    []sched.ReplicaView
-	bviews   []sched.BatchView
-	forming  *simBatch
-	flushEp  uint32
-	dq       []*simBatch // flushed, waiting for a replica
-	pending  []*simBatch // dispatched, result not yet back (retry table)
-	free     []*simBatch
-	acc      accum
+	cfg     Config
+	pol     sched.Policy
+	orderer sched.QueueOrderer
+	quantum int64
+	heap    eventHeap
+	now     int64
+	endAt   int64
+	gen     *trafficGen
+	nextReq arrival // request whose evArrival is on the heap
+	faultRG *rng    // batch-drop draws, separate stream from traffic
+	feFree  []int64 // admission stage: instant each front-end frees up (nil when AdmitNS 0)
+	feRR    int     // rotating tie-break start for idle front-ends
+	reps    []*simReplica
+	live    int
+	views   []sched.ReplicaView
+	bviews  []sched.BatchView
+	forming *simBatch
+	flushEp uint32
+	dq      []*simBatch // flushed, waiting for a replica
+	pending []*simBatch // dispatched, result not yet back (retry table)
+	free    []*simBatch
+	acc     accum
 }
 
 // NewWorld validates cfg and builds a ready-to-run world.
