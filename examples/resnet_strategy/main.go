@@ -118,5 +118,5 @@ func main() {
 	fmt.Printf("-> modeled cost %.5fs vs %.5fs for the best spatial decomposition: with one sample and a\n",
 		fcSt.Cost, strategy.Evaluate(m, fcArch, shapes, spatialU.Placements, 1))
 	fmt.Println("   2x2 domain only the channel axis still shards the dominant weight allreduce;")
-	fmt.Println("   cmd/bench -exp placement measures the same trade live.")
+	fmt.Println("   go run -C benchmark . -workload fcheavy_placed measures such a placed stack live.")
 }

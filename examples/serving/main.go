@@ -1,21 +1,16 @@
-// Serving load generator: drives the serving runtime with concurrent
-// in-process clients and reports throughput and latency, first across
-// batching configurations (the batch-1 baseline against dynamic batching at
-// a sweep of flush deadlines), then across fleet layouts in distributed
-// mode — single-rank replicas against placement-sharded multi-rank replica
-// groups — and finally under deliberate overload, where admission control
-// sheds instead of queueing. These are the measurements behind the
-// ROADMAP's serving tables.
+// Serving fail-over drill: hard-kills one of two replicas mid-load with a
+// deterministic fault plan, keeps closed-loop in-process clients hammering
+// through the outage, and prints the detection / quarantine / rejoin
+// timeline with the failure counters — no request may hang and no answer
+// may change. It exits non-zero if an answer changes or the replica never
+// rejoins.
 //
-// The failover mode is a fault drill instead of a sweep: it hard-kills one
-// of two replicas mid-load with a deterministic fault plan, keeps clients
-// hammering through the outage, and prints the detection / quarantine /
-// rejoin timeline with the failure counters — no request may hang and no
-// answer may change.
+// This is a narrated demo, not a measurement: serving throughput and
+// latency come from `go run -C benchmark . -workload serve_routed` and
+// `-workload serve_sharded`.
 //
-//	go run ./examples/serving -clients 32 -duration 2s
-//	go run ./examples/serving -mode fleet -duration 1s
-//	go run ./examples/serving -mode failover
+//	go run ./examples/serving
+//	go run ./examples/serving -arch smallcnn -size 8 -classes 4 -clients 8
 package main
 
 import (
@@ -38,106 +33,9 @@ func main() {
 	size := flag.Int("size", 16, "input spatial size")
 	classes := flag.Int("classes", 10, "classes")
 	clients := flag.Int("clients", 32, "concurrent clients")
-	duration := flag.Duration("duration", 2*time.Second, "measurement window per config")
-	maxBatch := flag.Int("max-batch", 16, "micro-batch flush size for dynamic configs")
-	replicas := flag.Int("replicas", 1, "model replicas (batching mode)")
-	mode := flag.String("mode", "batching", "batching | fleet | failover | all")
 	flag.Parse()
 
-	if *mode == "batching" || *mode == "all" {
-		batchingSweep(*arch, *size, *classes, *clients, *replicas, *maxBatch, *duration)
-	}
-	if *mode == "fleet" || *mode == "all" {
-		fleetSweep(*arch, *size, *classes, *clients, *maxBatch, *duration)
-	}
-	if *mode == "failover" || *mode == "all" {
-		failoverDrill(*arch, *size, *classes, *clients)
-	}
-}
-
-func batchingSweep(arch string, size, classes, clients, replicas, maxBatch int, duration time.Duration) {
-	type config struct {
-		name     string
-		maxBatch int
-		deadline time.Duration
-	}
-	configs := []config{
-		{"batch-1", 1, serve.Greedy},
-		{"greedy", maxBatch, serve.Greedy},
-		{"dl=500us", maxBatch, 500 * time.Microsecond},
-		{"dl=2ms", maxBatch, 2 * time.Millisecond},
-		{"dl=5ms", maxBatch, 5 * time.Millisecond},
-	}
-
-	fmt.Printf("serving load test: %s %dx%dx3 -> %d classes, %d clients, %v per config, %d replica(s)\n\n",
-		arch, size, size, classes, clients, duration, replicas)
-	fmt.Printf("| %-9s | %9s | %8s | %12s | %9s | %8s | %8s | %7s |\n",
-		"config", "max batch", "deadline", "throughput", "avg batch", "p50", "p99", "speedup")
-	fmt.Printf("|-----------|-----------|----------|--------------|-----------|----------|----------|---------|\n")
-
-	var base float64
-	for _, cfg := range configs {
-		thr, st := runConfig(arch, size, classes, clients, serve.Config{
-			Replicas:      replicas,
-			MaxBatch:      cfg.maxBatch,
-			BatchDeadline: cfg.deadline,
-		}, duration)
-		if cfg.name == "batch-1" {
-			base = thr
-		}
-		dl := "greedy"
-		if cfg.deadline > 0 {
-			dl = cfg.deadline.String()
-		}
-		fmt.Printf("| %-9s | %9d | %8s | %8.0f r/s | %9.1f | %8v | %8v | %6.2fx |\n",
-			cfg.name, cfg.maxBatch, dl, thr, st.AvgBatch, st.P50, st.P99, thr/base)
-	}
-	fmt.Println()
-}
-
-// fleetSweep compares fleet layouts in distributed mode (replicas fed over
-// comm ranks by the least-loaded router), including a replica sharded
-// across two ranks with filter-split layers — the configuration whose
-// answers are bitwise identical to an unsharded replica — and an overload
-// row where ~4x-capacity closed-loop load is shed by admission control.
-func fleetSweep(arch string, size, classes, clients, maxBatch int, duration time.Duration) {
-	type config struct {
-		name      string
-		groups    []int
-		clients   int
-		pending   int
-		frontEnds int
-	}
-	configs := []config{
-		{"1 replica", []int{1}, clients, 0, 1},
-		{"2 replicas", []int{1, 1}, clients, 0, 1},
-		{"shard-2 only", []int{2}, clients, 0, 1},
-		{"1 + shard-2", []int{1, 2}, clients, 0, 1},
-		// Sharded admission: two front-end ranks, each with its own lanes,
-		// batcher, and router, splitting the replicas' in-flight budgets.
-		{"1+2, 2 FEs", []int{1, 2}, clients, 0, 2},
-		{"overload 4x", []int{1, 2}, 4 * clients, maxBatch / 2, 1},
-		{"overload 2FE", []int{1, 2}, 4 * clients, maxBatch / 2, 2},
-	}
-
-	fmt.Printf("distributed fleet: %s %dx%dx3 -> %d classes, max batch %d, greedy flush, %v per config\n",
-		arch, size, size, classes, maxBatch, duration)
-	fmt.Printf("(groups N>1 are DistInferNet replicas sharded over N comm ranks, filter-split)\n\n")
-	fmt.Printf("| %-12s | %7s | %12s | %9s | %8s | %8s | %9s |\n",
-		"fleet", "clients", "throughput", "avg batch", "p50", "p99", "shed")
-	fmt.Printf("|--------------|---------|--------------|-----------|----------|----------|-----------|\n")
-	for _, cfg := range configs {
-		thr, st := runConfig(arch, size, classes, cfg.clients, serve.Config{
-			Groups:          cfg.groups,
-			FrontEnds:       cfg.frontEnds,
-			MaxBatch:        maxBatch,
-			BatchDeadline:   serve.Greedy,
-			QueueDepth:      cfg.frontEnds, // one in-flight slot per front-end per replica
-			PendingRequests: cfg.pending,
-		}, duration)
-		fmt.Printf("| %-12s | %7d | %8.0f r/s | %9.1f | %8v | %8v | %9d |\n",
-			cfg.name, cfg.clients, thr, st.AvgBatch, st.P50, st.P99, st.ShedFull+st.ShedExpired)
-	}
+	failoverDrill(*arch, *size, *classes, *clients)
 }
 
 // failoverDrill hard-kills the sharded replica of a 1 + shard-2 fleet in
@@ -264,60 +162,4 @@ func buildServingModel(arch string, size, classes, maxBatch int) *nn.InferNet {
 		os.Exit(1)
 	}
 	return model
-}
-
-func runConfig(arch string, size, classes, clients int, cfg serve.Config, duration time.Duration) (float64, serve.Stats) {
-	// Fresh model per config: layer-seeded init makes every run identical.
-	var model *nn.InferNet
-	var err error
-	mb := cfg.MaxBatch
-	if mb <= 0 {
-		mb = 8
-	}
-	switch arch {
-	case "smallcnn":
-		model, err = models.SmallCNNForServing(size, 3, classes, mb)
-	default:
-		model, err = models.ResNet50TinyForServing(size, classes, mb)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	srv, err := serve.New(model, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer srv.Close()
-
-	var served atomic.Uint64
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(c)))
-			in := make([]float32, srv.InputLen())
-			for i := range in {
-				in[i] = rng.Float32()*2 - 1
-			}
-			out := make([]float32, srv.OutputLen())
-			for !stop.Load() {
-				switch err := srv.Predict(in, out); err {
-				case nil:
-					served.Add(1)
-				case serve.ErrOverloaded:
-					time.Sleep(200 * time.Microsecond)
-				default:
-					return
-				}
-			}
-		}(c)
-	}
-	time.Sleep(duration)
-	stop.Store(true)
-	wg.Wait()
-	return float64(served.Load()) / duration.Seconds(), srv.Stats()
 }

@@ -341,7 +341,6 @@ func RunAll(m perfmodel.Machine, w io.Writer) {
 	AblationOverlap(m).Write(w)
 	MemoryTable(m).Write(w)
 	ModelCheck().Write(w)
-	KernelThroughput().Write(w)
 }
 
 // SurfaceToVolume3D tabulates the conclusion's 3-D claim: halo words per

@@ -292,15 +292,6 @@ func (l *ChannelParallelConv) ReduceGradients(ctx *Ctx) {
 	}
 }
 
-// GradientWords returns the deferred-allreduce payload in words.
-func (l *ChannelParallelConv) GradientWords() int {
-	n := l.DW.Size()
-	if l.DBias != nil {
-		n += len(l.DBias)
-	}
-	return n
-}
-
 // FilterParallelConv partitions the output-filter dimension F: each channel
 // group holds W[fBlk, :] for a block of filters, allgathers the partitioned
 // input channels over ctx.Chan into the full input, and computes its filter
@@ -462,15 +453,6 @@ func (l *FilterParallelConv) ReduceGradients(ctx *Ctx) {
 	if l.DBias != nil {
 		ctx.ChanPeers.AllreduceAlgo(l.DBias, comm.OpSum, comm.AllreduceStableRing)
 	}
-}
-
-// GradientWords returns the deferred-allreduce payload in words.
-func (l *FilterParallelConv) GradientWords() int {
-	n := l.DW.Size()
-	if l.DBias != nil {
-		n += len(l.DBias)
-	}
-	return n
 }
 
 // addBiasBlock adds bias[f] to every (sample, filter) plane of y

@@ -351,16 +351,3 @@ func (l *Conv) ReduceGradients(ctx *Ctx) {
 		ctx.C.AllreduceAlgo(l.DBias, comm.OpSum, comm.AllreduceStableRing)
 	}
 }
-
-// GradientWords returns the allreduce payload size in words, for the
-// performance model.
-func (l *Conv) GradientWords() int {
-	if l.DW == nil {
-		return 0
-	}
-	n := l.DW.Size()
-	if l.DBias != nil {
-		n += len(l.DBias)
-	}
-	return n
-}

@@ -39,15 +39,6 @@ func (t DistTensor) ownedRegion() (rn, rc, rh, rw dist.Range) {
 	return t.Dist.RangeN(t.Rank), t.Dist.RangeC(t.Rank), t.Dist.RangeH(t.Rank), t.Dist.RangeW(t.Rank)
 }
 
-// CheckShape panics if the local tensor does not match the distribution.
-func (t DistTensor) CheckShape() {
-	want := t.Dist.LocalShape(t.Rank)
-	got := t.Local.Shape()
-	if len(got) != 4 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] || got[3] != want[3] {
-		panic(fmt.Sprintf("core: local shape %v does not match distribution shard %v", got, want))
-	}
-}
-
 // Scatter splits a global tensor into per-rank shards under d. It is the
 // test/IO entry point (the data reader provides input "in the appropriate
 // distribution for the first layer", Section III-B).

@@ -155,10 +155,6 @@ func (l *BatchNorm) Backward(ctx *Ctx, dy DistTensor) DistTensor {
 	return dx
 }
 
-// GradientWords returns the allreduce payload for the performance model
-// (batchnorm has learnable parameters, Section V-B).
-func (l *BatchNorm) GradientWords() int { return 2 * l.c }
-
 // ReLU is a distributed rectified linear unit; elementwise, so it
 // parallelizes trivially regardless of distribution (Section III-B).
 type ReLU struct {

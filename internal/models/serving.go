@@ -14,20 +14,10 @@ func ForServing(arch *nn.Arch, maxBatch int) (*nn.InferNet, error) {
 	return nn.NewInferNet(arch, maxBatch)
 }
 
-// ResNet50ForServing builds a forward-only ResNet-50 replica.
-func ResNet50ForServing(inputSize, classes, maxBatch int) (*nn.InferNet, error) {
-	return ForServing(ResNet50(inputSize, classes), maxBatch)
-}
-
 // ResNet50TinyForServing builds a forward-only reduced-ResNet replica, the
 // serving-test and example workhorse.
 func ResNet50TinyForServing(inputSize, classes, maxBatch int) (*nn.InferNet, error) {
 	return ForServing(ResNet50Tiny(inputSize, classes), maxBatch)
-}
-
-// Mesh1KForServing builds a forward-only 1K mesh-tangling replica.
-func Mesh1KForServing(maxBatch int) (*nn.InferNet, error) {
-	return ForServing(Mesh1K(), maxBatch)
 }
 
 // MeshTinyForServing builds a forward-only scaled-down mesh replica.

@@ -15,13 +15,9 @@ import (
 // built while it is true run every conv through the legacy pack-on-the-fly
 // ConvForwardBatched and execute batchnorm/ReLU as separate layers. The
 // fused path is bitwise identical to the legacy one (test-enforced), so the
-// knob exists for A/B benchmarking and for the equivalence tests themselves,
-// not for correctness escapes. Read once at NewInferNet.
+// knob exists for the equivalence test that builds the legacy oracle, not
+// for correctness escapes. Read once at NewInferNet.
 var inferNoFusion atomic.Bool
-
-// SetInferFusion toggles conv+BN+ReLU fusion and weight prepacking for
-// subsequently constructed InferNets (default on).
-func SetInferFusion(on bool) { inferNoFusion.Store(!on) }
 
 // InferNet is the forward-only execution engine behind the serving
 // subsystem: it runs an architecture in eval mode (batch normalization uses

@@ -239,8 +239,8 @@ func TestInferNetFusionBitwiseMatchesLegacy(t *testing.T) {
 	}
 
 	build := func(fusion bool) *InferNet {
-		SetInferFusion(fusion)
-		defer SetInferFusion(true)
+		inferNoFusion.Store(!fusion)
+		defer inferNoFusion.Store(false)
 		inf, err := NewInferNet(arch, maxN)
 		if err != nil {
 			t.Fatal(err)

@@ -138,12 +138,6 @@ func NewStrategyNet(base *core.Ctx, arch *Arch, n int, seed int64, placements []
 	return net, nil
 }
 
-// NewStrategyNetGrids is NewStrategyNet over plain per-layer grids with
-// replicated weights — the PC = 1 family of Section III-A.
-func NewStrategyNetGrids(base *core.Ctx, arch *Arch, n int, seed int64, grids []dist.Grid) (*StrategyNet, error) {
-	return NewStrategyNet(base, arch, n, seed, dist.Placements(grids))
-}
-
 // loadWeightSlice fills w with the (fRange, cRange) slice of the full
 // He-initialized [f, c, k, k] weight tensor the sequential net would draw,
 // so sharded and replicated placements start from identical parameters.

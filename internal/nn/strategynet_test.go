@@ -12,6 +12,12 @@ import (
 	"repro/internal/tensor"
 )
 
+// newStrategyNetGrids is NewStrategyNet over plain per-layer grids with
+// replicated weights — the PC = 1 family of Section III-A.
+func newStrategyNetGrids(base *core.Ctx, arch *Arch, n int, seed int64, grids []dist.Grid) (*StrategyNet, error) {
+	return NewStrategyNet(base, arch, n, seed, dist.Placements(grids))
+}
+
 // checkStrategyMatchesSeq runs an architecture with a per-layer strategy
 // and compares loss, parameters after one SGD step, against sequential.
 func checkStrategyMatchesSeq(t *testing.T, arch *Arch, grids []dist.Grid, n int) {
@@ -44,7 +50,7 @@ func checkStrategyMatchesSeq(t *testing.T, arch *Arch, grids []dist.Grid, n int)
 	w := comm.NewWorld(p)
 	w.Run(func(c *comm.Comm) {
 		base := core.NewCtx(c, grids[0])
-		net, err := NewStrategyNetGrids(base, arch, n, 77, grids)
+		net, err := newStrategyNetGrids(base, arch, n, 77, grids)
 		if err != nil {
 			t.Error(err)
 			return
@@ -134,7 +140,7 @@ func TestStrategyNetRejectsBadGrids(t *testing.T) {
 	w := comm.NewWorld(2)
 	w.Run(func(c *comm.Comm) {
 		base := core.NewCtx(c, dist.Grid{PN: 2, PH: 1, PW: 1})
-		if _, err := NewStrategyNetGrids(base, arch, 4, 1, grids); err == nil {
+		if _, err := newStrategyNetGrids(base, arch, 4, 1, grids); err == nil {
 			t.Error("wrong grid count accepted")
 		}
 	})

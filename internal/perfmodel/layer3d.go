@@ -62,13 +62,6 @@ func (s Conv3DSpec) HaloWords3(g dist.Grid3) int {
 	return words
 }
 
-// ComputeFlops3 returns the local forward flops under grid.
-func (s Conv3DSpec) ComputeFlops3(g dist.Grid3) float64 {
-	n, od, oh, ow, _, _, _ := s.localDims3(g)
-	k := float64(s.Geom.K)
-	return 2 * float64(n) * float64(s.C) * k * k * k * float64(od) * float64(oh) * float64(ow) * float64(s.F)
-}
-
 // HaloWords2 counts the words a rank receives in the 2-D exchange of a
 // ConvSpec (the Section V-A message sizes, summed).
 func (s ConvSpec) HaloWords2(g dist.Grid) int {
@@ -89,13 +82,6 @@ func (s ConvSpec) HaloWords2(g dist.Grid) int {
 		words += 4 * base * o
 	}
 	return words
-}
-
-// ComputeFlops2 returns the local forward flops of a 2-D layer under grid.
-func (s ConvSpec) ComputeFlops2(g dist.Grid) float64 {
-	n, oh, ow, _, _ := s.localDims(g)
-	k := float64(s.Geom.K)
-	return 2 * float64(n) * float64(s.C) * k * k * float64(oh) * float64(ow) * float64(s.F)
 }
 
 // SurfaceToVolume quantifies the conclusion's claim that 3-D spatial

@@ -25,16 +25,6 @@ type Strategy struct {
 	Cost       float64
 }
 
-// Grids projects the per-layer grids out of the placements (reporting and
-// legacy-API convenience).
-func (s Strategy) Grids() []dist.Grid {
-	out := make([]dist.Grid, len(s.Placements))
-	for i, p := range s.Placements {
-		out[i] = p.Grid
-	}
-	return out
-}
-
 // Uniform returns a strategy using grid g (replicated weights) for every
 // layer.
 func Uniform(arch *nn.Arch, g dist.Grid) Strategy {
