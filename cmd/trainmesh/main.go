@@ -74,7 +74,7 @@ func main() {
 		if *overlap {
 			net.Grad = nn.GradOverlap
 		}
-		xs := net.ScatterInput(x)
+		xs := core.Scatter(x, net.InputDist())
 		lbl := nn.ScatterLabels(labels, net.OutputDist())
 		opt := nn.NewSGD(float32(*lr), 0.9, 1e-4)
 		for it := 0; it < *iters; it++ {

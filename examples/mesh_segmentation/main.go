@@ -70,7 +70,7 @@ func main() {
 		// identical to the synchronous schedule (GradSync), so the
 		// sequential comparison below is unaffected.
 		net.Grad = nn.GradOverlap
-		xs := net.ScatterInput(x)
+		xs := core.Scatter(x, net.InputDist())
 		lbl := nn.ScatterLabels(labels, net.OutputDist())
 		o := nn.NewSGD(0.05, 0.9, 0)
 		for it := 0; it < iters; it++ {

@@ -463,85 +463,6 @@ func TestShuffleVolumeConservation(t *testing.T) {
 	}
 }
 
-func TestModelParallelFCMatchesSequential(t *testing.T) {
-	for _, p := range []int{1, 2, 4} {
-		n, in, out := 8, 10, 6
-		x := tensor.New(n, in)
-		x.FillRandN(20, 1)
-		w := tensor.New(out, in)
-		w.FillRandN(21, 1)
-		bias := make([]float32, out)
-		for i := range bias {
-			bias[i] = float32(i) * 0.1
-		}
-		dy := tensor.New(n, out)
-		dy.FillRandN(22, 1)
-
-		ySeq := tensor.New(n, out)
-		kernels.FCForward(x, w, bias, ySeq)
-		dxSeq := tensor.New(n, in)
-		kernels.FCBackwardData(dy, w, dxSeq)
-		dwSeq := tensor.New(out, in)
-		dbSeq := make([]float32, out)
-		kernels.FCBackwardParams(x, dy, dwSeq, dbSeq, false)
-
-		yOut := make([]*tensor.Tensor, p)
-		dxOut := make([]*tensor.Tensor, p)
-		dwOut := make([]*tensor.Tensor, p)
-		ranges := make([]dist.Range, p)
-		var mu sync.Mutex
-		world := comm.NewWorld(p)
-		world.Run(func(c *comm.Comm) {
-			l := NewModelParallelFC(c, n, in, out)
-			// Load this rank's weight block.
-			r := l.OutRange
-			l.W.InsertRegion(
-				tensor.Region{Off: []int{0, 0}, Size: []int{r.Len(), in}},
-				w.ExtractRegion(tensor.Region{Off: []int{r.Lo, 0}, Size: []int{r.Len(), in}}))
-			copy(l.Bias, bias[r.Lo:r.Hi])
-			sr := dist.BlockPartition(n, p, c.Rank())
-			xLoc := tensor.New(sr.Len(), in)
-			xLoc.InsertRegion(tensor.Region{Off: []int{0, 0}, Size: []int{sr.Len(), in}},
-				x.ExtractRegion(tensor.Region{Off: []int{sr.Lo, 0}, Size: []int{sr.Len(), in}}))
-			y := l.Forward(c, xLoc)
-			dyLoc := tensor.New(sr.Len(), out)
-			dyLoc.InsertRegion(tensor.Region{Off: []int{0, 0}, Size: []int{sr.Len(), out}},
-				dy.ExtractRegion(tensor.Region{Off: []int{sr.Lo, 0}, Size: []int{sr.Len(), out}}))
-			dx := l.Backward(c, dyLoc)
-			mu.Lock()
-			yOut[c.Rank()] = y
-			dxOut[c.Rank()] = dx
-			dwOut[c.Rank()] = l.DW
-			ranges[c.Rank()] = r
-			mu.Unlock()
-		})
-		// Verify sample shards of y and dx.
-		for r := 0; r < p; r++ {
-			sr := dist.BlockPartition(n, p, r)
-			for i := 0; i < sr.Len(); i++ {
-				for j := 0; j < out; j++ {
-					if d := float64(yOut[r].At(i, j) - ySeq.At(sr.Lo+i, j)); d > 1e-3 || d < -1e-3 {
-						t.Errorf("p=%d rank %d: y(%d,%d) diff %g", p, r, i, j, d)
-					}
-				}
-				for j := 0; j < in; j++ {
-					if d := float64(dxOut[r].At(i, j) - dxSeq.At(sr.Lo+i, j)); d > 1e-3 || d < -1e-3 {
-						t.Errorf("p=%d rank %d: dx(%d,%d) diff %g", p, r, i, j, d)
-					}
-				}
-			}
-			// Verify weight gradient blocks.
-			for i := ranges[r].Lo; i < ranges[r].Hi; i++ {
-				for j := 0; j < in; j++ {
-					if d := float64(dwOut[r].At(i-ranges[r].Lo, j) - dwSeq.At(i, j)); d > 1e-3 || d < -1e-3 {
-						t.Errorf("p=%d rank %d: dw(%d,%d) diff %g", p, r, i, j, d)
-					}
-				}
-			}
-		}
-	}
-}
-
 // Property: distributed convolution matches sequential for random shapes,
 // geometries, and grids.
 func TestQuickDistConvMatchesSequential(t *testing.T) {

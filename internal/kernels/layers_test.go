@@ -264,66 +264,6 @@ func TestAdd(t *testing.T) {
 	}
 }
 
-func TestFCForwardBackward(t *testing.T) {
-	n, in, out := 3, 4, 2
-	x := tensor.New(n, in)
-	w := tensor.New(out, in)
-	x.FillRandN(6, 1)
-	w.FillRandN(7, 1)
-	bias := []float32{0.5, -0.5}
-	y := tensor.New(n, out)
-	FCForward(x, w, bias, y)
-	// Check one element by hand.
-	var want float64
-	for p := 0; p < in; p++ {
-		want += float64(x.At(1, p)) * float64(w.At(0, p))
-	}
-	want += 0.5
-	if math.Abs(float64(y.At(1, 0))-want) > 1e-4 {
-		t.Fatalf("fc y(1,0) = %v, want %v", y.At(1, 0), want)
-	}
-
-	dy := tensor.New(n, out)
-	dy.FillRandN(8, 1)
-	dx := tensor.New(n, in)
-	FCBackwardData(dy, w, dx)
-	dw := tensor.New(out, in)
-	db := make([]float32, out)
-	FCBackwardParams(x, dy, dw, db, false)
-
-	// Adjoint identity: <y-part, dy> == <x, dx> when bias ignored.
-	yNoBias := tensor.New(n, out)
-	FCForward(x, w, nil, yNoBias)
-	var lhs, rhs float64
-	for i := range yNoBias.Data() {
-		lhs += float64(yNoBias.Data()[i]) * float64(dy.Data()[i])
-	}
-	for i := range x.Data() {
-		rhs += float64(x.Data()[i]) * float64(dx.Data()[i])
-	}
-	// Also <w, dw> must equal the same bilinear form.
-	var wdw float64
-	for i := range w.Data() {
-		wdw += float64(w.Data()[i]) * float64(dw.Data()[i])
-	}
-	if math.Abs(lhs-rhs) > 1e-3*math.Abs(lhs) {
-		t.Fatalf("adjoint x: %g vs %g", lhs, rhs)
-	}
-	if math.Abs(lhs-wdw) > 1e-3*math.Abs(lhs) {
-		t.Fatalf("adjoint w: %g vs %g", lhs, wdw)
-	}
-	// db = column sums of dy.
-	for j := 0; j < out; j++ {
-		var s float64
-		for i := 0; i < n; i++ {
-			s += float64(dy.At(i, j))
-		}
-		if math.Abs(s-float64(db[j])) > 1e-4 {
-			t.Fatalf("db[%d] = %v, want %v", j, db[j], s)
-		}
-	}
-}
-
 func TestSoftmaxCrossEntropyKnownValues(t *testing.T) {
 	// Uniform logits over 4 classes: loss = ln 4.
 	logits := tensor.New(2, 4)

@@ -173,6 +173,21 @@ func xentSpatialChunk(j *lossJob, nlo, nhi int) {
 	}
 }
 
+// flat2 views a tensor as [dim0, rest]: per-sample rows of a logits tensor
+// of any rank.
+func flat2(t *tensor.Tensor) (int, int) {
+	s := t.Shape()
+	if len(s) == 0 {
+		panic("kernels: scalar tensor has no sample rows")
+	}
+	n := s[0]
+	rest := 1
+	for _, d := range s[1:] {
+		rest *= d
+	}
+	return n, rest
+}
+
 // ArgmaxRows returns the argmax class of each row of logits [N, Classes].
 func ArgmaxRows(logits *tensor.Tensor) []int {
 	n, cl := flat2(logits)

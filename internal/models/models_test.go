@@ -195,7 +195,7 @@ func TestMeshTinyDistTrainingMatchesSeq(t *testing.T) {
 		}
 		o := nn.NewSGD(0.05, 0.9, 0)
 		var ls []float64
-		xs := net.ScatterInput(x)
+		xs := core.Scatter(x, net.InputDist())
 		lbl := nn.ScatterLabels(labels, net.OutputDist())
 		for it := 0; it < 2; it++ {
 			logits := net.Forward(xs[ctx.Rank])

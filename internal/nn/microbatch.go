@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"fmt"
-
-	"repro/internal/tensor"
-)
+import "repro/internal/tensor"
 
 // Micro-batching (gradient accumulation) is the out-of-core technique the
 // paper contrasts with spatial parallelism for memory pressure (Section
@@ -78,15 +74,4 @@ func PeakActivationBytes(arch *Arch, n int) (int64, error) {
 		total += int64(n) * int64(s.C) * int64(s.H) * int64(s.W) * 4
 	}
 	return total, nil
-}
-
-// validateMicroBatch is a defensive check shared by tests.
-func validateMicroBatch(n, mb int) error {
-	if n <= 0 {
-		return fmt.Errorf("nn: empty batch")
-	}
-	if mb <= 0 {
-		return fmt.Errorf("nn: non-positive micro-batch %d", mb)
-	}
-	return nil
 }

@@ -75,15 +75,6 @@ func TestMicroBatchReducesPeakActivations(t *testing.T) {
 	}
 }
 
-func TestValidateMicroBatch(t *testing.T) {
-	if validateMicroBatch(0, 1) == nil || validateMicroBatch(4, 0) == nil {
-		t.Fatal("invalid micro-batch configs accepted")
-	}
-	if validateMicroBatch(4, 2) != nil {
-		t.Fatal("valid config rejected")
-	}
-}
-
 func TestCheckpointRoundTrip(t *testing.T) {
 	arch := bnFreeArch(8)
 	a, _ := NewSeqNet(arch, 1)

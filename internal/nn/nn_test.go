@@ -189,10 +189,21 @@ func TestSeqNetResidualGradientFD(t *testing.T) {
 	}
 }
 
-// checkDistMatchesSeq runs the same architecture sequentially and
-// distributed over g, compares logits, loss, gradients, and one SGD step.
-func checkDistMatchesSeq(t *testing.T, arch *Arch, g dist.Grid, n int, seg bool) {
+// uniform places every layer of arch on grid g: the NewDistNet layout.
+func uniform(arch *Arch, g dist.Grid) []dist.Placement {
+	pls := make([]dist.Placement, len(arch.Specs))
+	for i := range pls {
+		pls[i] = dist.P(g)
+	}
+	return pls
+}
+
+// checkMatchesSeq runs the same architecture sequentially and distributed
+// under per-layer placements pls, and compares the loss and the parameters
+// after one SGD step.
+func checkMatchesSeq(t *testing.T, arch *Arch, pls []dist.Placement, n int, seg bool) {
 	t.Helper()
+	p := pls[0].Grid.Size()
 	seqNet, err := NewSeqNet(arch, 99)
 	if err != nil {
 		t.Fatal(err)
@@ -236,48 +247,48 @@ func checkDistMatchesSeq(t *testing.T, arch *Arch, g dist.Grid, n int, seg bool)
 		loss   float64
 		params []Param
 	}
-	results := make([]rankResult, g.Size())
+	results := make([]rankResult, p)
 	var mu sync.Mutex
-	w := comm.NewWorld(g.Size())
+	w := comm.NewWorld(p)
 	w.Run(func(c *comm.Comm) {
-		ctx := core.NewCtx(c, g)
-		net, err := NewDistNet(ctx, arch, n, 99)
+		base := core.NewCtx(c, pls[0].Grid)
+		net, err := NewStrategyNet(base, arch, n, 99, pls)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		xs := net.ScatterInput(x)
-		logits := net.Forward(xs[ctx.Rank])
+		xs := core.Scatter(x, net.InputDist())
+		logits := net.Forward(xs[base.Rank])
 		var loss float64
 		var dl core.DistTensor
 		if seg {
 			shards := ScatterLabels(segLabels, net.OutputDist())
-			loss, dl = DistSegLoss(ctx, logits, shards[ctx.Rank])
+			loss, dl = DistSegLoss(net.OutputCtx(), logits, shards[base.Rank])
 		} else {
 			shards := ScatterSampleLabels(clsLabels, net.OutputDist())
-			loss, dl = DistClsLoss(ctx, logits, shards[ctx.Rank])
+			loss, dl = DistClsLoss(net.OutputCtx(), logits, shards[base.Rank])
 		}
 		net.Backward(dl)
 		ps := net.Params()
 		o := NewSGD(0.1, 0.9, 0)
 		o.Step(ps)
 		mu.Lock()
-		results[ctx.Rank] = rankResult{loss: loss, params: ps}
+		results[base.Rank] = rankResult{loss: loss, params: ps}
 		mu.Unlock()
 	})
 
-	for r := 0; r < g.Size(); r++ {
+	for r := 0; r < p; r++ {
 		if d := math.Abs(results[r].loss - lossSeq); d > 1e-4*(math.Abs(lossSeq)+1) {
-			t.Errorf("grid %v rank %d: loss %g vs sequential %g", g, r, results[r].loss, lossSeq)
+			t.Errorf("%v rank %d: loss %g vs sequential %g", pls[0], r, results[r].loss, lossSeq)
 		}
 		if len(results[r].params) != len(seqParams) {
-			t.Fatalf("grid %v: param count %d vs %d", g, len(results[r].params), len(seqParams))
+			t.Fatalf("%v: param count %d vs %d", pls[0], len(results[r].params), len(seqParams))
 		}
-		for i, p := range results[r].params {
+		for i, pp := range results[r].params {
 			sp := seqParams[i]
-			for j := range p.W {
-				if d := math.Abs(float64(p.W[j] - sp.W[j])); d > 2e-3 {
-					t.Errorf("grid %v rank %d: %s[%d] = %v vs sequential %v", g, r, p.Name, j, p.W[j], sp.W[j])
+			for j := range pp.W {
+				if d := math.Abs(float64(pp.W[j] - sp.W[j])); d > 2e-3 {
+					t.Errorf("%v rank %d: %s[%d] = %v vs sequential %v", pls[0], r, pp.Name, j, pp.W[j], sp.W[j])
 					break
 				}
 			}
@@ -291,7 +302,7 @@ func TestDistNetSegMatchesSeq(t *testing.T) {
 		{PN: 1, PH: 1, PW: 1}, {PN: 2, PH: 1, PW: 1}, {PN: 1, PH: 2, PW: 1},
 		{PN: 1, PH: 2, PW: 2}, {PN: 2, PH: 2, PW: 1},
 	} {
-		checkDistMatchesSeq(t, arch, g, 4, true)
+		checkMatchesSeq(t, arch, uniform(arch, g), 4, true)
 	}
 }
 
@@ -300,7 +311,7 @@ func TestDistNetResidualClsMatchesSeq(t *testing.T) {
 	for _, g := range []dist.Grid{
 		{PN: 2, PH: 1, PW: 1}, {PN: 1, PH: 2, PW: 2}, {PN: 2, PH: 2, PW: 2},
 	} {
-		checkDistMatchesSeq(t, arch, g, 4, false)
+		checkMatchesSeq(t, arch, uniform(arch, g), 4, false)
 	}
 }
 
@@ -311,7 +322,7 @@ func TestDistNetWithMaxPoolMatchesSeq(t *testing.T) {
 	b.Conv("pred", c, 2, dist.ConvGeom{K: 1, S: 1, Pad: 0}, true)
 	arch := b.MustBuild()
 	for _, g := range []dist.Grid{{PN: 1, PH: 2, PW: 2}, {PN: 2, PH: 2, PW: 1}} {
-		checkDistMatchesSeq(t, arch, g, 2, true)
+		checkMatchesSeq(t, arch, uniform(arch, g), 2, true)
 	}
 }
 

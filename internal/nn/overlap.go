@@ -1,18 +1,22 @@
 package nn
 
-import (
-	"repro/internal/comm"
-	"repro/internal/core"
-)
+import "repro/internal/comm"
 
 // Gradient-overlap engine: hides the parameter-gradient allreduces of
 // distributed training behind the remaining backward computation, the
-// paper's Aluminum-style overlap (Section IV). As DistNet.Backward retires
-// layer i, that layer's gradient buckets launch non-blocking stable-ring
-// allreduces on the communication proxy, which make progress while layers
-// i-1..0 are still running their backward kernels; a drain before Backward
-// returns completes every request, so the optimizer sees finished
-// gradients exactly as in the synchronous mode.
+// paper's Aluminum-style overlap (Section IV). As StrategyNet.Backward
+// retires layer i, that layer's gradient buckets launch non-blocking
+// stable-ring allreduces on the communication proxy, which make progress
+// while layers i-1..0 are still running their backward kernels (shuffles
+// between placements included); a drain before Backward returns completes
+// every request, so the optimizer sees finished gradients exactly as in
+// the synchronous mode.
+//
+// Only replicated-weight convolutions (core.Conv) defer their reductions.
+// Batch normalization's gradient reduction rides the backward-stats
+// allreduce that the data gradient needs anyway, and channel- and
+// filter-parallel convolutions reduce over ctx.ChanPeers inside their
+// backward; both leave nothing for the engine.
 //
 // Small tensors (biases, small weight blocks) are coalesced into fusion
 // buckets so a handful of large messages replace many latency-bound small
@@ -21,7 +25,7 @@ import (
 // (comm.AllreduceStableRing), so overlapped and synchronous runs produce
 // bitwise-identical gradients no matter how the schedule interleaves.
 
-// GradMode selects how DistNet completes parameter gradients.
+// GradMode selects how a StrategyNet completes parameter gradients.
 type GradMode int
 
 const (
@@ -35,21 +39,6 @@ const (
 	// useful only to measure the communication-free ceiling in benchmarks.
 	GradSkip
 )
-
-// deferrable is implemented by distributed layers whose parameter-gradient
-// reduction can be taken over by the overlap engine. Batch normalization
-// implements it with an empty gradient list because its reduction is
-// inseparable from backward-data — the engine must leave it alone. Layers
-// with no distributed parameter gradients at all (ReLU, pooling, Add; and
-// any future wrapper over core.ModelParallelFC, whose weight gradients
-// are local by construction) simply don't implement the interface and the
-// engine skips them.
-type deferrable interface {
-	setDeferAllreduce(on bool)
-	// deferredGrads returns the gradient slices (in a fixed order) that
-	// remain unreduced when allreduce is deferred.
-	deferredGrads() [][]float32
-}
 
 // fuseTargetWords bounds fusion buckets: tensors at least this large are
 // reduced in place (no copy); smaller ones coalesce until a bucket reaches
@@ -67,17 +56,17 @@ type gradBucket struct {
 	req    *comm.Request
 }
 
-// gradPlan is the fixed bucket assignment for one DistNet.
+// gradPlan is the fixed bucket assignment for one StrategyNet.
 type gradPlan struct {
 	buckets []*gradBucket
 	atLayer map[int][]*gradBucket
 }
 
-// buildGradPlan walks the layers in retirement order (reverse topological,
-// the order Backward visits them) and assigns every deferred gradient
+// buildGradPlan walks the ops in retirement order (reverse topological,
+// the order Backward visits them) and assigns every deferrable gradient
 // tensor to a bucket. The plan depends only on the architecture, so every
 // rank computes the identical assignment.
-func buildGradPlan(layers []distLayer) *gradPlan {
+func buildGradPlan(ops []op) *gradPlan {
 	p := &gradPlan{atLayer: make(map[int][]*gradBucket)}
 	var open *gradBucket
 	closeBucket := func() {
@@ -89,12 +78,12 @@ func buildGradPlan(layers []distLayer) *gradPlan {
 		p.atLayer[open.launch] = append(p.atLayer[open.launch], open)
 		open = nil
 	}
-	for i := len(layers) - 1; i >= 0; i-- {
-		d, ok := layers[i].(deferrable)
-		if !ok {
+	for i := len(ops) - 1; i >= 0; i-- {
+		if ops[i].conv == nil {
 			continue
 		}
-		for _, g := range d.deferredGrads() {
+		for _, prm := range ops[i].params {
+			g := prm.G
 			if len(g) == 0 {
 				continue
 			}
@@ -122,7 +111,7 @@ func buildGradPlan(layers []distLayer) *gradPlan {
 // launch starts the non-blocking reductions of every bucket completed by
 // layer i's retirement. Fusion buckets gather their members first, freeing
 // the member gradient buffers immediately.
-func (p *gradPlan) launch(ctx *core.Ctx, i int) {
+func (p *gradPlan) launch(c *comm.Comm, i int) {
 	for _, b := range p.atLayer[i] {
 		buf := b.parts[0]
 		if b.fused != nil {
@@ -133,7 +122,7 @@ func (p *gradPlan) launch(ctx *core.Ctx, i int) {
 			}
 			buf = b.fused
 		}
-		b.req = ctx.C.IAllreduce(buf, comm.OpSum)
+		b.req = c.IAllreduce(buf, comm.OpSum)
 	}
 }
 

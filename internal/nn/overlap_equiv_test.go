@@ -5,6 +5,7 @@ package nn_test
 // package nn).
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -35,10 +36,65 @@ func fusionArch(size int) *nn.Arch {
 	return b.MustBuild()
 }
 
-// trainFinalParams runs `steps` SGD steps of arch on grid g and returns
-// every rank's final parameters.
-func trainFinalParams(t *testing.T, arch *nn.Arch, g dist.Grid, n, steps int, seg bool, mode nn.GradMode) [][]nn.Param {
+// fcHeavyArch is four 16->16 1x1 convs with ReLUs on a 2x2 domain and a
+// 4-class 1x1 predictor, for channel- and filter-split placements.
+func fcHeavyArch() *nn.Arch {
+	b := nn.NewBuilder("fcheavy", nn.Shape{C: 16, H: 2, W: 2})
+	c := b.Last()
+	for i := 0; i < 4; i++ {
+		c = b.Conv(fmt.Sprintf("fc%d", i), c, 16, dist.ConvGeom{K: 1, S: 1}, false)
+		c = b.ReLU(fmt.Sprintf("r%d", i), c)
+	}
+	b.Conv("pred", c, 4, dist.ConvGeom{K: 1, S: 1}, true)
+	return b.MustBuild()
+}
+
+// fcHeavyPlacements: input and pred sample-parallel on 2 ranks (pred is a
+// replicated-weight conv, so its gradient is deferred), fc0-fc1
+// channel-parallel and fc2-fc3 filter-parallel (reduced synchronously),
+// the ReLUs channel-split between them.
+func fcHeavyPlacements(arch *nn.Arch) []dist.Placement {
+	sample := dist.P(dist.Grid{PN: 2, PH: 1, PW: 1})
+	pc := dist.Grid{PN: 1, PC: 2, PH: 1, PW: 1}
+	pls := make([]dist.Placement, len(arch.Specs))
+	for i, s := range arch.Specs {
+		switch {
+		case i == 0 || s.Name == "pred":
+			pls[i] = sample
+		case s.Kind != nn.KindConv:
+			pls[i] = dist.P(pc)
+		case i <= 3: // fc0 and fc1 sit at specs 1 and 3
+			pls[i] = dist.Placement{Grid: pc, Split: dist.SplitChannel}
+		default:
+			pls[i] = dist.Placement{Grid: pc, Split: dist.SplitFilter}
+		}
+	}
+	return pls
+}
+
+// uniform places every layer of arch on grid g: the NewDistNet layout.
+func uniform(arch *nn.Arch, g dist.Grid) []dist.Placement {
+	pls := make([]dist.Placement, len(arch.Specs))
+	for i := range pls {
+		pls[i] = dist.P(g)
+	}
+	return pls
+}
+
+// switched places layers [0, k) on grid a and the rest on grid b.
+func switched(arch *nn.Arch, a, b dist.Grid, k int) []dist.Placement {
+	pls := uniform(arch, b)
+	for i := 0; i < k; i++ {
+		pls[i] = dist.P(a)
+	}
+	return pls
+}
+
+// trainFinalParams runs `steps` SGD steps of arch under placements pls and
+// returns every rank's final parameters.
+func trainFinalParams(t *testing.T, arch *nn.Arch, pls []dist.Placement, n, steps int, seg bool, mode nn.GradMode) [][]nn.Param {
 	t.Helper()
+	p := pls[0].Grid.Size()
 	in := arch.In
 	x := tensor.New(n, in.C, in.H, in.W)
 	x.FillRandN(5, 1)
@@ -57,35 +113,35 @@ func trainFinalParams(t *testing.T, arch *nn.Arch, g dist.Grid, n, steps int, se
 			clsLabels[i] = rng.Intn(outShape.C)
 		}
 	}
-	params := make([][]nn.Param, g.Size())
+	params := make([][]nn.Param, p)
 	var mu sync.Mutex
-	w := comm.NewWorld(g.Size())
+	w := comm.NewWorld(p)
 	w.Run(func(c *comm.Comm) {
-		ctx := core.NewCtx(c, g)
-		net, err := nn.NewDistNet(ctx, arch, n, 99)
+		base := core.NewCtx(c, pls[0].Grid)
+		net, err := nn.NewStrategyNet(base, arch, n, 99, pls)
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		net.Grad = mode
-		xs := net.ScatterInput(x)
+		xs := core.Scatter(x, net.InputDist())
 		opt := nn.NewSGD(0.05, 0.9, 1e-4)
 		for it := 0; it < steps; it++ {
-			logits := net.Forward(xs[ctx.Rank])
+			logits := net.Forward(xs[base.Rank])
 			var dl core.DistTensor
 			if seg {
 				shards := nn.ScatterLabels(segLabels, net.OutputDist())
-				_, dl = nn.DistSegLoss(ctx, logits, shards[ctx.Rank])
+				_, dl = nn.DistSegLoss(net.OutputCtx(), logits, shards[base.Rank])
 			} else {
 				shards := nn.ScatterSampleLabels(clsLabels, net.OutputDist())
-				_, dl = nn.DistClsLoss(ctx, logits, shards[ctx.Rank])
+				_, dl = nn.DistClsLoss(net.OutputCtx(), logits, shards[base.Rank])
 			}
 			net.Backward(dl)
 			opt.Step(net.Params())
 		}
 		ps := net.Params()
 		mu.Lock()
-		params[ctx.Rank] = ps
+		params[base.Rank] = ps
 		mu.Unlock()
 	})
 	return params
@@ -93,37 +149,46 @@ func trainFinalParams(t *testing.T, arch *nn.Arch, g dist.Grid, n, steps int, se
 
 // The tentpole determinism guarantee: overlapped and synchronous training
 // produce bitwise-identical parameters — on 1/2/4-rank sample-parallel
-// grids of resnet-tiny and on spatial/hybrid grids with halo exchanges —
-// after several full SGD steps.
+// grids of resnet-tiny, on spatial/hybrid grids with halo exchanges, and on
+// per-layer placements whose backward shuffles and channel/filter-split
+// reductions run while gradient buckets are in flight — after several full
+// SGD steps.
 func TestOverlapBitwiseMatchesSync(t *testing.T) {
+	spatial, sample := dist.Grid{PN: 1, PH: 2, PW: 2}, dist.Grid{PN: 4, PH: 1, PW: 1}
+	resnet, fusion, fc := models.ResNet50Tiny(16, 10), fusionArch(8), fcHeavyArch()
 	cases := []struct {
+		name string
 		arch *nn.Arch
-		g    dist.Grid
+		pls  []dist.Placement
 		n    int
 		seg  bool
 	}{
-		{models.ResNet50Tiny(16, 10), dist.Grid{PN: 1, PH: 1, PW: 1}, 4, false},
-		{models.ResNet50Tiny(16, 10), dist.Grid{PN: 2, PH: 1, PW: 1}, 4, false},
-		{models.ResNet50Tiny(16, 10), dist.Grid{PN: 4, PH: 1, PW: 1}, 4, false},
-		{fusionArch(8), dist.Grid{PN: 1, PH: 2, PW: 2}, 2, true},
-		{fusionArch(8), dist.Grid{PN: 2, PH: 2, PW: 1}, 4, true},
+		{"resnet {1,1,1}", resnet, uniform(resnet, dist.Grid{PN: 1, PH: 1, PW: 1}), 4, false},
+		{"resnet {2,1,1}", resnet, uniform(resnet, dist.Grid{PN: 2, PH: 1, PW: 1}), 4, false},
+		{"resnet {4,1,1}", resnet, uniform(resnet, sample), 4, false},
+		{"fusion {1,2,2}", fusion, uniform(fusion, spatial), 2, true},
+		{"fusion {2,2,1}", fusion, uniform(fusion, dist.Grid{PN: 2, PH: 2, PW: 1}), 4, true},
+		// Input through c1_relu spatial, c2 onward sample-parallel: the
+		// backward Redistribute at c2 runs with pred/c3/c2 buckets in flight.
+		{"fusion spatial->sample", fusion, switched(fusion, spatial, sample, 4), 4, true},
+		{"fcheavy placed", fc, fcHeavyPlacements(fc), 4, true},
 	}
 	for i, tc := range cases {
 		if raceDetectorOn && (i == 0 || i == 2) {
 			continue // trim the slowest resnet cases; see overlap_equiv_race_on_test.go
 		}
-		syncP := trainFinalParams(t, tc.arch, tc.g, tc.n, 3, tc.seg, nn.GradSync)
-		overP := trainFinalParams(t, tc.arch, tc.g, tc.n, 3, tc.seg, nn.GradOverlap)
+		syncP := trainFinalParams(t, tc.arch, tc.pls, tc.n, 3, tc.seg, nn.GradSync)
+		overP := trainFinalParams(t, tc.arch, tc.pls, tc.n, 3, tc.seg, nn.GradOverlap)
 		for r := range syncP {
 			if len(syncP[r]) != len(overP[r]) {
-				t.Fatalf("%s %v rank %d: param count %d vs %d", tc.arch.Name, tc.g, r, len(syncP[r]), len(overP[r]))
+				t.Fatalf("%s rank %d: param count %d vs %d", tc.name, r, len(syncP[r]), len(overP[r]))
 			}
 			for i, sp := range syncP[r] {
 				op := overP[r][i]
 				for j := range sp.W {
 					if math.Float32bits(sp.W[j]) != math.Float32bits(op.W[j]) {
-						t.Errorf("%s %v rank %d: %s[%d] sync %v != overlap %v (bitwise)",
-							tc.arch.Name, tc.g, r, sp.Name, j, sp.W[j], op.W[j])
+						t.Errorf("%s rank %d: %s[%d] sync %v != overlap %v (bitwise)",
+							tc.name, r, sp.Name, j, sp.W[j], op.W[j])
 						break
 					}
 				}
@@ -139,7 +204,8 @@ func TestOverlapWithHaloExchangesNoDeadlock(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		trainFinalParams(t, fusionArch(8), dist.Grid{PN: 1, PH: 2, PW: 2}, 2, 5, true, nn.GradOverlap)
+		arch := fusionArch(8)
+		trainFinalParams(t, arch, uniform(arch, dist.Grid{PN: 1, PH: 2, PW: 2}), 2, 5, true, nn.GradOverlap)
 	}()
 	select {
 	case <-done:
@@ -153,9 +219,9 @@ func TestGradSkipLeavesGradientsUnreduced(t *testing.T) {
 	// NOT equal the synchronous result on a multi-rank grid — if it did,
 	// the mode would silently be reducing after all.
 	arch := fusionArch(8)
-	g := dist.Grid{PN: 2, PH: 1, PW: 1}
-	syncP := trainFinalParams(t, arch, g, 4, 1, true, nn.GradSync)
-	skipP := trainFinalParams(t, arch, g, 4, 1, true, nn.GradSkip)
+	pls := uniform(arch, dist.Grid{PN: 2, PH: 1, PW: 1})
+	syncP := trainFinalParams(t, arch, pls, 4, 1, true, nn.GradSync)
+	skipP := trainFinalParams(t, arch, pls, 4, 1, true, nn.GradSkip)
 	same := true
 	for i, sp := range syncP[0] {
 		for j := range sp.W {

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -35,16 +36,14 @@ func TestGradPlanCoversEveryDeferredTensor(t *testing.T) {
 				return
 			}
 			want := make(map[*float32]int)
-			for _, l := range net.layers {
-				if d, ok := l.(deferrable); ok {
-					for _, g := range d.deferredGrads() {
-						if len(g) > 0 {
-							want[&g[0]]++
-						}
-					}
+			// Every conv weight and bias is deferrable on a uniform grid;
+			// batchnorm's gamma and beta are not.
+			for _, p := range net.Params() {
+				if strings.HasSuffix(p.Name, ".w") || strings.HasSuffix(p.Name, ".b") {
+					want[&p.G[0]]++
 				}
 			}
-			plan := buildGradPlan(net.layers)
+			plan := buildGradPlan(net.ops)
 			got := make(map[*float32]int)
 			for _, b := range plan.buckets {
 				sum := 0

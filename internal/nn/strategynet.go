@@ -2,32 +2,101 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/tensor"
 )
 
-// StrategyNet executes an architecture with a *per-layer* parallel
-// execution Placement — the output of the Section V-C optimizer. Each layer
-// runs under its own 4-axis grid {PN, PC, PH, PW}: sample x channel x
-// spatial parallelism, with convolutions under channel-split grids choosing
-// between the channel- and filter-parallel formulations of Section III-D
-// via Placement.Split. Whenever adjacent layers' distributions differ, the
-// data is shuffled with an all-to-all in forward propagation and shuffled
-// back in backpropagation (Section III-C) — including remaps between
-// channel-partitioned and channel-replicated placements. All grids must
-// cover the same communicator.
+// StrategyNet is the distributed training executor. It runs an architecture
+// with a *per-layer* parallel execution Placement — the output of the
+// Section V-C optimizer. Each layer runs under its own 4-axis grid
+// {PN, PC, PH, PW}: sample x channel x spatial parallelism, with
+// convolutions under channel-split grids choosing between the channel- and
+// filter-parallel formulations of Section III-D via Placement.Split.
+// Whenever adjacent layers' distributions differ, the data is shuffled with
+// an all-to-all in forward propagation and shuffled back in backpropagation
+// (Section III-C) — including remaps between channel-partitioned and
+// channel-replicated placements. All grids must cover the same
+// communicator. The uniform case, one grid for every layer, is NewDistNet.
+//
+// Every rank constructs its own StrategyNet (collectively, in the same
+// order) and runs it SPMD-style.
 type StrategyNet struct {
 	Arch       *Arch
 	Placements []dist.Placement // per-layer placement (normalized)
 	Dists      []dist.Dist      // per-layer activation distribution
 	ShapeOf    []Shape
-	ctxs       []*core.Ctx // one per layer (contexts shared per distinct grid)
-	layers     []distLayer
-	outs       []core.DistTensor
-	grads      []core.DistTensor
-	world      *core.Ctx // context of the first layer's grid (for losses)
+
+	// Grad selects gradient-reduction scheduling for the replicated-weight
+	// convolutions: GradSync (default) blocks inside each layer's backward;
+	// GradOverlap hides the reductions behind the remaining backward
+	// compute via bucketed non-blocking allreduces. Both produce
+	// bitwise-identical gradients (the reductions are rank-order stable).
+	// Channel- and filter-parallel convolutions reduce synchronously.
+	Grad GradMode
+	plan *gradPlan
+
+	ops   []op
+	outs  []core.DistTensor
+	grads []core.DistTensor
+	world *core.Ctx // the caller's context: shuffles and gradient buckets run on world.C
+}
+
+// layer is the Forward/Backward signature every core layer but Add shares.
+type layer interface {
+	Forward(ctx *core.Ctx, x core.DistTensor) core.DistTensor
+	Backward(ctx *core.Ctx, dy core.DistTensor) core.DistTensor
+}
+
+// op is one layer of a StrategyNet: the core layer under the context of
+// its grid (l is nil for the input, and Add is the one two-input kind),
+// plus the parameters it holds. conv is set for a replicated-weight
+// convolution, the one layer whose gradient allreduce the overlap engine
+// may take over: its DeferAllreduce is the switch, its params' gradients
+// the deferred slices.
+type op struct {
+	ctx    *core.Ctx
+	l      layer
+	add    *core.Add
+	conv   *core.Conv
+	params []Param
+}
+
+func (o *op) forward(a, b core.DistTensor) core.DistTensor {
+	switch {
+	case o.add != nil:
+		return o.add.Forward(o.ctx, a, b)
+	case o.l == nil:
+		return a
+	}
+	return o.l.Forward(o.ctx, a)
+}
+
+// backward returns the error signals for the op's (at most two) parents.
+func (o *op) backward(dy core.DistTensor) (da, db core.DistTensor) {
+	switch {
+	case o.add != nil:
+		return o.add.Backward(o.ctx, dy)
+	case o.l == nil:
+		return da, db
+	}
+	return o.l.Backward(o.ctx, dy), db
+}
+
+// NewDistNet instantiates the architecture for this rank with every layer
+// on grid ctx.Grid and a global batch size of n: hybrid sample/spatial
+// parallelism with the same data decomposition for every layer, matching
+// the configurations evaluated in Section VI-B. Weight initialization
+// matches NewSeqNet given the same seed, so a distributed run is directly
+// comparable to a sequential one.
+func NewDistNet(ctx *core.Ctx, arch *Arch, n int, seed int64) (*StrategyNet, error) {
+	pls := make([]dist.Placement, len(arch.Specs))
+	for i := range pls {
+		pls[i] = dist.P(ctx.Grid)
+	}
+	return NewStrategyNet(ctx, arch, n, seed, pls)
 }
 
 // NewStrategyNet instantiates the network for this rank. placements must
@@ -44,98 +113,113 @@ func NewStrategyNet(base *core.Ctx, arch *Arch, n int, seed int64, placements []
 	if err != nil {
 		return nil, err
 	}
-	pls := make([]dist.Placement, len(placements))
-	for i, p := range placements {
-		pls[i] = p.Norm()
+	nl := len(arch.Specs)
+	net := &StrategyNet{
+		Arch: arch, ShapeOf: shapes, world: base,
+		Placements: make([]dist.Placement, nl),
+		Dists:      make([]dist.Dist, nl),
+		ops:        make([]op, nl),
+		outs:       make([]core.DistTensor, nl),
+		grads:      make([]core.DistTensor, nl),
 	}
-	net := &StrategyNet{Arch: arch, Placements: pls, ShapeOf: shapes}
-	// One context per distinct grid, tag spaces disjoint by construction:
-	// each context gets a dedicated tag window.
-	ctxByGrid := map[dist.Grid]*core.Ctx{}
-	next := 0
-	ctxOf := func(g dist.Grid) *core.Ctx {
-		if ctx, ok := ctxByGrid[g]; ok {
-			return ctx
-		}
-		if g.Size() != base.C.Size() {
-			panic(fmt.Sprintf("nn: grid %v does not cover the %d-rank communicator", g, base.C.Size()))
-		}
-		ctx := core.NewCtxAt(base.C, g, next*4096)
-		next++
-		ctxByGrid[g] = ctx
-		return ctx
-	}
-
-	net.Dists = make([]dist.Dist, len(arch.Specs))
-	net.ctxs = make([]*core.Ctx, len(arch.Specs))
 	for i, s := range arch.Specs {
 		sh := shapes[i]
-		pl := pls[i]
+		pl := placements[i].Norm()
 		g := pl.Grid
 		d := dist.Dist{Grid: g, N: n, C: sh.C, H: sh.H, W: sh.W}
 		if s.Kind == KindGlobalAvgPool {
+			// Replicated within the spatial group; see core.GlobalAvgPool.
 			d.H, d.W = g.PH, g.PW
 		}
 		if err := d.Validate(); err != nil {
 			return nil, fmt.Errorf("nn: layer %d (%s): %v", i, s.Name, err)
 		}
+		if g.Size() != base.C.Size() {
+			return nil, fmt.Errorf("nn: layer %d (%s): grid %v does not cover the %d-rank communicator", i, s.Name, g, base.C.Size())
+		}
 		if s.Kind == KindConv && g.ChannelWays() > 1 && pl.Split == dist.SplitNone {
 			return nil, fmt.Errorf("nn: layer %d (%s): channel-split grid %v requires SplitChannel or SplitFilter", i, s.Name, g)
 		}
+		net.Placements[i] = pl
 		net.Dists[i] = d
-		net.ctxs[i] = ctxOf(g)
 	}
-	net.world = net.ctxs[0]
 
+	// Layers on the caller's grid use the caller's context; every other
+	// distinct grid gets one context (collective over base.C) with a tag
+	// window reserved from base, so tag spaces are disjoint by construction.
+	ctxByGrid := map[dist.Grid]*core.Ctx{base.Grid.Norm(): base}
 	for i, s := range arch.Specs {
-		ctx := net.ctxs[i]
-		pl := pls[i]
+		pl := net.Placements[i]
+		ctx, ok := ctxByGrid[pl.Grid]
+		if !ok {
+			ctx = core.NewCtxAt(base.C, pl.Grid, base.AllocTags(4096))
+			ctxByGrid[pl.Grid] = ctx
+		}
+		o := &net.ops[i]
+		o.ctx = ctx
 		var inD dist.Dist
-		var inShape Shape
 		if len(s.Parents) > 0 {
-			inShape = shapes[s.Parents[0]]
-			// The layer consumes its input under its own grid.
-			inD = dist.Dist{Grid: pl.Grid, N: n, C: inShape.C, H: inShape.H, W: inShape.W}
+			// The layer consumes its parent's tensor under its own grid.
+			pd := net.Dists[s.Parents[0]]
+			inD = dist.Dist{Grid: pl.Grid, N: n, C: pd.C, H: pd.H, W: pd.W}
 			if err := inD.Validate(); err != nil {
 				return nil, fmt.Errorf("nn: layer %d (%s) input: %v", i, s.Name, err)
 			}
 		}
 		switch s.Kind {
 		case KindInput:
-			net.layers = append(net.layers, &distInput{})
 		case KindConv:
-			fanIn := inShape.C * s.Geom.K * s.Geom.K
+			fanIn := inD.C * s.Geom.K * s.Geom.K
+			var w, dw *tensor.Tensor
+			var b, db []float32
 			switch pl.Split {
 			case dist.SplitChannel:
 				l := core.NewChannelParallelConv(ctx, inD, s.F, s.Geom, s.Bias)
-				loadWeightSlice(l.W, s.F, inShape.C, s.Geom.K, seed+int64(i), fanIn,
+				loadWeightSlice(l.W, s.F, inD.C, s.Geom.K, seed+int64(i), fanIn,
 					dist.Range{Lo: 0, Hi: s.F}, l.CRange)
-				net.layers = append(net.layers, &distChanConv{l: l})
+				o.l, w, dw, b, db = l, l.W, l.DW, l.Bias, l.DBias
 			case dist.SplitFilter:
 				l := core.NewFilterParallelConv(ctx, inD, s.F, s.Geom, s.Bias)
-				loadWeightSlice(l.W, s.F, inShape.C, s.Geom.K, seed+int64(i), fanIn,
-					l.FRange, dist.Range{Lo: 0, Hi: inShape.C})
-				net.layers = append(net.layers, &distFilterConv{l: l})
+				loadWeightSlice(l.W, s.F, inD.C, s.Geom.K, seed+int64(i), fanIn,
+					l.FRange, dist.Range{Lo: 0, Hi: inD.C})
+				o.l, w, dw, b, db = l, l.W, l.DW, l.Bias, l.DBias
 			default:
 				l := core.NewConv(ctx, inD, s.F, s.Geom, s.Bias)
+				// Match the sequential He initialization exactly: the RNG
+				// stream depends only on (seed, layer index, fan-in).
 				l.W.FillRandN(seed+int64(i), heStd(fanIn))
-				net.layers = append(net.layers, &distConv{l: l})
+				o.l, o.conv, w, dw, b, db = l, l, l.W, l.DW, l.Bias, l.DBias
+			}
+			o.params = []Param{{Name: s.Name + ".w", W: w.Data(), G: dw.Data()}}
+			if b != nil {
+				o.params = append(o.params, Param{Name: s.Name + ".b", W: b, G: db})
 			}
 		case KindBatchNorm:
-			net.layers = append(net.layers, &distBN{l: core.NewBatchNorm(ctx, inD, core.BatchNormGlobal)})
+			l := core.NewBatchNorm(ctx, inD, core.BatchNormGlobal)
+			o.l = l
+			o.params = []Param{
+				{Name: s.Name + ".gamma", W: l.Gamma, G: l.DGamma},
+				{Name: s.Name + ".beta", W: l.Beta, G: l.DBeta},
+			}
 		case KindReLU:
-			net.layers = append(net.layers, &distReLU{l: core.NewReLU(inD)})
+			o.l = core.NewReLU(inD)
 		case KindMaxPool:
-			net.layers = append(net.layers, &distMaxPool{l: core.NewMaxPool(ctx, inD, s.Geom)})
+			o.l = core.NewMaxPool(ctx, inD, s.Geom)
 		case KindGlobalAvgPool:
-			net.layers = append(net.layers, &distGAP{l: core.NewGlobalAvgPool(ctx, inD)})
+			o.l = core.NewGlobalAvgPool(ctx, inD)
 		case KindAdd:
-			net.layers = append(net.layers, &distAdd{l: core.NewAdd(net.Dists[i])})
+			o.add = core.NewAdd(net.Dists[i])
 		default:
 			return nil, fmt.Errorf("nn: unsupported kind %v", s.Kind)
 		}
 	}
 	return net, nil
+}
+
+// heStd is the He-initialization standard deviation sqrt(2/fanIn); it must
+// match newSeqConv so sequential and distributed nets start identically.
+func heStd(fanIn int) float32 {
+	return float32(math.Sqrt(2.0 / float64(fanIn)))
 }
 
 // loadWeightSlice fills w with the (fRange, cRange) slice of the full
@@ -160,47 +244,67 @@ func (net *StrategyNet) InputDist() dist.Dist { return net.Dists[0] }
 func (net *StrategyNet) OutputDist() dist.Dist { return net.Dists[len(net.Dists)-1] }
 
 // OutputCtx returns the context of the final layer (for loss reductions).
-func (net *StrategyNet) OutputCtx() *core.Ctx { return net.ctxs[len(net.ctxs)-1] }
+func (net *StrategyNet) OutputCtx() *core.Ctx { return net.ops[len(net.ops)-1].ctx }
 
-// Forward runs the DAG, shuffling activations whenever a child layer uses a
-// different distribution than its parent produced.
+// Forward runs the DAG on this rank's shard, shuffling activations whenever
+// a child layer uses a different distribution than its parent produced.
 func (net *StrategyNet) Forward(x core.DistTensor) core.DistTensor {
-	net.outs = make([]core.DistTensor, len(net.layers))
-	for i, l := range net.layers {
-		spec := net.Arch.Specs[i]
-		ins := make([]core.DistTensor, len(spec.Parents))
-		for j, p := range spec.Parents {
-			ins[j] = net.shuffleTo(net.outs[p], net.Placements[i].Grid)
-		}
+	for i := range net.ops {
+		spec := &net.Arch.Specs[i]
+		var in [2]core.DistTensor
 		if spec.Kind == KindInput {
-			ins = []core.DistTensor{x}
+			in[0] = x
 		}
-		net.outs[i] = l.forward(net.ctxs[i], ins)
+		for j, p := range spec.Parents {
+			in[j] = net.shuffleTo(net.outs[p], net.Placements[i].Grid)
+		}
+		net.outs[i] = net.ops[i].forward(in[0], in[1])
 	}
 	return net.outs[len(net.outs)-1]
 }
 
 // Backward propagates the loss gradient, shuffling error signals back
 // across distribution changes (the backward shuffle of Section III-C).
+// Parameter gradients are complete (reduced) on return. Under GradOverlap
+// the replicated-weight convolutions' reductions run as non-blocking
+// collectives concurrently with the shallower layers' backward and are
+// drained before returning, so callers see the same contract either way.
 func (net *StrategyNet) Backward(dLast core.DistTensor) {
-	net.grads = make([]core.DistTensor, len(net.layers))
-	net.grads[len(net.layers)-1] = dLast
-	for i := len(net.layers) - 1; i >= 0; i-- {
+	overlap := net.Grad != GradSync && net.world.C.Size() > 1
+	for _, o := range net.ops {
+		if o.conv != nil {
+			o.conv.DeferAllreduce = overlap
+		}
+	}
+	launch := overlap && net.Grad == GradOverlap
+	if launch && net.plan == nil {
+		net.plan = buildGradPlan(net.ops)
+	}
+	clear(net.grads)
+	net.grads[len(net.grads)-1] = dLast
+	for i := len(net.ops) - 1; i >= 0; i-- {
 		g := net.grads[i]
 		if g.Local == nil {
-			g = core.NewDistTensor(net.Dists[i], net.ctxs[i].Rank)
+			g = core.NewDistTensor(net.Dists[i], net.world.Rank)
 		}
-		parentGrads := net.layers[i].backward(net.ctxs[i], g)
+		var pg [2]core.DistTensor
+		pg[0], pg[1] = net.ops[i].backward(g)
+		if launch {
+			net.plan.launch(net.world.C, i)
+		}
 		for j, p := range net.Arch.Specs[i].Parents {
-			// parentGrads[j] lives under this layer's grid; return it to the
+			// pg[j] lives under this layer's grid; return it to the
 			// parent's grid before accumulating.
-			pg := net.shuffleTo(parentGrads[j], net.Placements[p].Grid)
+			d := net.shuffleTo(pg[j], net.Placements[p].Grid)
 			if net.grads[p].Local == nil {
-				net.grads[p] = pg
+				net.grads[p] = d
 			} else {
-				net.grads[p].Local.AddScaled(pg.Local, 1)
+				net.grads[p].Local.AddScaled(d.Local, 1)
 			}
 		}
+	}
+	if launch {
+		net.plan.drain()
 	}
 }
 
@@ -215,52 +319,13 @@ func (net *StrategyNet) shuffleTo(t core.DistTensor, g dist.Grid) core.DistTenso
 
 // Params returns the learnable parameters this rank holds: replicated
 // tensors for SplitNone layers, this rank's weight shard for channel/
-// filter-parallel ones (identical across ctx.ChanPeers after the gradient
-// reductions, so per-rank SGD keeps the copies in lockstep).
+// filter-parallel ones. Gradients are identical across the ranks sharing a
+// tensor after the backward reductions, so per-rank SGD keeps the copies in
+// lockstep (Section III-A).
 func (net *StrategyNet) Params() []Param {
 	var ps []Param
-	for i, l := range net.layers {
-		ps = append(ps, l.params(net.Arch.Specs[i].Name)...)
-	}
-	return ps
-}
-
-// distChanConv adapts core.ChannelParallelConv to the distributed-layer
-// interface.
-type distChanConv struct{ l *core.ChannelParallelConv }
-
-func (d *distChanConv) forward(ctx *core.Ctx, ins []core.DistTensor) core.DistTensor {
-	return d.l.Forward(ctx, ins[0])
-}
-
-func (d *distChanConv) backward(ctx *core.Ctx, dy core.DistTensor) []core.DistTensor {
-	return []core.DistTensor{d.l.Backward(ctx, dy)}
-}
-
-func (d *distChanConv) params(name string) []Param {
-	ps := []Param{{Name: name + ".w", W: d.l.W.Data(), G: d.l.DW.Data()}}
-	if d.l.Bias != nil {
-		ps = append(ps, Param{Name: name + ".b", W: d.l.Bias, G: d.l.DBias})
-	}
-	return ps
-}
-
-// distFilterConv adapts core.FilterParallelConv to the distributed-layer
-// interface.
-type distFilterConv struct{ l *core.FilterParallelConv }
-
-func (d *distFilterConv) forward(ctx *core.Ctx, ins []core.DistTensor) core.DistTensor {
-	return d.l.Forward(ctx, ins[0])
-}
-
-func (d *distFilterConv) backward(ctx *core.Ctx, dy core.DistTensor) []core.DistTensor {
-	return []core.DistTensor{d.l.Backward(ctx, dy)}
-}
-
-func (d *distFilterConv) params(name string) []Param {
-	ps := []Param{{Name: name + ".w", W: d.l.W.Data(), G: d.l.DW.Data()}}
-	if d.l.Bias != nil {
-		ps = append(ps, Param{Name: name + ".b", W: d.l.Bias, G: d.l.DBias})
+	for _, o := range net.ops {
+		ps = append(ps, o.params...)
 	}
 	return ps
 }

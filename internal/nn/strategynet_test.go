@@ -12,78 +12,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// newStrategyNetGrids is NewStrategyNet over plain per-layer grids with
-// replicated weights — the PC = 1 family of Section III-A.
-func newStrategyNetGrids(base *core.Ctx, arch *Arch, n int, seed int64, grids []dist.Grid) (*StrategyNet, error) {
-	return NewStrategyNet(base, arch, n, seed, dist.Placements(grids))
-}
-
-// checkStrategyMatchesSeq runs an architecture with a per-layer strategy
-// and compares loss, parameters after one SGD step, against sequential.
-func checkStrategyMatchesSeq(t *testing.T, arch *Arch, grids []dist.Grid, n int) {
-	t.Helper()
-	p := grids[0].Size()
-	seqNet, err := NewSeqNet(arch, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := arch.In
-	x := tensor.New(n, in.C, in.H, in.W)
-	x.FillRandN(8, 1)
-	outShape, _ := arch.Output()
-	labels := make([]int32, n*outShape.H*outShape.W)
-	rng := rand.New(rand.NewSource(9))
-	for i := range labels {
-		labels[i] = int32(rng.Intn(outShape.C))
-	}
-
-	logitsSeq := seqNet.Forward(x)
-	lossSeq, dSeq := SegLoss(logitsSeq, labels)
-	seqNet.Backward(dSeq)
-	opt := NewSGD(0.1, 0.9, 0)
-	opt.Step(seqNet.Params())
-	seqParams := seqNet.Params()
-
-	losses := make([]float64, p)
-	params := make([][]Param, p)
-	var mu sync.Mutex
-	w := comm.NewWorld(p)
-	w.Run(func(c *comm.Comm) {
-		base := core.NewCtx(c, grids[0])
-		net, err := newStrategyNetGrids(base, arch, n, 77, grids)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		xs := core.Scatter(x, net.InputDist())
-		lbl := ScatterLabels(labels, net.OutputDist())
-		logits := net.Forward(xs[base.Rank])
-		loss, dl := DistSegLoss(net.OutputCtx(), logits, lbl[base.Rank])
-		net.Backward(dl)
-		ps := net.Params()
-		o := NewSGD(0.1, 0.9, 0)
-		o.Step(ps)
-		mu.Lock()
-		losses[base.Rank] = loss
-		params[base.Rank] = ps
-		mu.Unlock()
-	})
-
-	for r := 0; r < p; r++ {
-		if d := math.Abs(losses[r] - lossSeq); d > 1e-4*(math.Abs(lossSeq)+1) {
-			t.Errorf("rank %d: loss %g vs sequential %g", r, losses[r], lossSeq)
-		}
-		for i, pp := range params[r] {
-			for j := range pp.W {
-				if d := math.Abs(float64(pp.W[j] - seqParams[i].W[j])); d > 2e-3 {
-					t.Errorf("rank %d: %s[%d] = %v vs %v", r, pp.Name, j, pp.W[j], seqParams[i].W[j])
-					break
-				}
-			}
-		}
-	}
-}
-
 func TestStrategyNetMixedGridsMatchesSeq(t *testing.T) {
 	// Early layers spatial (large domain), late layers sample-parallel:
 	// the optimizer's canonical choice, exercising forward and backward
@@ -99,7 +27,7 @@ func TestStrategyNetMixedGridsMatchesSeq(t *testing.T) {
 			grids[i] = sample
 		}
 	}
-	checkStrategyMatchesSeq(t, arch, grids, 4)
+	checkMatchesSeq(t, arch, dist.Placements(grids), 4, true)
 }
 
 func TestStrategyNetThreeDistributions(t *testing.T) {
@@ -120,28 +48,23 @@ func TestStrategyNetThreeDistributions(t *testing.T) {
 			grids[i] = g3
 		}
 	}
-	checkStrategyMatchesSeq(t, arch, grids, 4)
-}
-
-func TestStrategyNetUniformEqualsDistNet(t *testing.T) {
-	// A uniform strategy must behave exactly like DistNet.
-	arch := tinySegArch(8)
-	g := dist.Grid{PN: 2, PH: 2, PW: 1}
-	grids := make([]dist.Grid, len(arch.Specs))
-	for i := range grids {
-		grids[i] = g
-	}
-	checkStrategyMatchesSeq(t, arch, grids, 4)
+	checkMatchesSeq(t, arch, dist.Placements(grids), 4, true)
 }
 
 func TestStrategyNetRejectsBadGrids(t *testing.T) {
 	arch := tinySegArch(8)
-	grids := make([]dist.Grid, len(arch.Specs)-1) // wrong length
+	short := make([]dist.Placement, len(arch.Specs)-1) // wrong length
+	// One layer on a 4-rank grid of a 2-rank world.
+	uncovered := uniform(arch, dist.Grid{PN: 2, PH: 1, PW: 1})
+	uncovered[4] = dist.P(dist.Grid{PN: 4, PH: 1, PW: 1})
 	w := comm.NewWorld(2)
 	w.Run(func(c *comm.Comm) {
 		base := core.NewCtx(c, dist.Grid{PN: 2, PH: 1, PW: 1})
-		if _, err := newStrategyNetGrids(base, arch, 4, 1, grids); err == nil {
-			t.Error("wrong grid count accepted")
+		if _, err := NewStrategyNet(base, arch, 4, 1, short); err == nil {
+			t.Error("wrong placement count accepted")
+		}
+		if _, err := NewStrategyNet(base, arch, 4, 1, uncovered); err == nil {
+			t.Error("grid that does not cover the communicator accepted")
 		}
 	})
 }
