@@ -148,15 +148,40 @@ func TestWorkspaceReuse(t *testing.T) {
 	}
 }
 
-func TestConvBackwardDataScatterZeroAllocs(t *testing.T) {
-	dy := tensor.New(2, 16, 8, 8)
-	dy.FillPattern(0.1)
+func TestConvBackwardZeroAllocs(t *testing.T) {
 	w := tensor.New(16, 8, 3, 3)
 	w.FillPattern(0.2)
+	// A 3x3/s1/p1 halo region: dx is rows [8,16) and columns [0,8) of a
+	// 16x16 input; dy is the outputs those rows need, rows [7,17) and
+	// columns [-1,9), padding included.
+	dyExt := tensor.New(2, 16, 10, 10)
+	dyExt.FillPattern(0.1)
 	dx := tensor.New(2, 8, 8, 8)
-	assertZeroAllocs(t, "ConvBackwardDataScatter", func() {
-		ConvBackwardDataScatter(dy, w, dx, 1, 1)
+	assertZeroAllocs(t, "ConvBackwardDataRegion/halo", func() {
+		ConvBackwardDataRegion(dyExt, w, dx, 1, 1, 8, 0, 7, -1)
 	})
+	w1 := tensor.New(16, 8, 1, 1)
+	w1.FillPattern(0.3)
+	dy := tensor.New(2, 16, 8, 8)
+	dy.FillPattern(0.4)
+	assertZeroAllocs(t, "ConvBackwardData/1x1", func() { ConvBackwardData(dy, w1, dx, 1, 0) })
+
+	x := tensor.New(2, 8, 10, 10)
+	x.FillPattern(0.5)
+	dw := tensor.New(16, 8, 3, 3)
+	x1 := tensor.New(2, 8, 8, 8)
+	x1.FillPattern(0.6)
+	dw1 := tensor.New(16, 8, 1, 1)
+	for _, accumulate := range []bool{false, true} {
+		assertZeroAllocs(t, "ConvBackwardFilter/im2col", func() {
+			ConvBackwardFilter(x, dy, dw, 1, 0, accumulate)
+		})
+		assertZeroAllocs(t, "ConvBackwardFilter/1x1", func() {
+			ConvBackwardFilter(x1, dy, dw1, 1, 0, accumulate)
+		})
+	}
+	db := make([]float32, 16)
+	assertZeroAllocs(t, "BiasBackward", func() { BiasBackward(dy, db, false) })
 }
 
 func TestConv3DZeroAllocs(t *testing.T) {

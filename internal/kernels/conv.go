@@ -50,15 +50,21 @@ func convCheck(x, w, y *tensor.Tensor, stride, pad int) (n, c, h, wd, f, k, oh, 
 	if ws[3] != k {
 		panic("kernels: only square kernels supported")
 	}
-	if stride < 1 || pad < 0 {
-		panic(fmt.Sprintf("kernels: invalid stride %d / pad %d", stride, pad))
-	}
+	checkStridePad(stride, pad)
 	oh = (h+2*pad-k)/stride + 1
 	ow = (wd+2*pad-k)/stride + 1
 	if ys[0] != n || ys[1] != f || ys[2] != oh || ys[3] != ow {
 		panic(fmt.Sprintf("kernels: output shape %v, want [%d %d %d %d]", ys, n, f, oh, ow))
 	}
 	return
+}
+
+// checkStridePad rejects a stride or pad no convolution has, on the
+// caller's goroutine rather than inside a pool worker.
+func checkStridePad(stride, pad int) {
+	if stride < 1 || pad < 0 {
+		panic(fmt.Sprintf("kernels: invalid stride %d / pad %d", stride, pad))
+	}
 }
 
 // ConvForward computes y = conv(x, w) + bias with the given stride and
@@ -249,23 +255,28 @@ func (j *im2colJob) RunChunk(clo, chi int) {
 		for kh := 0; kh < k; kh++ {
 			for kw := 0; kw < k; kw++ {
 				row := j.col[((ci*k+kh)*k+kw)*oh*ow:]
+				// Output columns [oxLo, oxHi) read input column
+				// ox*stride + ix0; the rest are zero padding.
+				ix0 := kw - pad
+				oxLo, oxHi := clipTaps(ix0, stride, ow, w)
 				for oy := 0; oy < oh; oy++ {
 					iy := oy*stride - pad + kh
 					dst := row[oy*ow : (oy+1)*ow]
 					if iy < 0 || iy >= h {
-						for i := range dst {
-							dst[i] = 0
-						}
+						clear(dst)
 						continue
 					}
 					src := j.x[(ci*h+iy)*w : (ci*h+iy+1)*w]
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*stride - pad + kw
-						if ix < 0 || ix >= w {
-							dst[ox] = 0
-						} else {
-							dst[ox] = src[ix]
-						}
+					clear(dst[:oxLo])
+					clear(dst[oxHi:])
+					if stride == 1 {
+						copy(dst[oxLo:oxHi], src[oxLo+ix0:])
+						continue
+					}
+					ix := oxLo*stride + ix0
+					for ox := oxLo; ox < oxHi; ox++ {
+						dst[ox] = src[ix]
+						ix += stride
 					}
 				}
 			}
@@ -285,15 +296,19 @@ func im2col(x []float32, c, h, w, k, stride, pad, oh, ow int, col []float32) {
 
 // ConvBackwardDataRegion computes the error signal dL/dx (Eq. 3) for a
 // rectangular region of the global input, given a region of the global
-// output gradient. It is the gather formulation: each input-gradient element
-// sums the contributions of every output element whose window covers it, so
-// no cross-region reduction is needed afterwards.
+// output gradient. Per sample it lowers onto the packed GEMM: col = Wᵀ·dy
+// ([C*K*K, dyH*dyW] via GemmTN), then a col2im adds every column entry into
+// the input position its window tap covered, clipped to dx's region. Each
+// dx element still receives exactly the contributions of the dy positions
+// inside dy's region, so no cross-region reduction is needed afterwards.
 //
 // dx covers global input rows [xLoH, xLoH+dxH) and columns [xLoW, xLoW+dxW);
-// dy covers global output rows [yLoH, yLoH+dyH) and columns [yLoW, ...).
-// The caller guarantees dy's region contains every output position that
-// touches dx's region (dist.ConvGeom.RequiredBwd). For a full sequential
-// backward pass use ConvBackwardData.
+// dy covers global output rows [yLoH, yLoH+dyH) and columns [yLoW, ...);
+// yLoH/yLoW may be negative when dy's region includes padding rows, which
+// must hold zeros (core's halo buffers are zero-initialized). The
+// caller guarantees dy's region contains every output position that touches
+// dx's region (dist.ConvGeom.RequiredBwd). For a full sequential backward
+// pass use ConvBackwardData.
 func ConvBackwardDataRegion(dy, w, dx *tensor.Tensor, stride, pad, xLoH, xLoW, yLoH, yLoW int) {
 	ds, ws, xs := dy.Shape(), w.Shape(), dx.Shape()
 	n, f, dyH, dyW := ds[0], ds[1], ds[2], ds[3]
@@ -304,84 +319,100 @@ func ConvBackwardDataRegion(dy, w, dx *tensor.Tensor, stride, pad, xLoH, xLoW, y
 	if xs[0] != n || xs[1] != c {
 		panic(fmt.Sprintf("kernels: dx shape %v incompatible with dy %v and w %v", xs, ds, ws))
 	}
+	checkStridePad(stride, pad)
 	dxH, dxW := xs[2], xs[3]
-	j := bwdDataJobPool.Get().(*bwdDataJob)
-	*j = bwdDataJob{
-		dyd: dy.Data(), wwd: w.Data(), dxd: dx.Data(),
-		c: c, f: f, k: k, stride: stride, pad: pad,
+	dyPlane, dxPlane := dyH*dyW, dxH*dxW
+	dyd, wwd, dxd := dy.Data(), w.Data(), dx.Data()
+	if k == 1 && stride == 1 && pad == 0 && xLoH == yLoH && xLoW == yLoW && dxH == dyH && dxW == dyW {
+		// Coinciding 1x1 regions: dx[n] = Wᵀ[C,F]·dy[n] is the whole pass.
+		for ni := 0; ni < n; ni++ {
+			GemmTN(c, dyPlane, f, 1, wwd, dyd[ni*f*dyPlane:(ni+1)*f*dyPlane], 0, dxd[ni*c*dxPlane:(ni+1)*c*dxPlane])
+		}
+		return
+	}
+	ckk := c * k * k
+	colBuf := defaultWS.Get(ckk * dyPlane)
+	j := col2imJobPool.Get().(*col2imJob)
+	*j = col2imJob{
+		col: *colBuf, k: k, stride: stride, pad: pad,
 		dyH: dyH, dyW: dyW, dxH: dxH, dxW: dxW,
 		xLoH: xLoH, xLoW: xLoW, yLoH: yLoH, yLoW: yLoW,
 	}
-	parallelChunks(n*c, j)
-	*j = bwdDataJob{}
-	bwdDataJobPool.Put(j)
+	for ni := 0; ni < n; ni++ {
+		GemmTN(ckk, dyPlane, f, 1, wwd, dyd[ni*f*dyPlane:(ni+1)*f*dyPlane], 0, j.col)
+		j.dx = dxd[ni*c*dxPlane : (ni+1)*c*dxPlane]
+		parallelChunks(c, j)
+	}
+	*j = col2imJob{}
+	col2imJobPool.Put(j)
+	defaultWS.Put(colBuf)
 }
 
-// bwdDataJob is the pooled chunk worker of ConvBackwardDataRegion, so the
-// warm backward-data path dispatches with no per-call closure allocation.
-type bwdDataJob struct {
-	dyd, wwd, dxd          []float32
-	c, f, k, stride, pad   int
+// col2imJob overwrites channels [lo, hi) of one sample's dx region with the
+// sum of their column-matrix entries; pooled so the warm backward-data path
+// dispatches with no per-call allocation.
+type col2imJob struct {
+	col, dx                []float32
+	k, stride, pad         int
 	dyH, dyW, dxH, dxW     int
 	xLoH, xLoW, yLoH, yLoW int
 }
 
-var bwdDataJobPool = sync.Pool{New: func() any { return new(bwdDataJob) }}
+var col2imJobPool = sync.Pool{New: func() any { return new(col2imJob) }}
 
-func (jb *bwdDataJob) RunChunk(lo, hi int) {
-	c, f, k, stride, pad := jb.c, jb.f, jb.k, jb.stride, jb.pad
-	dyH, dyW, dxH, dxW := jb.dyH, jb.dyW, jb.dxH, jb.dxW
-	xLoH, xLoW, yLoH, yLoW := jb.xLoH, jb.xLoW, jb.yLoH, jb.yLoW
-	dyd, wwd, dxd := jb.dyd, jb.wwd, jb.dxd
-	fStrideDy := dyH * dyW
-	{
-		for nc := lo; nc < hi; nc++ {
-			ni, ci := nc/c, nc%c
-			dxBase := (ni*c + ci) * dxH * dxW
-			dyBaseN := ni * f * fStrideDy
-			for ihl := 0; ihl < dxH; ihl++ {
-				ih := xLoH + ihl // global input row
-				dxRow := dxd[dxBase+ihl*dxW : dxBase+(ihl+1)*dxW]
-				for i := range dxRow {
-					dxRow[i] = 0
+func (j *col2imJob) RunChunk(clo, chi int) {
+	k, s := j.k, j.stride
+	dyW, dxW := j.dyW, j.dxW
+	dyPlane, dxPlane := j.dyH*dyW, j.dxH*dxW
+	for ci := clo; ci < chi; ci++ {
+		plane := j.dx[ci*dxPlane : (ci+1)*dxPlane]
+		clear(plane)
+		for kh := 0; kh < k; kh++ {
+			// Local dy row oyl feeds local dx row oyl*s + iy0 (likewise
+			// columns with ix0).
+			iy0 := j.yLoH*s - j.pad + kh - j.xLoH
+			oyLo, oyHi := clipTaps(iy0, s, j.dyH, j.dxH)
+			for kw := 0; kw < k; kw++ {
+				ix0 := j.yLoW*s - j.pad + kw - j.xLoW
+				oxLo, oxHi := clipTaps(ix0, s, dyW, dxW)
+				if oxLo >= oxHi {
+					continue
 				}
-				for kh := 0; kh < k; kh++ {
-					t := ih + pad - kh
-					if t < 0 || t%stride != 0 {
-						continue
-					}
-					oy := t / stride
-					oyl := oy - yLoH
-					if oyl < 0 || oyl >= dyH {
-						continue
-					}
-					for kw := 0; kw < k; kw++ {
-						for iwl := 0; iwl < dxW; iwl++ {
-							iw := xLoW + iwl
-							u := iw + pad - kw
-							if u < 0 || u%stride != 0 {
-								continue
-							}
-							ox := u / stride
-							oxl := ox - yLoW
-							if oxl < 0 || oxl >= dyW {
-								continue
-							}
-							var acc float32
-							dyOff := dyBaseN + oyl*dyW + oxl
-							wOff := (ci*k+kh)*k + kw
-							for fi := 0; fi < f; fi++ {
-								acc += dyd[dyOff] * wwd[wOff]
-								dyOff += fStrideDy
-								wOff += c * k * k
-							}
-							dxRow[iwl] += acc
+				row := j.col[((ci*k+kh)*k+kw)*dyPlane:]
+				for oyl := oyLo; oyl < oyHi; oyl++ {
+					src := row[oyl*dyW+oxLo : oyl*dyW+oxHi]
+					dst := plane[(oyl*s+iy0)*dxW:]
+					if s == 1 {
+						dst = dst[oxLo+ix0 : oxHi+ix0]
+						for i, v := range src {
+							dst[i] += v
 						}
+						continue
+					}
+					ix := oxLo*s + ix0
+					for _, v := range src {
+						dst[ix] += v
+						ix += s
 					}
 				}
 			}
 		}
 	}
+}
+
+// clipTaps returns the output range [lo, hi), 0 <= lo <= hi <= outN, whose
+// input index o*s + i0 lands in [0, inN).
+func clipTaps(i0, s, outN, inN int) (lo, hi int) {
+	if i0 < 0 {
+		lo = min((-i0+s-1)/s, outN)
+	}
+	hi = outN
+	if lim := inN - i0; lim <= 0 {
+		hi = 0
+	} else {
+		hi = min(hi, (lim+s-1)/s)
+	}
+	return lo, max(lo, hi)
 }
 
 // ConvBackwardData computes the full error signal dL/dx (Eq. 3) for a
@@ -390,79 +421,15 @@ func ConvBackwardData(dy, w, dx *tensor.Tensor, stride, pad int) {
 	ConvBackwardDataRegion(dy, w, dx, stride, pad, 0, 0, 0, 0)
 }
 
-// ConvBackwardDataScatter is the scatter formulation of Eq. 3 (zero dx, then
-// accumulate every output element's contributions into the input positions
-// its window covered). Sequential only; kept as a cross-check and ablation
-// reference for the gather kernel.
-func ConvBackwardDataScatter(dy, w, dx *tensor.Tensor, stride, pad int) {
-	ds, ws, xs := dy.Shape(), w.Shape(), dx.Shape()
-	n, f, oh, ow := ds[0], ds[1], ds[2], ds[3]
-	c, k := ws[1], ws[2]
-	h, wd := xs[2], xs[3]
-	dx.Zero()
-	j := scatterJobPool.Get().(*scatterJob)
-	*j = scatterJob{
-		dyd: dy.Data(), wwd: w.Data(), dxd: dx.Data(),
-		f: f, c: c, h: h, wd: wd, oh: oh, ow: ow, k: k,
-		stride: stride, pad: pad,
-	}
-	// Parallel over samples only: scatter into dx[n] races across filters.
-	parallelChunks(n, j)
-	*j = scatterJob{}
-	scatterJobPool.Put(j)
-}
-
-// scatterJob is the pooled chunk worker of ConvBackwardDataScatter, so the
-// scatter cross-check dispatches with no per-call closure allocation.
-type scatterJob struct {
-	dyd, wwd, dxd          []float32
-	f, c, h, wd, oh, ow, k int
-	stride, pad            int
-}
-
-var scatterJobPool = sync.Pool{New: func() any { return new(scatterJob) }}
-
-func (j *scatterJob) RunChunk(nlo, nhi int) {
-	f, c, h, wd, oh, ow, k := j.f, j.c, j.h, j.wd, j.oh, j.ow, j.k
-	stride, pad := j.stride, j.pad
-	for ni := nlo; ni < nhi; ni++ {
-		for fi := 0; fi < f; fi++ {
-			dyBase := (ni*f + fi) * oh * ow
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					g := j.dyd[dyBase+oy*ow+ox]
-					if g == 0 {
-						continue
-					}
-					for ci := 0; ci < c; ci++ {
-						dxBase := (ni*c + ci) * h * wd
-						wBase := (fi*c + ci) * k * k
-						for kh := 0; kh < k; kh++ {
-							iy := oy*stride - pad + kh
-							if iy < 0 || iy >= h {
-								continue
-							}
-							for kw := 0; kw < k; kw++ {
-								ix := ox*stride - pad + kw
-								if ix < 0 || ix >= wd {
-									continue
-								}
-								j.dxd[dxBase+iy*wd+ix] += g * j.wwd[wBase+kh*k+kw]
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // ConvBackwardFilter computes the local weight-gradient contribution (Eq. 2):
 // dw[f,c,a,b] = sum over the samples and output positions present in dy of
 // dy * x. When accumulate is false dw is overwritten, otherwise added to
 // (used when looping over micro-batches). x and dy may be local shards: in
 // distributed operation x is the halo-extended buffer and pad must be 0; the
 // global sum is completed by an allreduce over all processors (Section III-A).
+// Per sample it lowers onto the packed GEMM as dw[F, C*K*K] += dy[F, OH*OW] ·
+// col[C*K*K, OH*OW]ᵀ (GemmNT), with col the im2col unfolding of x, or x
+// itself for a 1x1, stride-1, unpadded convolution.
 func ConvBackwardFilter(x, dy, dw *tensor.Tensor, stride, pad int, accumulate bool) {
 	xs, ds, ws := x.Shape(), dy.Shape(), dw.Shape()
 	n, c, h, wd := xs[0], xs[1], xs[2], xs[3]
@@ -471,65 +438,25 @@ func ConvBackwardFilter(x, dy, dw *tensor.Tensor, stride, pad int, accumulate bo
 	if ds[0] != n || ws[0] != f || ws[1] != c || ws[3] != k {
 		panic(fmt.Sprintf("kernels: bwd-filter shapes x=%v dy=%v dw=%v inconsistent", xs, ds, ws))
 	}
+	checkStridePad(stride, pad)
 	if !accumulate {
 		dw.Zero()
 	}
-	j := bwdFilterJobPool.Get().(*bwdFilterJob)
-	*j = bwdFilterJob{
-		xd: x.Data(), dyd: dy.Data(), dwd: dw.Data(),
-		n: n, c: c, h: h, wd: wd, f: f, oh: oh, ow: ow, k: k,
-		stride: stride, pad: pad,
+	ckk, plane, xPlane := c*k*k, oh*ow, h*wd
+	xd, dyd, dwd := x.Data(), dy.Data(), dw.Data()
+	var colBuf *[]float32
+	if k != 1 || stride != 1 || pad != 0 || oh != h || ow != wd {
+		colBuf = defaultWS.Get(ckk * plane)
 	}
-	parallelChunks(f*c, j)
-	*j = bwdFilterJob{}
-	bwdFilterJobPool.Put(j)
-}
-
-// bwdFilterJob is the pooled chunk worker of ConvBackwardFilter, so the
-// warm filter-gradient path dispatches with no per-call closure allocation.
-type bwdFilterJob struct {
-	xd, dyd, dwd              []float32
-	n, c, h, wd, f, oh, ow, k int
-	stride, pad               int
-}
-
-var bwdFilterJobPool = sync.Pool{New: func() any { return new(bwdFilterJob) }}
-
-func (jb *bwdFilterJob) RunChunk(lo, hi int) {
-	n, c, h, wd, f, oh, ow, k := jb.n, jb.c, jb.h, jb.wd, jb.f, jb.oh, jb.ow, jb.k
-	stride, pad := jb.stride, jb.pad
-	xd, dyd, dwd := jb.xd, jb.dyd, jb.dwd
-	{
-		for fc := lo; fc < hi; fc++ {
-			fi, ci := fc/c, fc%c
-			dwBase := (fi*c + ci) * k * k
-			for ni := 0; ni < n; ni++ {
-				dyBase := (ni*f + fi) * oh * ow
-				xBase := (ni*c + ci) * h * wd
-				for kh := 0; kh < k; kh++ {
-					for kw := 0; kw < k; kw++ {
-						var acc float32
-						for oy := 0; oy < oh; oy++ {
-							iy := oy*stride - pad + kh
-							if iy < 0 || iy >= h {
-								continue
-							}
-							dyRow := dyd[dyBase+oy*ow : dyBase+(oy+1)*ow]
-							xRow := xd[xBase+iy*wd : xBase+(iy+1)*wd]
-							ix := -pad + kw
-							for ox := 0; ox < ow; ox++ {
-								if ix >= 0 && ix < wd {
-									acc += dyRow[ox] * xRow[ix]
-								}
-								ix += stride
-							}
-						}
-						dwd[dwBase+kh*k+kw] += acc
-					}
-				}
-			}
+	for ni := 0; ni < n; ni++ {
+		col := xd[ni*c*xPlane : (ni+1)*c*xPlane]
+		if colBuf != nil {
+			im2col(col, c, h, wd, k, stride, pad, oh, ow, *colBuf)
+			col = *colBuf
 		}
+		GemmNT(f, ckk, plane, 1, dyd[ni*f*plane:(ni+1)*f*plane], col, 1, dwd)
 	}
+	defaultWS.Put(colBuf)
 }
 
 // BiasBackward computes db[f] = sum over samples and positions of dy.

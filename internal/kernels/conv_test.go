@@ -1,7 +1,10 @@
 package kernels
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -187,23 +190,6 @@ func TestConvBackwardDataMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestConvBackwardDataScatterMatchesGather(t *testing.T) {
-	for _, tc := range convCases {
-		x, w, _ := makeConvTensors(tc, 50)
-		oh := (tc.h+2*tc.pad-tc.k)/tc.s + 1
-		ow := (tc.w+2*tc.pad-tc.k)/tc.s + 1
-		dy := tensor.New(tc.n, tc.f, oh, ow)
-		dy.FillRandN(51, 1)
-		gather := tensor.New(x.Shape()...)
-		scatter := tensor.New(x.Shape()...)
-		ConvBackwardData(dy, w, gather, tc.s, tc.pad)
-		ConvBackwardDataScatter(dy, w, scatter, tc.s, tc.pad)
-		if d := gather.RelDiff(scatter); d > 1e-5 {
-			t.Errorf("%s: gather vs scatter rel diff %g", tc.name, d)
-		}
-	}
-}
-
 func TestConvBackwardFilterMatchesNaive(t *testing.T) {
 	for _, tc := range convCases {
 		x, w, _ := makeConvTensors(tc, 60)
@@ -237,8 +223,10 @@ func TestConvBackwardFilterAccumulate(t *testing.T) {
 }
 
 func TestConvBackwardDataRegionTilesEqualFull(t *testing.T) {
-	// Computing dx in two horizontal tiles with the region kernel must equal
-	// the full pass — the property the distributed algorithm relies on.
+	// Computing dx in tiles with the region kernel — split along H, along W,
+	// and into quadrants — must equal the full pass: the property the
+	// distributed algorithm relies on.
+	type span struct{ lo, hi int }
 	for _, tc := range convCases {
 		x, w, _ := makeConvTensors(tc, 80)
 		oh := (tc.h+2*tc.pad-tc.k)/tc.s + 1
@@ -248,23 +236,307 @@ func TestConvBackwardDataRegionTilesEqualFull(t *testing.T) {
 		want := tensor.New(x.Shape()...)
 		ConvBackwardData(dy, w, want, tc.s, tc.pad)
 
-		split := tc.h / 2
-		for _, piece := range []struct{ lo, hi int }{{0, split}, {split, tc.h}} {
-			dxPart := tensor.New(tc.n, tc.c, piece.hi-piece.lo, tc.w)
-			ConvBackwardDataRegion(dy, w, dxPart, tc.s, tc.pad, piece.lo, 0, 0, 0)
-			for ni := 0; ni < tc.n; ni++ {
-				for ci := 0; ci < tc.c; ci++ {
-					for iy := piece.lo; iy < piece.hi; iy++ {
-						for ix := 0; ix < tc.w; ix++ {
-							g := dxPart.At4(ni, ci, iy-piece.lo, ix)
-							if d := absDiff(g, want.At4(ni, ci, iy, ix)); d > 1e-4 {
-								t.Fatalf("%s: tile dx(%d,%d,%d,%d) diff %g", tc.name, ni, ci, iy, ix, d)
+		sh, sw := tc.h/2, tc.w/2
+		for _, ph := range []span{{0, sh}, {sh, tc.h}, {0, tc.h}} {
+			for _, pw := range []span{{0, sw}, {sw, tc.w}, {0, tc.w}} {
+				dxPart := tensor.New(tc.n, tc.c, ph.hi-ph.lo, pw.hi-pw.lo)
+				ConvBackwardDataRegion(dy, w, dxPart, tc.s, tc.pad, ph.lo, pw.lo, 0, 0)
+				for ni := 0; ni < tc.n; ni++ {
+					for ci := 0; ci < tc.c; ci++ {
+						for iy := ph.lo; iy < ph.hi; iy++ {
+							for ix := pw.lo; ix < pw.hi; ix++ {
+								g := dxPart.At4(ni, ci, iy-ph.lo, ix-pw.lo)
+								if d := absDiff(g, want.At4(ni, ci, iy, ix)); d > 1e-4 {
+									t.Fatalf("%s: tile %v x %v dx(%d,%d,%d,%d) diff %g", tc.name, ph, pw, ni, ci, iy, ix, d)
+								}
 							}
 						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// refConvBackwardDataRegion is the scalar gather loop the GEMM lowering
+// replaced, kept as the region-aware reference: each dx element of the
+// region sums w * dy over every dy position inside dy's region whose window
+// covers it.
+func refConvBackwardDataRegion(dy, w, dx *tensor.Tensor, stride, pad, xLoH, xLoW, yLoH, yLoW int) {
+	ds, ws, xs := dy.Shape(), w.Shape(), dx.Shape()
+	n, f, dyH, dyW := ds[0], ds[1], ds[2], ds[3]
+	c, k := ws[1], ws[2]
+	dxH, dxW := xs[2], xs[3]
+	dyd, wwd, dxd := dy.Data(), w.Data(), dx.Data()
+	fStrideDy := dyH * dyW
+	for nc := 0; nc < n*c; nc++ {
+		ni, ci := nc/c, nc%c
+		dxBase := (ni*c + ci) * dxH * dxW
+		dyBaseN := ni * f * fStrideDy
+		for ihl := 0; ihl < dxH; ihl++ {
+			ih := xLoH + ihl
+			dxRow := dxd[dxBase+ihl*dxW : dxBase+(ihl+1)*dxW]
+			for i := range dxRow {
+				dxRow[i] = 0
+			}
+			for kh := 0; kh < k; kh++ {
+				t := ih + pad - kh
+				if t < 0 || t%stride != 0 {
+					continue
+				}
+				oyl := t/stride - yLoH
+				if oyl < 0 || oyl >= dyH {
+					continue
+				}
+				for kw := 0; kw < k; kw++ {
+					for iwl := 0; iwl < dxW; iwl++ {
+						u := xLoW + iwl + pad - kw
+						if u < 0 || u%stride != 0 {
+							continue
+						}
+						oxl := u/stride - yLoW
+						if oxl < 0 || oxl >= dyW {
+							continue
+						}
+						var acc float32
+						dyOff := dyBaseN + oyl*dyW + oxl
+						wOff := (ci*k+kh)*k + kw
+						for fi := 0; fi < f; fi++ {
+							acc += dyd[dyOff] * wwd[wOff]
+							dyOff += fStrideDy
+							wOff += c * k * k
+						}
+						dxRow[iwl] += acc
+					}
+				}
+			}
+		}
+	}
+}
+
+// bwdCase is one backward geometry: a global input (n, c, h, w), its
+// filter (f, k, s, pad), a dx sub-region and the dy region it reads.
+type bwdCase struct {
+	n, c, f, h, w, k, s, pad int
+	xLoH, xLoW, dxH, dxW     int
+	yLoH, yLoW, dyH, dyW     int
+	oh, ow                   int // natural output size of the global input
+}
+
+// randBwdCase draws k in {1,3,5}, s in {1,2}, pad <= k/2, odd or even H/W,
+// n/c/f in 1..5, a random dx sub-region of the global input and a dy region
+// shaped like core's halo-extended dyExt: the outputs the dx region needs,
+// give or take a row or column, so yLo may be negative. A third of the
+// 1x1/s1/p0 draws take coinciding regions, the direct-GEMM path.
+func randBwdCase(rng *rand.Rand) bwdCase {
+	var b bwdCase
+	b.k = 1 + 2*rng.Intn(3)
+	b.s = 1 + rng.Intn(2)
+	b.pad = rng.Intn(b.k/2 + 1)
+	b.h = b.k + rng.Intn(9)
+	b.w = b.k + rng.Intn(9)
+	b.n, b.c, b.f = 1+rng.Intn(5), 1+rng.Intn(5), 1+rng.Intn(5)
+	b.oh = (b.h+2*b.pad-b.k)/b.s + 1
+	b.ow = (b.w+2*b.pad-b.k)/b.s + 1
+	sub := func(size int) (lo, n, yLo, yN int) {
+		lo = rng.Intn(size)
+		n = 1 + rng.Intn(size-lo)
+		// Output rows whose window touches [lo, lo+n), widened or narrowed
+		// by up to one row on each side.
+		yLo = floorDiv(lo+b.pad-(b.k-1)+b.s-1, b.s) + rng.Intn(3) - 1
+		yHi := floorDiv(lo+n-1+b.pad, b.s) + 1 + rng.Intn(3) - 1
+		if yN = yHi - yLo; yN < 1 {
+			yN = 1
+		}
+		return
+	}
+	b.xLoH, b.dxH, b.yLoH, b.dyH = sub(b.h)
+	b.xLoW, b.dxW, b.yLoW, b.dyW = sub(b.w)
+	if b.k == 1 && b.s == 1 && b.pad == 0 && rng.Intn(3) == 0 {
+		b.yLoH, b.dyH, b.yLoW, b.dyW = b.xLoH, b.dxH, b.xLoW, b.dxW
+	}
+	return b
+}
+
+// zeroPadding clears the entries of a dy region (global origin yLoH, yLoW)
+// that lie outside the [0, oh) x [0, ow) global output, as core's
+// zero-initialized dyExt buffer holds them.
+func zeroPadding(dy *tensor.Tensor, yLoH, yLoW, oh, ow int) {
+	s := dy.Shape()
+	for ni := 0; ni < s[0]; ni++ {
+		for fi := 0; fi < s[1]; fi++ {
+			for r := 0; r < s[2]; r++ {
+				for q := 0; q < s[3]; q++ {
+					if oy, ox := yLoH+r, yLoW+q; oy < 0 || oy >= oh || ox < 0 || ox >= ow {
+						dy.Set4(0, ni, fi, r, q)
+					}
+				}
+			}
+		}
+	}
+}
+
+func floorDiv(a, b int) int {
+	q := a / b
+	if a%b != 0 && a < 0 {
+		q--
+	}
+	return q
+}
+
+// Differential: the GEMM-lowered backward kernels match the scalar
+// references over random geometries, regions and accumulate modes.
+func TestConvBackwardRandomMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	var negY, posX, direct1x1 int
+	for i := 0; i < 300; i++ {
+		b := randBwdCase(rng)
+		if b.yLoH < 0 || b.yLoW < 0 {
+			negY++
+		}
+		if b.xLoH > 0 || b.xLoW > 0 {
+			posX++
+		}
+		if b.k == 1 && b.s == 1 && b.pad == 0 && b.yLoH == b.xLoH && b.yLoW == b.xLoW && b.dyH == b.dxH && b.dyW == b.dxW {
+			direct1x1++
+		}
+		seed := int64(1000 + 10*i)
+		w := tensor.New(b.f, b.c, b.k, b.k)
+		w.FillRandN(seed, 0.5)
+
+		dy := tensor.New(b.n, b.f, b.dyH, b.dyW)
+		dy.FillRandN(seed+1, 1)
+		zeroPadding(dy, b.yLoH, b.yLoW, b.oh, b.ow)
+		want := tensor.New(b.n, b.c, b.dxH, b.dxW)
+		refConvBackwardDataRegion(dy, w, want, b.s, b.pad, b.xLoH, b.xLoW, b.yLoH, b.yLoW)
+		got := tensor.New(b.n, b.c, b.dxH, b.dxW)
+		got.FillRandN(seed+2, 9) // stale contents must be overwritten
+		ConvBackwardDataRegion(dy, w, got, b.s, b.pad, b.xLoH, b.xLoW, b.yLoH, b.yLoW)
+		if d := got.RelDiff(want); d > 1e-5 {
+			t.Fatalf("case %d %+v: bwd-data rel diff %g", i, b, d)
+		}
+
+		x := tensor.New(b.n, b.c, b.h, b.w)
+		x.FillRandN(seed+3, 1)
+		dyFull := tensor.New(b.n, b.f, b.oh, b.ow)
+		dyFull.FillRandN(seed+4, 1)
+		wantW := naiveConvBackwardFilter(x, dyFull, w.Shape(), b.s, b.pad)
+		gotW := tensor.New(w.Shape()...)
+		accumulate := rng.Intn(2) == 0
+		if accumulate {
+			gotW.FillRandN(seed+5, 1)
+			wantW.AddScaled(gotW, 1)
+		} else {
+			gotW.FillRandN(seed+5, 9) // overwritten when not accumulating
+		}
+		ConvBackwardFilter(x, dyFull, gotW, b.s, b.pad, accumulate)
+		if d := gotW.RelDiff(wantW); d > 1e-4 {
+			t.Fatalf("case %d %+v accumulate=%v: bwd-filter rel diff %g", i, b, accumulate, d)
+		}
+	}
+	if negY == 0 || posX == 0 || direct1x1 == 0 {
+		t.Fatalf("draws missed a region class: %d negative yLo, %d positive xLo, %d direct 1x1", negY, posX, direct1x1)
+	}
+}
+
+// The backward kernels are bitwise reproducible from run to run and across
+// worker counts: the GEMM's tiles and the col2im's channels are disjoint
+// and every element accumulates in a fixed order.
+func TestConvBackwardBitwiseRepeatable(t *testing.T) {
+	for _, k := range []int{1, 3} {
+		x := tensor.New(2, 8, 24, 24)
+		x.FillRandN(1, 1)
+		w := tensor.New(16, 8, k, k)
+		w.FillRandN(2, 0.5)
+		pad := k / 2
+		dy := tensor.New(2, 16, 24, 24)
+		dy.FillRandN(3, 1)
+		run := func(workers int) (dx, dw *tensor.Tensor) {
+			old := SetMaxWorkers(workers)
+			defer SetMaxWorkers(old)
+			dx = tensor.New(x.Shape()...)
+			dw = tensor.New(w.Shape()...)
+			ConvBackwardData(dy, w, dx, 1, pad)
+			ConvBackwardFilter(x, dy, dw, 1, pad, false)
+			return
+		}
+		dx0, dw0 := run(1)
+		for _, workers := range []int{1, 4} {
+			dx, dw := run(workers)
+			name := fmt.Sprintf("k=%d workers=%d", k, workers)
+			bitsEqual(t, name+" dx", dx.Data(), dx0.Data())
+			bitsEqual(t, name+" dw", dw.Data(), dw0.Data())
+		}
+	}
+}
+
+// A NaN in dy must reach every dx element its window covers and the whole
+// dw row of its filter: the GEMM lowering has no zero-skip to hide it.
+func TestConvBackwardPropagatesNaN(t *testing.T) {
+	const n, c, h, f, k, s, pad = 2, 3, 9, 4, 3, 2, 1
+	oh := (h+2*pad-k)/s + 1
+	x := tensor.New(n, c, h, h)
+	x.FillRandN(1, 1)
+	w := tensor.New(f, c, k, k)
+	w.FillRandN(2, 0.5)
+	dy := tensor.New(n, f, oh, oh)
+	dy.FillRandN(3, 1)
+	const fi, oy, ox = 2, 1, 2
+	dy.Set4(float32(math.NaN()), 0, fi, oy, ox)
+
+	dx := tensor.New(n, c, h, h)
+	ConvBackwardData(dy, w, dx, s, pad)
+	for ci := 0; ci < c; ci++ {
+		for kh := 0; kh < k; kh++ {
+			for kw := 0; kw < k; kw++ {
+				iy, ix := oy*s-pad+kh, ox*s-pad+kw
+				if iy < 0 || iy >= h || ix < 0 || ix >= h {
+					continue
+				}
+				if v := dx.At4(0, ci, iy, ix); !math.IsNaN(float64(v)) {
+					t.Fatalf("dx(0,%d,%d,%d) = %v, want NaN", ci, iy, ix, v)
+				}
+			}
+		}
+	}
+	for _, accumulate := range []bool{false, true} {
+		dw := tensor.New(f, c, k, k)
+		ConvBackwardFilter(x, dy, dw, s, pad, accumulate)
+		for i, v := range dw.Data()[fi*c*k*k : (fi+1)*c*k*k] {
+			if !math.IsNaN(float64(v)) {
+				t.Fatalf("accumulate=%v: dw[%d][%d] = %v, want NaN", accumulate, fi, i, v)
+			}
+		}
+	}
+}
+
+// Invalid stride or pad panics on the caller's goroutine (recoverably), even
+// when the job would fan out over the worker pool.
+func TestConvBackwardPanicsOnBadStridePad(t *testing.T) {
+	old := SetMaxWorkers(4)
+	defer SetMaxWorkers(old)
+	x := tensor.New(2, 4, 6, 6)
+	w := tensor.New(3, 4, 3, 3)
+	dy := tensor.New(2, 3, 6, 6)
+	dw := tensor.New(3, 4, 3, 3)
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"data stride 0", func() { ConvBackwardDataRegion(dy, w, x, 0, 1, 0, 0, 0, 0) }},
+		{"data pad -1", func() { ConvBackwardDataRegion(dy, w, x, 1, -1, 0, 0, 0, 0) }},
+		{"filter stride 0", func() { ConvBackwardFilter(x, dy, dw, 0, 1, false) }},
+		{"filter pad -1", func() { ConvBackwardFilter(x, dy, dw, 1, -1, false) }},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, "invalid stride") {
+					t.Errorf("%s: recovered %v, want an invalid stride/pad panic", tc.name, r)
+				}
+			}()
+			tc.fn()
+		}()
 	}
 }
 

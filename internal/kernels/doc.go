@@ -1,14 +1,34 @@
 // Package kernels provides the sequential compute kernels that substitute
 // for cuDNN in the paper's implementation: 2-D convolution (direct and
-// im2col+GEMM, forward / backward-data / backward-filter), 3-D convolution,
-// pooling, batch normalization, ReLU, fully-connected layers, losses, and a
-// packed register-blocked multicore SGEMM. All kernels operate on NCHW
-// (resp. NCDHW) float32 tensors.
+// im2col+GEMM forward; GEMM-lowered backward-data and backward-filter), 3-D
+// convolution, pooling, batch normalization, ReLU, losses, and a packed
+// register-blocked multicore SGEMM. All kernels operate on NCHW (resp.
+// NCDHW) float32 tensors.
 //
 // Kernels are shape-exact: the distributed algorithms in internal/core call
 // them on halo-extended local buffers with pad=0, and the results are
 // bitwise comparable (up to float accumulation order) with a single-device
 // run, mirroring Section III's "exactly replicates convolution" guarantee.
+//
+// # Backward lowering
+//
+// Both 2-D backward convolutions run per sample on the packed GEMM (the
+// im2col lowering of Chellapilla et al., 2006). Backward-filter computes
+// dW[F, C*K*K] += dy[F, OH*OW] · col[C*K*K, OH*OW]ᵀ with GemmNT, beta 1,
+// after zeroing dW once unless accumulating; col is the im2col unfolding of
+// x in workspace scratch. Backward-data computes col = Wᵀ · dy as a
+// [C*K*K, dyH*dyW] GemmTN, then a per-channel-parallel col2im overwrites
+// each dx plane with the sum of its column entries. The col2im clips every
+// tap to the dx region (xLoH, xLoW) given the dy region's origin (yLoH,
+// yLoW, negative when it includes zero padding rows): a dx element receives
+// exactly the contributions of the dy positions present, so the halo path
+// in internal/core keeps its gather contract — each dx element is owned by
+// one call and no cross-region reduction follows. For a 1x1, stride-1,
+// unpadded convolution no column matrix exists: backward-filter reads x as
+// col, and backward-data, when the dx and dy regions coincide, is one GemmTN
+// straight into dx. Neither lowering skips zeros, so a NaN in dy reaches dx
+// and dW; per-channel col2im planes are disjoint, so results are bitwise
+// repeatable at any worker count.
 //
 // # GEMM architecture
 //

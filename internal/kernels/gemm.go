@@ -361,17 +361,36 @@ func (s *gemmState) packBStrips(lo, hi int) {
 			}
 		} else {
 			// op(B) = Bᵀ with B row-major N x K: column j of op(B) is
-			// contiguous in B's row j.
-			for q := 0; q < nj; q++ {
-				src := s.b[(j0+q)*k+p0 : (j0+q)*k+p0+kc]
-				for p, v := range src {
-					dst[p*nrW+q] = v
+			// contiguous in B's row j. Rows go eight at a time, so each k
+			// step stores one contiguous run rather than eight strided
+			// words; the last few rows and the zero padding are then
+			// filled one packed row at a time. (The backward-filter GEMM
+			// packs its whole column matrix this way.)
+			q := 0
+			for ; q+8 <= nj; q += 8 {
+				b0 := s.b[(j0+q)*k+p0:][:kc]
+				b1 := s.b[(j0+q+1)*k+p0:][:kc]
+				b2 := s.b[(j0+q+2)*k+p0:][:kc]
+				b3 := s.b[(j0+q+3)*k+p0:][:kc]
+				b4 := s.b[(j0+q+4)*k+p0:][:kc]
+				b5 := s.b[(j0+q+5)*k+p0:][:kc]
+				b6 := s.b[(j0+q+6)*k+p0:][:kc]
+				b7 := s.b[(j0+q+7)*k+p0:][:kc]
+				for p := range b0 {
+					d := dst[p*nrW+q:][:8]
+					d[0], d[1], d[2], d[3] = b0[p], b1[p], b2[p], b3[p]
+					d[4], d[5], d[6], d[7] = b4[p], b5[p], b6[p], b7[p]
 				}
 			}
-			for q := nj; q < nrW; q++ {
-				for p := 0; p < kc; p++ {
-					dst[p*nrW+q] = 0
+			if q == nrW {
+				continue
+			}
+			for p := 0; p < kc; p++ {
+				d := dst[p*nrW : (p+1)*nrW]
+				for r := q; r < nj; r++ {
+					d[r] = s.b[(j0+r)*k+p0+p]
 				}
+				clear(d[nj:])
 			}
 		}
 	}
