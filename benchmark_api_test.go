@@ -1,7 +1,9 @@
-// Package repro_test holds the one check that lives at the module root:
+// Package repro_test holds the checks that span the whole module.
 // tier-1 (go build ./... && go test ./...) cannot see the nested benchmark
-// module, so this test runs that module's own gates and a change that
-// breaks an API the benchmark pins fails here instead of in the pipeline.
+// module, so TestBenchmarkModuleBuildsAndPasses runs that module's own gates
+// and a change that breaks an API the benchmark pins fails here instead of
+// in the pipeline. TestNoUnusedExports (exports_test.go) fails on an
+// exported name under internal/ that no non-test code references.
 package repro_test
 
 import (

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	bench -exp fig2|fig3|fig4|table1|table2|table3|sv3d|ablation|memory|modelcheck|obs|all [-out file]
+//	bench -exp fig2|fig3|fig4|table1|table2|table3|ablation|memory|modelcheck|obs|all [-out file]
 package main
 
 import (
@@ -32,7 +32,6 @@ var experiments = []struct {
 	{"table1", func(m perfmodel.Machine, w io.Writer) { bench.TableI(m).Write(w) }},
 	{"table2", func(m perfmodel.Machine, w io.Writer) { bench.TableII(m).Write(w) }},
 	{"table3", func(m perfmodel.Machine, w io.Writer) { bench.TableIII(m).Write(w) }},
-	{"sv3d", func(_ perfmodel.Machine, w io.Writer) { bench.SurfaceToVolume3D().Write(w) }},
 	{"ablation", func(m perfmodel.Machine, w io.Writer) { bench.AblationOverlap(m).Write(w) }},
 	{"memory", func(m perfmodel.Machine, w io.Writer) { bench.MemoryTable(m).Write(w) }},
 	{"modelcheck", func(_ perfmodel.Machine, w io.Writer) { bench.ModelCheck().Write(w) }},

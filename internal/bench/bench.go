@@ -219,15 +219,6 @@ func meshStrongScaling(m perfmodel.Machine, arch *nn.Arch, title string, batches
 	return t
 }
 
-// MeshStrongPoint exposes one strong-scaling measurement for tests.
-func MeshStrongPoint(m perfmodel.Machine, model2K bool, n, s int) (float64, bool) {
-	arch := models.Mesh1K()
-	if model2K {
-		arch = models.Mesh2K()
-	}
-	return meshTime(m, arch, n, s)
-}
-
 // Fig4 regenerates Figure 4: weak scaling of the 1K and 2K mesh models up
 // to 2048 GPUs — mini-batch time as GPUs (and thus mini-batch size) grow,
 // one curve per GPUs/sample.
@@ -336,34 +327,9 @@ func RunAll(m perfmodel.Machine, w io.Writer) {
 	TableI(m).Write(w)
 	TableII(m).Write(w)
 	TableIII(m).Write(w)
-	SurfaceToVolume3D().Write(w)
-	Conv3DLayerTable(m).Write(w)
 	AblationOverlap(m).Write(w)
 	MemoryTable(m).Write(w)
 	ModelCheck().Write(w)
-}
-
-// SurfaceToVolume3D tabulates the conclusion's 3-D claim: halo words per
-// local element for the best balanced 2-D vs 3-D decomposition at equal
-// linear resolution, across processor counts. Lower is better; the 3-D
-// column wins strictly once the processor count has a balanced cube
-// factorization.
-func SurfaceToVolume3D() *Table {
-	t := &Table{
-		Title:  "3-D extension: surface-to-volume — halo words per local element (K=3, C=16, L=512)",
-		Header: []string{"ways", "2-D decomposition", "3-D decomposition", "3-D advantage"},
-		Note:   "the paper's conclusion: 3-D spatial parallelism is more advantageous due to the more favorable surface-to-volume ratio",
-	}
-	for _, ways := range []int{8, 64, 512} {
-		r2, r3 := perfmodel.SurfaceToVolume(16, 3, ways)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", ways),
-			fmt.Sprintf("%.4f", r2),
-			fmt.Sprintf("%.4f", r3),
-			fmt.Sprintf("%.2fx", r2/r3),
-		})
-	}
-	return t
 }
 
 // AblationOverlap tabulates the modeled impact of the Section IV-A
@@ -429,38 +395,6 @@ func MemoryTable(m perfmodel.Machine) *Table {
 			row = append(row, cell)
 		}
 		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
-
-// Conv3DLayerTable compares slab (depth-only) and balanced 3-D
-// decompositions of a volumetric convolution in the performance model — the
-// layer-level version of the surface-to-volume argument.
-func Conv3DLayerTable(m perfmodel.Machine) *Table {
-	s := perfmodel.Conv3DSpec{N: 1, C: 16, D: 256, H: 256, W: 256, F: 32,
-		Geom: dist.ConvGeom{K: 3, S: 1, Pad: 1}}
-	t := &Table{
-		Title:  "3-D layer decomposition: modeled forward time (ms), C=16 F=32 256^3 volume",
-		Header: []string{"ways", "slab (d only)", "balanced 3-D", "speedup vs 1"},
-		Note:   "halo overlapped; balanced boxes keep faces small as ways grow",
-	}
-	base := m.Conv3DLayerTime(s, dist.Grid3{PN: 1, PD: 1, PH: 1, PW: 1})
-	for _, cfg := range []struct {
-		ways int
-		slab dist.Grid3
-		box  dist.Grid3
-	}{
-		{8, dist.Grid3{PN: 1, PD: 8, PH: 1, PW: 1}, dist.Grid3{PN: 1, PD: 2, PH: 2, PW: 2}},
-		{64, dist.Grid3{PN: 1, PD: 64, PH: 1, PW: 1}, dist.Grid3{PN: 1, PD: 4, PH: 4, PW: 4}},
-	} {
-		slab := m.Conv3DLayerTime(s, cfg.slab)
-		box := m.Conv3DLayerTime(s, cfg.box)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", cfg.ways),
-			fmt.Sprintf("%.3f", slab*1e3),
-			fmt.Sprintf("%.3f", box*1e3),
-			fmt.Sprintf("%.1fx", base/box),
-		})
 	}
 	return t
 }

@@ -307,20 +307,11 @@ func TestMemoryTableShowsOOM(t *testing.T) {
 	}
 }
 
-func TestConv3DLayerTableBalancedWins(t *testing.T) {
-	m := perfmodel.Lassen()
-	tbl := Conv3DLayerTable(m)
-	for _, row := range tbl.Rows {
-		var slab, box float64
-		fmt.Sscanf(row[1], "%f", &slab)
-		fmt.Sscanf(row[2], "%f", &box)
-		// At low ways the two decompositions tie (within kernel-shape
-		// noise); at high ways the balanced box must win clearly.
-		if box > slab*1.02 {
-			t.Errorf("ways=%s: balanced 3-D (%v ms) loses to slab (%v ms)", row[0], box, slab)
-		}
-		if row[0] == "64" && box >= slab {
-			t.Errorf("ways=64: balanced 3-D (%v ms) should beat the slab (%v ms)", box, slab)
-		}
+// MeshStrongPoint is one strong-scaling measurement of the 1K or 2K mesh model.
+func MeshStrongPoint(m perfmodel.Machine, model2K bool, n, s int) (float64, bool) {
+	arch := models.Mesh1K()
+	if model2K {
+		arch = models.Mesh2K()
 	}
+	return meshTime(m, arch, n, s)
 }

@@ -62,22 +62,6 @@ func Scatter(global *tensor.Tensor, d dist.Dist) []DistTensor {
 	return shards
 }
 
-// Gather reassembles the global tensor from all shards (test/IO helper).
-func Gather(shards []DistTensor) *tensor.Tensor {
-	d := shards[0].Dist
-	global := tensor.New(d.N, d.C, d.H, d.W)
-	for _, sh := range shards {
-		rn, rc, rh, rw := sh.ownedRegion()
-		global.InsertRegion(
-			tensor.Region{Off: []int{rn.Lo, rc.Lo, rh.Lo, rw.Lo}, Size: []int{rn.Len(), rc.Len(), rh.Len(), rw.Len()}},
-			sh.Local.ExtractRegion(tensor.Region{
-				Off:  []int{0, 0, 0, 0},
-				Size: []int{rn.Len(), rc.Len(), rh.Len(), rw.Len()},
-			}))
-	}
-	return global
-}
-
 // Ctx carries the per-rank communication state shared by the distributed
 // layers of one network replica. Besides the full-grid communicator it
 // holds the three axis-aligned sub-communicators the layers reduce over:

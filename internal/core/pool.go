@@ -137,67 +137,3 @@ func (l *GlobalAvgPool) Backward(ctx *Ctx, dy DistTensor) DistTensor {
 	}
 	return dx
 }
-
-// AvgPool is a distributed average-pooling layer (padding excluded from the
-// divisor). Forward shares the convolutional halo exchange; backward
-// scatters uniform shares into the halo-extended buffer and
-// reverse-exchanges boundary contributions, like MaxPool.
-type AvgPool struct {
-	Geom    dist.ConvGeom
-	InDist  dist.Dist
-	OutDist dist.Dist
-
-	fwdPlan *HaloPlan
-	tag     int
-	haveFwd bool
-	extGeo  Ext
-}
-
-// NewAvgPool constructs a distributed average-pooling layer.
-func NewAvgPool(ctx *Ctx, inDist dist.Dist, geom dist.ConvGeom) *AvgPool {
-	outH, outW := geom.OutSize(inDist.H), geom.OutSize(inDist.W)
-	if outH < inDist.Grid.PH || outW < inDist.Grid.PW {
-		panic(fmt.Sprintf("core: avgpool output %dx%d too small for grid %v", outH, outW, inDist.Grid))
-	}
-	l := &AvgPool{
-		Geom:    geom,
-		InDist:  inDist,
-		OutDist: dist.Dist{Grid: inDist.Grid, N: inDist.N, C: inDist.C, H: outH, W: outW},
-		tag:     ctx.AllocTags(4),
-	}
-	l.fwdPlan = forwardPlan(inDist, ctx.Rank, geom, outH, outW)
-	return l
-}
-
-// Forward computes the local pooled shard.
-func (l *AvgPool) Forward(ctx *Ctx, x DistTensor) DistTensor {
-	if !x.Dist.SameLayout(l.InDist) {
-		panic(fmt.Sprintf("core: avgpool input dist %v, want %v", x.Dist, l.InDist))
-	}
-	ext := l.fwdPlan.Run(ctx, x.Local, l.tag)
-	y := NewDistTensor(l.OutDist, ctx.Rank)
-	outH := l.OutDist.RangeH(ctx.Rank)
-	outW := l.OutDist.RangeW(ctx.Rank)
-	kernels.AvgPoolForwardRegion(ext.T, y.Local, l.Geom.K, l.Geom.S, l.Geom.Pad,
-		ext.HLo, ext.WLo, outH.Lo, outW.Lo, l.InDist.H, l.InDist.W)
-	l.extGeo = Ext{T: tensor.New(ext.T.Shape()...), HLo: ext.HLo, WLo: ext.WLo}
-	l.haveFwd = true
-	return y
-}
-
-// Backward distributes dy/count into the halo-extended buffer and
-// reverse-exchanges boundary contributions back to their owners.
-func (l *AvgPool) Backward(ctx *Ctx, dy DistTensor) DistTensor {
-	if !l.haveFwd {
-		panic("core: avgpool Backward called before Forward")
-	}
-	outH := l.OutDist.RangeH(ctx.Rank)
-	outW := l.OutDist.RangeW(ctx.Rank)
-	kernels.AvgPoolBackwardRegion(dy.Local, l.extGeo.T, l.Geom.K, l.Geom.S, l.Geom.Pad,
-		l.extGeo.HLo, l.extGeo.WLo, outH.Lo, outW.Lo, l.InDist.H, l.InDist.W)
-	dx := NewDistTensor(l.InDist, ctx.Rank)
-	l.fwdPlan.RunReverse(ctx, l.extGeo, dx.Local, l.tag+2)
-	l.haveFwd = false
-	l.extGeo = Ext{}
-	return dx
-}

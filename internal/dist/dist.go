@@ -70,66 +70,3 @@ func (d Dist) RangeW(rank int) Range {
 func (d Dist) LocalShape(rank int) []int {
 	return []int{d.RangeN(rank).Len(), d.RangeC(rank).Len(), d.RangeH(rank).Len(), d.RangeW(rank).Len()}
 }
-
-// Dist3 distributes a global NCDHW tensor over a Grid3; the channel
-// dimension stays replicated.
-type Dist3 struct {
-	Grid3         Grid3
-	N, C, D, H, W int
-}
-
-// Validate checks that no rank owns an empty shard.
-func (d Dist3) Validate() error {
-	if err := d.Grid3.Validate(); err != nil {
-		return err
-	}
-	if d.C < 1 {
-		return fmt.Errorf("dist: distribution %+v has no channels", d)
-	}
-	if d.N < d.Grid3.PN {
-		return fmt.Errorf("dist: %d samples cannot be blocked %d ways", d.N, d.Grid3.PN)
-	}
-	if d.D < d.Grid3.PD {
-		return fmt.Errorf("dist: depth %d cannot be blocked %d ways", d.D, d.Grid3.PD)
-	}
-	if d.H < d.Grid3.PH {
-		return fmt.Errorf("dist: height %d cannot be blocked %d ways", d.H, d.Grid3.PH)
-	}
-	if d.W < d.Grid3.PW {
-		return fmt.Errorf("dist: width %d cannot be blocked %d ways", d.W, d.Grid3.PW)
-	}
-	return nil
-}
-
-// SameLayout reports whether d and o describe the same distribution of the
-// same global tensor.
-func (d Dist3) SameLayout(o Dist3) bool { return d == o }
-
-// RangeN returns the samples owned by rank.
-func (d Dist3) RangeN(rank int) Range {
-	pn, _, _, _ := d.Grid3.Coords(rank)
-	return BlockPartition(d.N, d.Grid3.PN, pn)
-}
-
-// RangeD returns the global depth slabs owned by rank.
-func (d Dist3) RangeD(rank int) Range {
-	_, pd, _, _ := d.Grid3.Coords(rank)
-	return BlockPartition(d.D, d.Grid3.PD, pd)
-}
-
-// RangeH returns the global rows owned by rank.
-func (d Dist3) RangeH(rank int) Range {
-	_, _, ph, _ := d.Grid3.Coords(rank)
-	return BlockPartition(d.H, d.Grid3.PH, ph)
-}
-
-// RangeW returns the global columns owned by rank.
-func (d Dist3) RangeW(rank int) Range {
-	_, _, _, pw := d.Grid3.Coords(rank)
-	return BlockPartition(d.W, d.Grid3.PW, pw)
-}
-
-// LocalShape returns rank's shard shape [nLoc, C, dLoc, hLoc, wLoc].
-func (d Dist3) LocalShape(rank int) []int {
-	return []int{d.RangeN(rank).Len(), d.C, d.RangeD(rank).Len(), d.RangeH(rank).Len(), d.RangeW(rank).Len()}
-}

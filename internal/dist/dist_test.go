@@ -282,18 +282,3 @@ func TestDistChannelShards(t *testing.T) {
 		t.Error("PC:0 and PC:1 grids must describe the same layout")
 	}
 }
-
-func TestDist3Shards(t *testing.T) {
-	d := Dist3{Grid3: Grid3{PN: 2, PD: 2, PH: 2, PW: 1}, N: 3, C: 2, D: 5, H: 4, W: 4}
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for r := 0; r < d.Grid3.Size(); r++ {
-		s := d.LocalShape(r)
-		total += s[0] * s[1] * s[2] * s[3] * s[4]
-	}
-	if total != d.N*d.C*d.D*d.H*d.W {
-		t.Errorf("3-D shards sum to %d, want %d", total, d.N*d.C*d.D*d.H*d.W)
-	}
-}

@@ -75,41 +75,3 @@ func (g Grid) String() string {
 	}
 	return fmt.Sprintf("{PN:%d PH:%d PW:%d}", g.PN, g.PH, g.PW)
 }
-
-// Grid3 is the 3-D spatial analogue PN x PD x PH x PW used by the
-// volumetric extension (the paper's conclusion); ranks are laid out
-// W-fastest, then H, then D, then N. The channel axis is not threaded
-// through the volumetric grids.
-type Grid3 struct {
-	PN, PD, PH, PW int
-}
-
-// Size returns the total number of processors in the grid.
-func (g Grid3) Size() int { return g.PN * g.PD * g.PH * g.PW }
-
-// SpatialWays returns the number of processors sharing each sample group.
-func (g Grid3) SpatialWays() int { return g.PD * g.PH * g.PW }
-
-// Validate checks that every grid dimension is at least 1.
-func (g Grid3) Validate() error {
-	if g.PN < 1 || g.PD < 1 || g.PH < 1 || g.PW < 1 {
-		return fmt.Errorf("dist: invalid 3-D grid %+v (all dimensions must be >= 1)", g)
-	}
-	return nil
-}
-
-// Rank maps grid coordinates to the linear rank (pw fastest).
-func (g Grid3) Rank(pn, pd, ph, pw int) int {
-	return ((pn*g.PD+pd)*g.PH+ph)*g.PW + pw
-}
-
-// Coords inverts Rank.
-func (g Grid3) Coords(rank int) (pn, pd, ph, pw int) {
-	pw = rank % g.PW
-	rank /= g.PW
-	ph = rank % g.PH
-	rank /= g.PH
-	pd = rank % g.PD
-	pn = rank / g.PD
-	return
-}

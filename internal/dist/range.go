@@ -1,6 +1,6 @@
 // Package dist describes how global tensors are partitioned over processor
-// grids: half-open index ranges, balanced block partitions, 2-D and 3-D
-// process grids (sample x spatial), per-layer data distributions, and the
+// grids: half-open index ranges, balanced block partitions, 2-D process
+// grids (sample x spatial), per-layer data distributions, and the
 // convolution geometry arithmetic (required input/output intervals) that
 // drives halo-exchange planning in internal/core. It is pure index algebra
 // with no communication or storage of its own.

@@ -1,9 +1,8 @@
 // Package kernels provides the sequential compute kernels that substitute
 // for cuDNN in the paper's implementation: 2-D convolution (direct and
-// im2col+GEMM forward; GEMM-lowered backward-data and backward-filter), 3-D
-// convolution, pooling, batch normalization, ReLU, losses, and a packed
-// register-blocked multicore SGEMM. All kernels operate on NCHW (resp.
-// NCDHW) float32 tensors.
+// im2col+GEMM forward; GEMM-lowered backward-data and backward-filter),
+// pooling, batch normalization, ReLU, losses, and a packed register-blocked
+// multicore SGEMM. All kernels operate on NCHW float32 tensors.
 //
 // Kernels are shape-exact: the distributed algorithms in internal/core call
 // them on halo-extended local buffers with pad=0, and the results are
@@ -59,7 +58,7 @@
 //
 // Serving weights are GEMM's B operand and never change between requests,
 // so PackB snapshots the pack-B output once into a PackedB and
-// GemmNNPrepacked / GemmTNPrepacked / ConvForwardBatchedPrepacked skip the
+// GemmPrepacked / GemmNNPrepacked / ConvForwardBatchedPrepacked skip the
 // per-call pack-B stage entirely. The layout is the pack-on-the-fly layout,
 // frozen: B is split into ceil(k/KC) x ceil(n/NC) panels, ordered K-major
 // within each N panel; each panel is a sequence of NR-interleaved strips
@@ -122,6 +121,5 @@
 // while waiting, which makes nested dispatch deadlock-free — every waiter
 // is also an executor. Hot kernels describe their work with pooled job
 // structs (parallelJob) instead of closures, keeping dispatch
-// allocation-free; ParallelFor remains as the closure-based convenience
-// wrapper whose only per-call cost is the caller's closure.
+// allocation-free.
 package kernels

@@ -190,13 +190,6 @@ func GemmNNPrepacked(m, n, k int, alpha float32, a []float32, pb *PackedB, beta 
 	GemmPrepacked(false, m, n, k, alpha, a, pb, beta, c, nil, nil, 0)
 }
 
-// GemmTNPrepacked computes C = alpha*Aᵀ*op(B) + beta*C with op(B)
-// prepacked; a is row-major K x M (op(A) = aᵀ). This is the serving conv
-// formulation: a is the im2col column matrix, op(B) the prepacked weights.
-func GemmTNPrepacked(m, n, k int, alpha float32, a []float32, pb *PackedB, beta float32, c []float32) {
-	GemmPrepacked(true, m, n, k, alpha, a, pb, beta, c, nil, nil, 0)
-}
-
 // GemmPrepacked is the full-control prepacked entry: transA selects whether
 // a is M x K (false) or K x M with op(A) = aᵀ (true), epi is an optional
 // fused store epilogue, and tr/id carry optional flight-recorder

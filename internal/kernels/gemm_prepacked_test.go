@@ -267,3 +267,10 @@ func TestConvPrepackedZeroAllocs(t *testing.T) {
 		ConvForwardBatchedPrepacked(x, wp, 3, epi, y, 1, 1, nil, 0)
 	})
 }
+
+// GemmTNPrepacked computes C = alpha*Aᵀ*op(B) + beta*C with op(B)
+// prepacked; a is row-major K x M (op(A) = aᵀ). This is the serving conv
+// formulation: a is the im2col column matrix, op(B) the prepacked weights.
+func GemmTNPrepacked(m, n, k int, alpha float32, a []float32, pb *PackedB, beta float32, c []float32) {
+	GemmPrepacked(true, m, n, k, alpha, a, pb, beta, c, nil, nil, 0)
+}

@@ -66,32 +66,6 @@ func TestMaxPoolOverlappingWindowsBackward(t *testing.T) {
 	}
 }
 
-func TestAvgPoolForwardBackward(t *testing.T) {
-	x := tensor.FromSlice([]float32{
-		1, 2, 3, 4,
-		5, 6, 7, 8,
-		9, 10, 11, 12,
-		13, 14, 15, 16,
-	}, 1, 1, 4, 4)
-	y := tensor.New(1, 1, 2, 2)
-	AvgPoolForward(x, y, 2, 2, 0)
-	want := []float32{3.5, 5.5, 11.5, 13.5}
-	for i, v := range y.Data() {
-		if v != want[i] {
-			t.Fatalf("avgpool[%d] = %v, want %v", i, v, want[i])
-		}
-	}
-	dy := tensor.New(1, 1, 2, 2)
-	dy.Fill(4)
-	dx := tensor.New(1, 1, 4, 4)
-	AvgPoolBackward(dy, dx, 2, 2, 0)
-	for _, v := range dx.Data() {
-		if v != 1 { // 4 / window of 4
-			t.Fatalf("avgpool backward = %v, want 1", v)
-		}
-	}
-}
-
 func TestGlobalAvgPool(t *testing.T) {
 	x := tensor.New(2, 3, 4, 4)
 	x.Fill(2)
@@ -102,6 +76,57 @@ func TestGlobalAvgPool(t *testing.T) {
 			t.Fatalf("global avg = %v, want 2", v)
 		}
 	}
+
+	// Non-square planes average the whole plane, whichever side is longer.
+	for _, hw := range [][2]int{{2, 3}, {3, 2}, {1, 6}, {6, 1}} {
+		x := tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6}, 1, 1, hw[0], hw[1])
+		y := tensor.New(1, 1, 1, 1)
+		GlobalAvgPoolForward(x, y)
+		if got := y.Data()[0]; got != 3.5 {
+			t.Errorf("%dx%d plane of 1..6: global avg = %v, want 3.5", hw[0], hw[1], got)
+		}
+	}
+	for _, hw := range [][2]int{{5, 9}, {9, 5}} {
+		x := tensor.New(2, 3, hw[0], hw[1])
+		x.FillRandN(7, 1)
+		y := tensor.New(2, 3, 1, 1)
+		GlobalAvgPoolForward(x, y)
+		plane := hw[0] * hw[1]
+		for p, got := range y.Data() {
+			var sum float64
+			for _, v := range x.Data()[p*plane : (p+1)*plane] {
+				sum += float64(v)
+			}
+			if want := sum / float64(plane); math.Abs(float64(got)-want) > 1e-5 {
+				t.Errorf("%dx%d plane %d: global avg = %v, want %v", hw[0], hw[1], p, got, want)
+			}
+		}
+	}
+
+	// Square planes: bitwise a row-major float32 sum divided once by H*W.
+	for h := 1; h <= 56; h++ {
+		x := tensor.New(2, 3, h, h)
+		x.FillRandN(int64(h), 1)
+		y := tensor.New(2, 3, 1, 1)
+		GlobalAvgPoolForward(x, y)
+		plane := h * h
+		for p, got := range y.Data() {
+			var sum float32
+			for _, v := range x.Data()[p*plane : (p+1)*plane] {
+				sum += v
+			}
+			if want := sum / float32(plane); math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("%dx%d plane %d: global avg = %v, want %v bitwise", h, h, p, got, want)
+			}
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a [N,C,2,1] output did not panic")
+		}
+	}()
+	GlobalAvgPoolForward(tensor.New(2, 3, 4, 4), tensor.New(2, 3, 2, 1))
 }
 
 func TestBatchNormForwardNormalizes(t *testing.T) {

@@ -24,14 +24,14 @@ func SetMaxWorkers(n int) int {
 	return old
 }
 
-// serialGrain is the work-item threshold below which ParallelFor runs inline;
+// serialGrain is the work-item threshold below which parallelChunks runs inline;
 // dispatch costs more than it saves on tiny kernels.
 const serialGrain = 2
 
 // parallelJob is the allocation-free unit of parallel work: hot kernels keep
 // a pooled job struct holding their parameters and implement RunChunk on a
 // pointer-shaped wrapper, so dispatching through the worker pool performs no
-// per-call heap allocation (closures passed to ParallelFor cost one).
+// per-call heap allocation (a closure would cost one).
 type parallelJob interface {
 	RunChunk(lo, hi int)
 }
@@ -153,31 +153,4 @@ func parallelChunks(n int, job parallelJob) {
 	}
 	<-d.ch // counter hit zero; consume the (possibly in-flight) token
 	doneGroupPool.Put(d)
-}
-
-// funcJob adapts a closure to parallelJob for the convenience API.
-type funcJob struct{ fn func(lo, hi int) }
-
-func (j *funcJob) RunChunk(lo, hi int) { j.fn(lo, hi) }
-
-var funcJobPool = sync.Pool{New: func() any { return new(funcJob) }}
-
-// ParallelFor divides [0, n) into contiguous chunks and runs fn on each,
-// using up to maxWorkers-way parallelism on the persistent worker pool. fn
-// must be safe to run concurrently on disjoint ranges. The closure itself is
-// the only per-call allocation; allocation-free kernels use parallelChunks
-// with a pooled job struct instead.
-func ParallelFor(n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if maxWorkers <= 1 || n <= serialGrain {
-		fn(0, n)
-		return
-	}
-	j := funcJobPool.Get().(*funcJob)
-	j.fn = fn
-	parallelChunks(n, j)
-	j.fn = nil
-	funcJobPool.Put(j)
 }

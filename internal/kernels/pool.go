@@ -186,135 +186,28 @@ func maxPoolBwdChunk(j *poolJob, lo, hi int) {
 	}
 }
 
-// AvgPoolForwardRegion computes average pooling (padding excluded from the
-// divisor) for a local region; parameters as in MaxPoolForwardRegion.
-func AvgPoolForwardRegion(x, y *tensor.Tensor, k, stride, pad, xLoH, xLoW, yLoH, yLoW, globalH, globalW int) {
-	xs, ys := x.Shape(), y.Shape()
-	n, c := xs[0], xs[1]
-	if ys[0] != n || ys[1] != c {
-		panic(fmt.Sprintf("kernels: avgpool shapes x=%v y=%v inconsistent", xs, ys))
-	}
-	j := poolJobPool.Get().(*poolJob)
-	j.run = avgPoolFwdChunk
-	j.xd, j.yd = x.Data(), y.Data()
-	j.k, j.stride, j.pad = k, stride, pad
-	j.xh, j.xw, j.yh, j.yw = xs[2], xs[3], ys[2], ys[3]
-	j.xLoH, j.xLoW, j.yLoH, j.yLoW = xLoH, xLoW, yLoH, yLoW
-	j.globalH, j.globalW = globalH, globalW
-	parallelChunks(n*c, j)
-	j.release()
-}
-
-func avgPoolFwdChunk(j *poolJob, lo, hi int) {
-	for nc := lo; nc < hi; nc++ {
-		xBase := nc * j.xh * j.xw
-		yBase := nc * j.yh * j.yw
-		for oyl := 0; oyl < j.yh; oyl++ {
-			oy := j.yLoH + oyl
-			for oxl := 0; oxl < j.yw; oxl++ {
-				ox := j.yLoW + oxl
-				var sum float32
-				count := 0
-				for kh := 0; kh < j.k; kh++ {
-					iy := oy*j.stride - j.pad + kh
-					if iy < 0 || iy >= j.globalH {
-						continue
-					}
-					for kw := 0; kw < j.k; kw++ {
-						ix := ox*j.stride - j.pad + kw
-						if ix < 0 || ix >= j.globalW {
-							continue
-						}
-						sum += j.xd[xBase+(iy-j.xLoH)*j.xw+(ix-j.xLoW)]
-						count++
-					}
-				}
-				if count > 0 {
-					j.yd[yBase+oyl*j.yw+oxl] = sum / float32(count)
-				} else {
-					j.yd[yBase+oyl*j.yw+oxl] = 0
-				}
-			}
-		}
-	}
-}
-
-// AvgPoolForward is the sequential average pooling forward pass.
-func AvgPoolForward(x, y *tensor.Tensor, k, stride, pad int) {
-	xs := x.Shape()
-	AvgPoolForwardRegion(x, y, k, stride, pad, 0, 0, 0, 0, xs[2], xs[3])
-}
-
-// AvgPoolBackwardRegion scatters dy/count into dx (zeroed first), the
-// adjoint of AvgPoolForwardRegion. dx covers the same region as the forward
-// input buffer.
-func AvgPoolBackwardRegion(dy, dx *tensor.Tensor, k, stride, pad, xLoH, xLoW, yLoH, yLoW, globalH, globalW int) {
-	ys, xs := dy.Shape(), dx.Shape()
-	dx.Zero()
-	j := poolJobPool.Get().(*poolJob)
-	j.run = avgPoolBwdChunk
-	j.dyd, j.dxd = dy.Data(), dx.Data()
-	j.k, j.stride, j.pad = k, stride, pad
-	j.xh, j.xw, j.yh, j.yw = xs[2], xs[3], ys[2], ys[3]
-	j.xLoH, j.xLoW, j.yLoH, j.yLoW = xLoH, xLoW, yLoH, yLoW
-	j.globalH, j.globalW = globalH, globalW
-	parallelChunks(ys[0]*ys[1], j)
-	j.release()
-}
-
-func avgPoolBwdChunk(j *poolJob, lo, hi int) {
-	for nc := lo; nc < hi; nc++ {
-		xBase := nc * j.xh * j.xw
-		yBase := nc * j.yh * j.yw
-		for oyl := 0; oyl < j.yh; oyl++ {
-			oy := j.yLoH + oyl
-			for oxl := 0; oxl < j.yw; oxl++ {
-				ox := j.yLoW + oxl
-				// Recompute the valid-count, then distribute.
-				count := 0
-				for kh := 0; kh < j.k; kh++ {
-					iy := oy*j.stride - j.pad + kh
-					if iy < 0 || iy >= j.globalH {
-						continue
-					}
-					for kw := 0; kw < j.k; kw++ {
-						ix := ox*j.stride - j.pad + kw
-						if ix >= 0 && ix < j.globalW {
-							count++
-						}
-					}
-				}
-				if count == 0 {
-					continue
-				}
-				g := j.dyd[yBase+oyl*j.yw+oxl] / float32(count)
-				for kh := 0; kh < j.k; kh++ {
-					iy := oy*j.stride - j.pad + kh
-					if iy < 0 || iy >= j.globalH {
-						continue
-					}
-					for kw := 0; kw < j.k; kw++ {
-						ix := ox*j.stride - j.pad + kw
-						if ix < 0 || ix >= j.globalW {
-							continue
-						}
-						j.dxd[xBase+(iy-j.xLoH)*j.xw+(ix-j.xLoW)] += g
-					}
-				}
-			}
-		}
-	}
-}
-
-// AvgPoolBackward is the sequential average pooling backward pass.
-func AvgPoolBackward(dy, dx *tensor.Tensor, k, stride, pad int) {
-	xs := dx.Shape()
-	AvgPoolBackwardRegion(dy, dx, k, stride, pad, 0, 0, 0, 0, xs[2], xs[3])
-}
-
 // GlobalAvgPoolForward averages each channel plane to one value:
-// x [N,C,H,W] -> y [N,C,1,1].
+// x [N,C,H,W] -> y [N,C,1,1]. Each plane is summed in row-major order in
+// float32 and divided once by H*W.
 func GlobalAvgPoolForward(x, y *tensor.Tensor) {
-	xs := x.Shape()
-	AvgPoolForward(x, y, xs[2], 1, 0)
+	xs, ys := x.Shape(), y.Shape()
+	if len(ys) != 4 || ys[0] != xs[0] || ys[1] != xs[1] || ys[2] != 1 || ys[3] != 1 {
+		panic(fmt.Sprintf("kernels: global avgpool x=%v needs y=[%d %d 1 1], got %v", xs, xs[0], xs[1], ys))
+	}
+	j := poolJobPool.Get().(*poolJob)
+	j.run = globalAvgPoolChunk
+	j.xd, j.yd = x.Data(), y.Data()
+	j.plane = xs[2] * xs[3]
+	parallelChunks(xs[0]*xs[1], j)
+	j.release()
+}
+
+func globalAvgPoolChunk(j *poolJob, lo, hi int) {
+	for p := lo; p < hi; p++ {
+		var sum float32
+		for _, v := range j.xd[p*j.plane : (p+1)*j.plane] {
+			sum += v
+		}
+		j.yd[p] = sum / float32(j.plane)
+	}
 }

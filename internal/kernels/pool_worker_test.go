@@ -112,3 +112,30 @@ func TestParallelChunksJobChunking(t *testing.T) {
 		}
 	}
 }
+
+// funcJob adapts a closure to parallelJob for ParallelFor.
+type funcJob struct{ fn func(lo, hi int) }
+
+func (j *funcJob) RunChunk(lo, hi int) { j.fn(lo, hi) }
+
+var funcJobPool = sync.Pool{New: func() any { return new(funcJob) }}
+
+// ParallelFor divides [0, n) into contiguous chunks and runs fn on each,
+// using up to maxWorkers-way parallelism on the persistent worker pool. fn
+// must be safe to run concurrently on disjoint ranges. It is the
+// closure-based form of parallelChunks the pool tests drive; the kernels
+// use pooled job structs, which allocate nothing.
+func ParallelFor(n int, fn func(lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	if maxWorkers <= 1 || n <= serialGrain {
+		fn(0, n)
+		return
+	}
+	j := funcJobPool.Get().(*funcJob)
+	j.fn = fn
+	parallelChunks(n, j)
+	j.fn = nil
+	funcJobPool.Put(j)
+}

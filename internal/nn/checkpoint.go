@@ -66,8 +66,8 @@ func SaveState(w io.Writer, archName string, params, buffers []Param) error {
 
 // LoadState reads a checkpoint from r and copies values into params and
 // buffers. Every entry must be present with a matching length; archName
-// guards against loading weights into a different architecture. Checkpoints
-// written by SaveParams carry no buffers and fail LoadState when buffers are
+// guards against loading weights into a different architecture. A
+// checkpoint saved without buffers fails LoadState when buffers are
 // requested — serving requires a full-state checkpoint.
 func LoadState(r io.Reader, archName string, params, buffers []Param) error {
 	ck, err := ReadCheckpoint(r)
@@ -117,17 +117,4 @@ func (ck *Checkpoint) Restore(archName string, params, buffers []Param) error {
 		return err
 	}
 	return unpackNamed(ck.Buffers, buffers, "buffer")
-}
-
-// SaveParams writes every parameter of params to w as a gob stream
-// (parameters only; see SaveState for the serving form).
-func SaveParams(w io.Writer, archName string, params []Param) error {
-	return SaveState(w, archName, params, nil)
-}
-
-// LoadParams reads a checkpoint from r and copies values into params.
-// Every parameter must be present with a matching length; archName guards
-// against loading weights into a different architecture.
-func LoadParams(r io.Reader, archName string, params []Param) error {
-	return LoadState(r, archName, params, nil)
 }

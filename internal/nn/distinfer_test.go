@@ -70,7 +70,7 @@ func refOutputs(ref *InferNet, x *tensor.Tensor, lives []int) [][]float32 {
 // unsharded replicas without clients noticing which one answered.
 func TestDistInferNetFilterSplitMatchesInferNetBitwise(t *testing.T) {
 	const size, maxB = 8, 4
-	arch := servingArch(size)
+	arch := servingArch(size, size)
 	ref, err := NewInferNet(arch, maxB)
 	if err != nil {
 		t.Fatal(err)
@@ -99,12 +99,12 @@ func TestDistInferNetFilterSplitMatchesInferNetBitwise(t *testing.T) {
 // InferNet restored from the same checkpoint.
 func TestDistInferCheckpointBitwise(t *testing.T) {
 	const size, n, maxB = 8, 4, 4
-	arch := servingArch(size)
+	arch := servingArch(size, size)
 	seq, err := NewSeqNet(arch, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainBriefly(t, seq, n, size)
+	trainBriefly(t, seq, n, size, size)
 	var buf bytes.Buffer
 	if err := SaveState(&buf, arch.Name, seq.Params(), seq.Buffers()); err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestDistInferCheckpointBitwise(t *testing.T) {
 // deterministic across repeated forwards and identical runs.
 func TestDistInferChannelSplitDeterministic(t *testing.T) {
 	const size, maxB = 8, 4
-	arch := servingArch(size)
+	arch := servingArch(size, size)
 	ref, err := NewInferNet(arch, maxB)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestDistInferForwardZeroAllocsWarm(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	const size, maxB = 8, 4
-	arch := servingArch(size)
+	arch := servingArch(size, size)
 	pls := ShardedPlacements(arch, 2, dist.SplitFilter)
 	x := tensor.New(maxB, 3, size, size)
 	x.FillRandN(17, 1)

@@ -11,9 +11,9 @@ import (
 
 // servingArch exercises every layer kind the serving path supports:
 // conv-bn-relu stem, maxpool, a residual branch with projection, 1x1
-// classifier, global average pooling.
-func servingArch(size int) *Arch {
-	b := NewBuilder("servingtest", Shape{C: 3, H: size, W: size})
+// classifier, global average pooling. The input plane is h x w.
+func servingArch(h, w int) *Arch {
+	b := NewBuilder("servingtest", Shape{C: 3, H: h, W: w})
 	stem := b.ConvBNReLU("stem", b.Last(), 8, dist.ConvGeom{K: 3, S: 1, Pad: 1})
 	p := b.MaxPool("pool", stem, dist.ConvGeom{K: 2, S: 2, Pad: 0})
 	br := b.Conv("b2a", p, 8, dist.ConvGeom{K: 3, S: 1, Pad: 1}, false)
@@ -27,12 +27,12 @@ func servingArch(size int) *Arch {
 
 // trainBriefly runs a few SGD steps so weights and BN running statistics
 // move away from their initialization (making missing-buffer bugs visible).
-func trainBriefly(t *testing.T, net *SeqNet, n, size int) {
+func trainBriefly(t *testing.T, net *SeqNet, n, h, w int) {
 	t.Helper()
 	net.SetTrain(true)
 	opt := NewSGD(0.05, 0.9, 0)
 	params := net.Params()
-	x := tensor.New(n, 3, size, size)
+	x := tensor.New(n, 3, h, w)
 	labels := make([]int, n)
 	for step := 0; step < 3; step++ {
 		x.FillRandN(int64(100+step), 1)
@@ -50,12 +50,12 @@ func trainBriefly(t *testing.T, net *SeqNet, n, size int) {
 
 func TestCheckpointRoundTripBitwise(t *testing.T) {
 	const size, n = 8, 4
-	arch := servingArch(size)
+	arch := servingArch(size, size)
 	a, err := NewSeqNet(arch, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainBriefly(t, a, n, size)
+	trainBriefly(t, a, n, size, size)
 
 	var buf bytes.Buffer
 	if err := SaveState(&buf, arch.Name, a.Params(), a.Buffers()); err != nil {
@@ -94,10 +94,10 @@ func TestCheckpointRoundTripBitwise(t *testing.T) {
 }
 
 func TestLoadStateRejectsParamsOnlyCheckpoint(t *testing.T) {
-	arch := servingArch(8)
+	arch := servingArch(8, 8)
 	a, _ := NewSeqNet(arch, 1)
 	var buf bytes.Buffer
-	if err := SaveParams(&buf, arch.Name, a.Params()); err != nil {
+	if err := SaveState(&buf, arch.Name, a.Params(), nil); err != nil {
 		t.Fatal(err)
 	}
 	b, _ := NewSeqNet(arch, 2)
@@ -108,35 +108,40 @@ func TestLoadStateRejectsParamsOnlyCheckpoint(t *testing.T) {
 }
 
 func TestInferNetMatchesSeqEval(t *testing.T) {
-	const size, n = 8, 4
-	arch := servingArch(size)
-	seq, err := NewSeqNet(arch, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trainBriefly(t, seq, n, size)
+	const n = 4
+	// 6x10 leaves a 3x5 plane for the global average pool: a non-square
+	// plane must be averaged whole, not over its leftmost square.
+	for _, hw := range [][2]int{{8, 8}, {6, 10}} {
+		h, w := hw[0], hw[1]
+		arch := servingArch(h, w)
+		seq, err := NewSeqNet(arch, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trainBriefly(t, seq, n, h, w)
 
-	var buf bytes.Buffer
-	if err := SaveState(&buf, arch.Name, seq.Params(), seq.Buffers()); err != nil {
-		t.Fatal(err)
-	}
-	inf, err := NewInferNet(arch, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := LoadState(bytes.NewReader(buf.Bytes()), arch.Name, inf.Params(), inf.Buffers()); err != nil {
-		t.Fatal(err)
-	}
+		var buf bytes.Buffer
+		if err := SaveState(&buf, arch.Name, seq.Params(), seq.Buffers()); err != nil {
+			t.Fatal(err)
+		}
+		inf, err := NewInferNet(arch, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := LoadState(bytes.NewReader(buf.Bytes()), arch.Name, inf.Params(), inf.Buffers()); err != nil {
+			t.Fatal(err)
+		}
 
-	x := tensor.New(n, 3, size, size)
-	x.FillPattern(0.47)
-	seq.SetTrain(false)
-	want := seq.Forward(x)
-	got := inf.Forward(x)
-	// The engines lower convolutions differently (per-sample vs batched
-	// GEMM), so identity is numerical, not bitwise.
-	if d := got.RelDiff(want); d > 1e-5 {
-		t.Fatalf("InferNet diverges from eval SeqNet: rel diff %g", d)
+		x := tensor.New(n, 3, h, w)
+		x.FillPattern(0.47)
+		seq.SetTrain(false)
+		want := seq.Forward(x)
+		got := inf.Forward(x)
+		// The engines lower convolutions differently (per-sample vs batched
+		// GEMM), so identity is numerical, not bitwise.
+		if d := got.RelDiff(want); d > 1e-5 {
+			t.Fatalf("%dx%d input: InferNet diverges from eval SeqNet: rel diff %g", h, w, d)
+		}
 	}
 }
 
@@ -144,7 +149,7 @@ func TestInferNetMatchesSeqEval(t *testing.T) {
 // depend on which other requests the batcher packed with it.
 func TestInferNetRowStableAcrossBatchSizes(t *testing.T) {
 	const size, maxN = 8, 6
-	arch := servingArch(size)
+	arch := servingArch(size, size)
 	inf, err := NewInferNet(arch, maxN)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +173,7 @@ func TestInferNetRowStableAcrossBatchSizes(t *testing.T) {
 }
 
 func TestInferNetCloneSharesWeights(t *testing.T) {
-	arch := servingArch(8)
+	arch := servingArch(8, 8)
 	a, err := NewInferNet(arch, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +203,7 @@ func TestInferNetForwardZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool items; allocation counts are not meaningful")
 	}
-	arch := servingArch(8)
+	arch := servingArch(8, 8)
 	inf, err := NewInferNet(arch, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -227,12 +232,12 @@ func TestInferNetForwardZeroAllocs(t *testing.T) {
 // (cls).
 func TestInferNetFusionBitwiseMatchesLegacy(t *testing.T) {
 	const size, maxN = 8, 5
-	arch := servingArch(size)
+	arch := servingArch(size, size)
 	seq, err := NewSeqNet(arch, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainBriefly(t, seq, maxN, size)
+	trainBriefly(t, seq, maxN, size, size)
 	var buf bytes.Buffer
 	if err := SaveState(&buf, arch.Name, seq.Params(), seq.Buffers()); err != nil {
 		t.Fatal(err)
@@ -267,12 +272,12 @@ func TestInferNetFusionBitwiseMatchesLegacy(t *testing.T) {
 // is bitwise the restored state's.
 func TestInferNetRepack(t *testing.T) {
 	const size, n = 8, 2
-	arch := servingArch(size)
+	arch := servingArch(size, size)
 	seq, err := NewSeqNet(arch, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainBriefly(t, seq, n, size)
+	trainBriefly(t, seq, n, size, size)
 	var buf bytes.Buffer
 	if err := SaveState(&buf, arch.Name, seq.Params(), seq.Buffers()); err != nil {
 		t.Fatal(err)

@@ -60,18 +60,3 @@ func SegMicroBatchStep(net *SeqNet, x *tensor.Tensor, labels []int32, mb int) fl
 	}
 	return total
 }
-
-// PeakActivationBytes estimates the forward activation memory of running
-// arch at batch size n — the quantity micro-batching divides (compare
-// perfmodel.MemoryBytes, which adds error signals and parameters).
-func PeakActivationBytes(arch *Arch, n int) (int64, error) {
-	shapes, err := arch.Shapes()
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, s := range shapes {
-		total += int64(n) * int64(s.C) * int64(s.H) * int64(s.W) * 4
-	}
-	return total, nil
-}

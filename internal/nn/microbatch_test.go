@@ -63,27 +63,15 @@ func TestMicroBatchMatchesFullBatch(t *testing.T) {
 	}
 }
 
-func TestMicroBatchReducesPeakActivations(t *testing.T) {
-	arch := bnFreeArch(8)
-	full, err := PeakActivationBytes(arch, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	half, _ := PeakActivationBytes(arch, 4)
-	if half*2 != full {
-		t.Fatalf("activation memory not linear in batch: %d vs %d", half, full)
-	}
-}
-
 func TestCheckpointRoundTrip(t *testing.T) {
 	arch := bnFreeArch(8)
 	a, _ := NewSeqNet(arch, 1)
 	b, _ := NewSeqNet(arch, 2) // different weights
 	var buf bytes.Buffer
-	if err := SaveParams(&buf, arch.Name, a.Params()); err != nil {
+	if err := SaveState(&buf, arch.Name, a.Params(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadParams(&buf, arch.Name, b.Params()); err != nil {
+	if err := LoadState(&buf, arch.Name, b.Params(), nil); err != nil {
 		t.Fatal(err)
 	}
 	ap, bp := a.Params(), b.Params()
@@ -106,10 +94,10 @@ func TestCheckpointArchMismatch(t *testing.T) {
 	arch := bnFreeArch(8)
 	net, _ := NewSeqNet(arch, 1)
 	var buf bytes.Buffer
-	if err := SaveParams(&buf, "modelA", net.Params()); err != nil {
+	if err := SaveState(&buf, "modelA", net.Params(), nil); err != nil {
 		t.Fatal(err)
 	}
-	err := LoadParams(&buf, "modelB", net.Params())
+	err := LoadState(&buf, "modelB", net.Params(), nil)
 	if err == nil || !strings.Contains(err.Error(), "architecture") {
 		t.Fatalf("architecture mismatch not detected: %v", err)
 	}
@@ -120,10 +108,10 @@ func TestCheckpointMissingParam(t *testing.T) {
 	net, _ := NewSeqNet(arch, 1)
 	var buf bytes.Buffer
 	// Save only a subset.
-	if err := SaveParams(&buf, arch.Name, net.Params()[:1]); err != nil {
+	if err := SaveState(&buf, arch.Name, net.Params()[:1], nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadParams(&buf, arch.Name, net.Params()); err == nil {
+	if err := LoadState(&buf, arch.Name, net.Params(), nil); err == nil {
 		t.Fatal("missing parameter not detected")
 	}
 }
@@ -132,12 +120,12 @@ func TestCheckpointSizeMismatch(t *testing.T) {
 	arch := bnFreeArch(8)
 	net, _ := NewSeqNet(arch, 1)
 	var buf bytes.Buffer
-	if err := SaveParams(&buf, arch.Name, net.Params()); err != nil {
+	if err := SaveState(&buf, arch.Name, net.Params(), nil); err != nil {
 		t.Fatal(err)
 	}
 	ps := net.Params()
 	ps[0].W = ps[0].W[:4] // truncated target
-	if err := LoadParams(&buf, arch.Name, ps); err == nil {
+	if err := LoadState(&buf, arch.Name, ps, nil); err == nil {
 		t.Fatal("length mismatch not detected")
 	}
 }

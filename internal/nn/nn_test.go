@@ -353,21 +353,6 @@ func TestSGDWeightDecay(t *testing.T) {
 	}
 }
 
-func TestLRSchedules(t *testing.T) {
-	if lr := StepLR(1, 5, []int{3, 10}, 0.1); math.Abs(float64(lr)-0.1) > 1e-7 {
-		t.Fatalf("StepLR = %v, want 0.1", lr)
-	}
-	if lr := StepLR(1, 20, []int{3, 10}, 0.1); math.Abs(float64(lr)-0.01) > 1e-7 {
-		t.Fatalf("StepLR = %v, want 0.01", lr)
-	}
-	if lr := PolyLR(1, 50, 100, 2); math.Abs(float64(lr)-0.25) > 1e-6 {
-		t.Fatalf("PolyLR = %v, want 0.25", lr)
-	}
-	if PolyLR(1, 100, 100, 2) != 0 {
-		t.Fatal("PolyLR at maxIter should be 0")
-	}
-}
-
 func TestMetrics(t *testing.T) {
 	if a := Accuracy([]int{1, 2, 3}, []int{1, 0, 3}); math.Abs(a-2.0/3) > 1e-9 {
 		t.Fatalf("Accuracy = %v", a)
@@ -438,13 +423,5 @@ func TestTrainingReducesLoss(t *testing.T) {
 	}
 	if last >= first {
 		t.Fatalf("loss did not decrease: %g -> %g", first, last)
-	}
-}
-
-func TestZeroGrads(t *testing.T) {
-	p := Param{W: []float32{1}, G: []float32{5}}
-	ZeroGrads([]Param{p})
-	if p.G[0] != 0 {
-		t.Fatal("gradient not zeroed")
 	}
 }

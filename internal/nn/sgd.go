@@ -41,41 +41,3 @@ func (o *SGD) Step(params []Param) {
 		}
 	}
 }
-
-// ZeroGrads clears every gradient buffer (layers overwrite gradients each
-// backward pass, but explicit zeroing guards partially-executed steps).
-func ZeroGrads(params []Param) {
-	for _, p := range params {
-		for j := range p.G {
-			p.G[j] = 0
-		}
-	}
-}
-
-// PolyLR implements the polynomial (power) learning-rate schedule commonly
-// used for semantic segmentation: lr = base * (1 - iter/maxIter)^power.
-func PolyLR(base float32, iter, maxIter int, power float64) float32 {
-	if iter >= maxIter {
-		return 0
-	}
-	f := 1 - float64(iter)/float64(maxIter)
-	r := base
-	p := f
-	// integer powers are enough here; use repeated multiplication for
-	// power==2, otherwise fall back to linear.
-	if power == 2 {
-		p = f * f
-	}
-	return r * float32(p)
-}
-
-// StepLR decays the base rate by gamma at each listed milestone iteration.
-func StepLR(base float32, iter int, milestones []int, gamma float32) float32 {
-	lr := base
-	for _, m := range milestones {
-		if iter >= m {
-			lr *= gamma
-		}
-	}
-	return lr
-}

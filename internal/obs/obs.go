@@ -243,15 +243,6 @@ func Configure(tracks, capacity int) {
 	state.Store(ns)
 }
 
-// Tracks reports the configured track count (0 before any Configure).
-func Tracks() int {
-	s := state.Load()
-	if s == nil {
-		return 0
-	}
-	return len(s.rings)
-}
-
 // Enable starts a recording epoch. Events recorded before the last Enable
 // are excluded from Snapshot, so rings reused across epochs never leak
 // stale spans.

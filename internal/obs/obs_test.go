@@ -143,12 +143,12 @@ func TestStageAndClassNames(t *testing.T) {
 func TestConfigureGrowsAndKeeps(t *testing.T) {
 	reset(2, 64)
 	Configure(1, 16) // smaller: must be a no-op
-	if Tracks() != 2 {
-		t.Fatalf("shrinking Configure changed tracks to %d", Tracks())
+	if got := len(state.Load().rings); got != 2 {
+		t.Fatalf("shrinking Configure changed tracks to %d", got)
 	}
 	Configure(4, 256)
-	if Tracks() != 4 {
-		t.Fatalf("growing Configure gave %d tracks, want 4", Tracks())
+	if got := len(state.Load().rings); got != 4 {
+		t.Fatalf("growing Configure gave %d tracks, want 4", got)
 	}
 	if got := len(RingFor(0).slots); got != 256 {
 		t.Fatalf("ring capacity after growth = %d, want 256", got)
