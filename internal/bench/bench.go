@@ -45,16 +45,6 @@ func (t *Table) Write(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// Cell looks up a cell by row index and column name (test convenience).
-func (t *Table) Cell(row int, col string) string {
-	for i, h := range t.Header {
-		if h == col {
-			return t.Rows[row][i]
-		}
-	}
-	return ""
-}
-
 // SpatialGrid maps "s GPUs/sample" to the near-square PH x PW decomposition
 // used throughout the evaluation: 2 -> 2x1, 4 -> 2x2, 8 -> 4x2, 16 -> 4x4.
 func SpatialGrid(ways int) (ph, pw int) {

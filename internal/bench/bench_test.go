@@ -315,3 +315,13 @@ func MeshStrongPoint(m perfmodel.Machine, model2K bool, n, s int) (float64, bool
 	}
 	return meshTime(m, arch, n, s)
 }
+
+// Cell looks up a cell by row index and column name (test convenience).
+func (t *Table) Cell(row int, col string) string {
+	for i, h := range t.Header {
+		if h == col {
+			return t.Rows[row][i]
+		}
+	}
+	return ""
+}

@@ -49,15 +49,9 @@ func benchWarmAllreduce(b *testing.B, p, words int, fn func(c *Comm, buf []float
 	})
 }
 
-func BenchmarkAllreduceWarmRing(b *testing.B) {
+func BenchmarkAllreduceWarm(b *testing.B) {
 	benchWarmAllreduce(b, 4, 1<<16, func(c *Comm, buf []float32) {
-		c.AllreduceAlgo(buf, OpSum, AllreduceRing)
-	})
-}
-
-func BenchmarkAllreduceWarmStable(b *testing.B) {
-	benchWarmAllreduce(b, 4, 1<<16, func(c *Comm, buf []float32) {
-		c.AllreduceAlgo(buf, OpSum, AllreduceStableRing)
+		c.Allreduce(buf, OpSum)
 	})
 }
 
@@ -68,7 +62,8 @@ func BenchmarkIAllreduceWarm(b *testing.B) {
 }
 
 func BenchmarkReduceScatterWarm(b *testing.B) {
+	counts := []int{1 << 14, 1 << 14, 1 << 14, 1 << 14}
 	benchWarmAllreduce(b, 4, 1<<16, func(c *Comm, buf []float32) {
-		c.Release(c.ReduceScatter(buf, len(buf)/4, OpSum))
+		c.Release(c.ReduceScatterStableSlabs(buf, 1, counts, OpSum))
 	})
 }

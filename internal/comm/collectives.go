@@ -43,131 +43,54 @@ func (o Op) apply(dst, src []float32) {
 // starting at its base; per-(src,dst) FIFO ordering makes reuse across
 // successive calls on the same communicator safe (non-overtaking matching).
 const (
-	tagAllreduce     = tagCollBase + 0x000
-	tagBcast         = tagCollBase + 0x100
-	tagReduce        = tagCollBase + 0x200
-	tagGather        = tagCollBase + 0x300
-	tagAllgather     = tagCollBase + 0x400
-	tagReduceScatter = tagCollBase + 0x500
-	tagAlltoall      = tagCollBase + 0x600
-	tagStable        = tagCollBase + 0x680
-	tagBarrier       = tagCollBase + 0x700
+	tagBcast     = tagCollBase + 0x100
+	tagAllgather = tagCollBase + 0x400
+	tagAlltoall  = tagCollBase + 0x600
+	tagStable    = tagCollBase + 0x680 // Allreduce: fold, then allgather from +1
+	tagStableRS  = tagStable + 0x40    // ReduceScatterStableSlabs, past Allreduce's window
+	tagBarrier   = tagCollBase + 0x700
 )
 
-// AllreduceAlgo selects the allreduce algorithm, mirroring how MPI/NCCL
-// select by message size and rank count (Thakur et al.).
+// AllreduceAlgo names an allreduce algorithm. There is one: the benchmark
+// module still passes AllreduceStableRing through Comm.AllreduceAlgo.
 type AllreduceAlgo int
 
-// Allreduce algorithm choices.
-const (
-	// AllreduceAuto picks recursive doubling for short messages and
-	// ring (reduce-scatter + allgather) for long ones.
-	AllreduceAuto AllreduceAlgo = iota
-	AllreduceRing
-	AllreduceRecursiveDoubling
-	// AllreduceStableRing reduces every element in rank order (0, 1, ...,
-	// p-1, left-associated) regardless of message length or chunking, so the
-	// result is bitwise identical whether a value is reduced alone, inside a
-	// fused bucket, synchronously, or on a proxy goroutine. Gradient
-	// reductions use it to make overlapped and synchronous training produce
-	// identical parameters. Bandwidth cost matches the ring algorithm.
-	AllreduceStableRing
-)
-
-// autoRingThreshold is the element count above which Auto uses the ring
-// algorithm (bandwidth-optimal) instead of recursive doubling
-// (latency-optimal), following the MPICH switchover strategy.
-const autoRingThreshold = 4096
+// AllreduceStableRing is the only allreduce algorithm, the one Allreduce runs.
+const AllreduceStableRing AllreduceAlgo = 0
 
 // Allreduce reduces buf elementwise across all ranks of the communicator
 // with operator op and leaves the identical result in buf on every rank.
+//
+// Every element is reduced in rank order: element i ends as
+// ((x0[i] op x1[i]) op x2[i]) ... op x_{p-1}[i], whatever the buffer's
+// length, fusion or chunking, and whether the call is blocking or runs on
+// the proxy (IAllreduce). The algorithm is the stable reduce-scatter over
+// the balanced p-way chunk partition (the owner of each chunk folds every
+// rank's contribution in rank order) followed by the ring allgather; each
+// rank sends 2n(p-1)/p words, as in the ring algorithm.
 func (c *Comm) Allreduce(buf []float32, op Op) {
-	c.AllreduceAlgo(buf, op, AllreduceAuto)
-}
-
-// AllreduceAlgo is Allreduce with an explicit algorithm choice.
-func (c *Comm) AllreduceAlgo(buf []float32, op Op, algo AllreduceAlgo) {
 	p := c.Size()
 	if p == 1 {
 		return
 	}
 	t := obs.Start()
-	switch algo {
-	case AllreduceAuto:
-		if len(buf) >= autoRingThreshold && len(buf) >= p {
-			c.allreduceRing(buf, op)
-		} else {
-			c.allreduceRD(buf, op)
-		}
-	case AllreduceRing:
-		if len(buf) < p {
-			// Ring needs at least one element per rank; fall back.
-			c.allreduceRD(buf, op)
-		} else {
-			c.allreduceRing(buf, op)
-		}
-	case AllreduceRecursiveDoubling:
-		c.allreduceRD(buf, op)
-	case AllreduceStableRing:
-		c.allreduceStable(buf, op)
-	default:
-		panic(fmt.Sprintf("comm: unknown allreduce algorithm %d", algo))
-	}
-	c.obsColl(obs.StageAllreduce, t, len(buf))
+	n := len(buf)
+	chunk := func(q int) (lo, hi int) { return ringChunk(n, p, q) }
+	lo, hi := chunk(c.rank)
+	mine := getBuf(hi - lo)
+	c.foldRankOrder(buf, 1, chunk, op, tagStable, mine)
+	copy(buf[lo:hi], mine)
+	putBuf(mine)
+	c.allgatherChunks(buf, tagStable+1)
+	c.obsColl(obs.StageAllreduce, t, n)
 }
 
-// allreduceRD is recursive doubling with a pre/post phase for non-power-of-
-// two rank counts (Thakur et al. §4): lg p rounds of pairwise full-buffer
-// exchanges. Latency-optimal; moves n words lg p times.
-func (c *Comm) allreduceRD(buf []float32, op Op) {
-	p := c.Size()
-	r := c.rank
-	// Largest power of two <= p.
-	pof2 := 1
-	for pof2*2 <= p {
-		pof2 *= 2
+// AllreduceAlgo is Allreduce. algo must be AllreduceStableRing.
+func (c *Comm) AllreduceAlgo(buf []float32, op Op, algo AllreduceAlgo) {
+	if algo != AllreduceStableRing {
+		panic(fmt.Sprintf("comm: unknown allreduce algorithm %d", algo))
 	}
-	rem := p - pof2
-	// Phase 1: the first 2*rem ranks fold odd ranks into even ranks so a
-	// power-of-two group remains.
-	newRank := -1
-	if r < 2*rem {
-		if r%2 != 0 { // odd: send to r-1 and sit out
-			c.Send(r-1, tagAllreduce, buf)
-		} else { // even: absorb r+1
-			got := c.Recv(r+1, tagAllreduce)
-			op.apply(buf, got)
-			putBuf(got)
-			newRank = r / 2
-		}
-	} else {
-		newRank = r - rem
-	}
-	// Phase 2: recursive doubling among pof2 participants.
-	if newRank >= 0 {
-		toOld := func(nr int) int {
-			if nr < rem {
-				return nr * 2
-			}
-			return nr + rem
-		}
-		for mask, step := 1, 0; mask < pof2; mask, step = mask<<1, step+1 {
-			partner := toOld(newRank ^ mask)
-			got := c.SendRecv(partner, tagAllreduce+1+step, buf)
-			op.apply(buf, got)
-			putBuf(got)
-		}
-	}
-	// Phase 3: return results to the folded odd ranks.
-	if r < 2*rem {
-		if r%2 != 0 {
-			res := c.Recv(r-1, tagAllreduce+64)
-			copy(buf, res)
-			putBuf(res)
-		} else {
-			c.Send(r+1, tagAllreduce+64, buf)
-		}
-	}
+	c.Allreduce(buf, op)
 }
 
 // ringChunk returns the half-open interval of chunk i under the balanced
@@ -183,34 +106,56 @@ func ringChunk(n, p, i int) (lo, hi int) {
 	return
 }
 
-// reduceScatterRing is the ring reduce-scatter over the balanced chunk
-// partition of buf, in place: p-1 steps, each moving one chunk to the next
-// ring neighbor and folding the chunk received from the previous one. On
-// return, rank r's chunk r holds the complete reduction (other chunks hold
-// partials). Both ring allreduce and the public ReduceScatter build on it.
-func (c *Comm) reduceScatterRing(buf []float32, op Op, tagBase int) {
+// foldRankOrder is the rank-ordered reduce-scatter every reduction runs on.
+// buf holds slabs repetitions of a row; chunk(q) is the half-open interval
+// of rank q's chunk within the row. Every rank sends owner q its chunk of
+// every slab in one message, then folds its own chunk of all p
+// contributions into out (slabs * own chunk words, slab-major) in rank
+// order: out = ((x0 op x1) op x2) ... op x_{p-1}. buf is only read.
+func (c *Comm) foldRankOrder(buf []float32, slabs int, chunk func(q int) (lo, hi int), op Op, tag int, out []float32) {
 	p := c.Size()
 	r := c.rank
-	n := len(buf)
-	next := (r + 1) % p
-	prev := (r - 1 + p) % p
-	for s := 0; s < p-1; s++ {
-		lo, hi := ringChunk(n, p, r-s-1)
-		if hi > lo {
-			c.Send(next, tagBase+s, buf[lo:hi])
+	rowLen := len(buf) / slabs
+	for q := 0; q < p; q++ {
+		lo, hi := chunk(q)
+		if q == r || hi == lo {
+			continue
 		}
-		lo, hi = ringChunk(n, p, r-s-2)
-		if hi > lo {
-			got := c.Recv(prev, tagBase+s)
-			op.apply(buf[lo:hi], got)
-			putBuf(got)
+		n := hi - lo
+		msg := getBuf(slabs * n)
+		for s := 0; s < slabs; s++ {
+			copy(msg[s*n:(s+1)*n], buf[s*rowLen+lo:s*rowLen+hi])
 		}
+		c.SendNoCopy(q, tag, msg)
+	}
+	lo, hi := chunk(r)
+	n := hi - lo
+	for q := 0; q < p && n > 0; q++ {
+		if q == r {
+			for s := 0; s < slabs; s++ {
+				src := buf[s*rowLen+lo : s*rowLen+hi]
+				dst := out[s*n : (s+1)*n]
+				if q == 0 {
+					copy(dst, src)
+				} else {
+					op.apply(dst, src)
+				}
+			}
+			continue
+		}
+		contrib := c.Recv(q, tag)
+		if q == 0 {
+			copy(out, contrib)
+		} else {
+			op.apply(out, contrib)
+		}
+		putBuf(contrib)
 	}
 }
 
 // allgatherChunks circulates the balanced chunks of buf around the ring,
 // assuming rank r holds the finished chunk r: after p-1 steps every rank
-// holds every chunk. Completes both ring and stable allreduce.
+// holds every chunk.
 func (c *Comm) allgatherChunks(buf []float32, tagBase int) {
 	p := c.Size()
 	r := c.rank
@@ -229,65 +174,6 @@ func (c *Comm) allgatherChunks(buf []float32, tagBase int) {
 			putBuf(got)
 		}
 	}
-}
-
-// allreduceRing is the bandwidth-optimal ring algorithm: the ring
-// reduce-scatter (p-1 steps) followed by the ring allgather (p-1 steps),
-// each step moving n/p words to a ring neighbor. Requires len(buf) >= p.
-func (c *Comm) allreduceRing(buf []float32, op Op) {
-	p := c.Size()
-	c.reduceScatterRing(buf, op, tagAllreduce+2)
-	// The allgather tag window starts after the reduce-scatter phase's
-	// window so the two phases never share a tag.
-	c.allgatherChunks(buf, tagAllreduce+2+(p-1))
-}
-
-// allreduceStable reduces with a fixed, chunking-independent association
-// order: the owner of each balanced chunk receives every rank's
-// contribution directly and folds them in rank order (0, 1, ..., p-1,
-// left-associated), then the ring allgather circulates the finished chunks.
-// Element i's reduction is always ((x0[i] op x1[i]) op x2[i]) ... op
-// x_{p-1}[i], no matter how the surrounding buffer is sized or fused —
-// the property the gradient-overlap engine's determinism guarantee rests
-// on. Per-rank volume matches ring allreduce (2n(p-1)/p words sent).
-func (c *Comm) allreduceStable(buf []float32, op Op) {
-	p := c.Size()
-	r := c.rank
-	n := len(buf)
-	// Scatter phase: send every other owner its chunk of my contribution.
-	for j := 0; j < p; j++ {
-		if j == r {
-			continue
-		}
-		lo, hi := ringChunk(n, p, j)
-		if hi > lo {
-			c.Send(j, tagStable, buf[lo:hi])
-		}
-	}
-	// Ordered fold of my chunk: my own contribution participates at rank
-	// position r, so stash it and rebuild the chunk in rank order.
-	lo, hi := ringChunk(n, p, r)
-	if hi > lo {
-		acc := buf[lo:hi]
-		own := getBuf(hi - lo)
-		copy(own, acc)
-		for q := 0; q < p; q++ {
-			contrib := own
-			if q != r {
-				contrib = c.Recv(q, tagStable)
-			}
-			if q == 0 {
-				copy(acc, contrib)
-			} else {
-				op.apply(acc, contrib)
-			}
-			if q != r {
-				putBuf(contrib)
-			}
-		}
-		putBuf(own)
-	}
-	c.allgatherChunks(buf, tagStable+1)
 }
 
 // Bcast broadcasts buf from root to all ranks using a binomial tree.
@@ -321,56 +207,6 @@ func (c *Comm) Bcast(buf []float32, root int) {
 	c.obsColl(obs.StageBcast, t, len(buf))
 }
 
-// Reduce reduces buf to root with operator op using a binomial tree; the
-// result is valid only on root (other ranks' buffers hold partials).
-func (c *Comm) Reduce(buf []float32, op Op, root int) {
-	p := c.Size()
-	if p == 1 {
-		return
-	}
-	t := obs.Start()
-	vr := (c.rank - root + p) % p
-	for mask := 1; mask < p; mask <<= 1 {
-		if vr&mask != 0 {
-			dst := (vr - mask + root) % p
-			c.Send(dst, tagReduce, buf)
-			c.obsColl(obs.StageReduce, t, len(buf))
-			return
-		}
-		if vr+mask < p {
-			src := (vr + mask + root) % p
-			got := c.Recv(src, tagReduce)
-			op.apply(buf, got)
-			putBuf(got)
-		}
-	}
-	c.obsColl(obs.StageReduce, t, len(buf))
-}
-
-// Gather collects each rank's equally-sized contribution into a root-side
-// buffer of p*len(buf) elements (returned on root; nil elsewhere).
-func (c *Comm) Gather(buf []float32, root int) []float32 {
-	p := c.Size()
-	t := obs.Start()
-	if c.rank != root {
-		c.Send(root, tagGather, buf)
-		c.obsColl(obs.StageCollGather, t, len(buf))
-		return nil
-	}
-	out := make([]float32, p*len(buf))
-	copy(out[c.rank*len(buf):], buf)
-	for r := 0; r < p; r++ {
-		if r == root {
-			continue
-		}
-		got := c.Recv(r, tagGather)
-		copy(out[r*len(buf):(r+1)*len(buf)], got)
-		putBuf(got)
-	}
-	c.obsColl(obs.StageCollGather, t, len(out))
-	return out
-}
-
 // Allgather fills buf (of p*per elements) with every rank's contribution:
 // rank r's input occupies buf[r*per:(r+1)*per] on entry, and on exit every
 // rank holds all contributions. Uses the ring algorithm. The tag parameter
@@ -387,107 +223,21 @@ func (c *Comm) Allgather(buf []float32, per int, tag int) {
 		tag = tagAllgather
 	}
 	t := obs.Start()
-	next := (c.rank + 1) % p
-	prev := (c.rank - 1 + p) % p
-	for s := 0; s < p-1; s++ {
-		sendIdx := ((c.rank-s)%p + p) % p
-		recvIdx := ((c.rank-s-1)%p + p) % p
-		c.Send(next, tag+1+s, buf[sendIdx*per:(sendIdx+1)*per])
-		got := c.Recv(prev, tag+1+s)
-		copy(buf[recvIdx*per:(recvIdx+1)*per], got)
-		putBuf(got)
-	}
+	// The balanced partition of p*per elements is exactly the p blocks of per.
+	c.allgatherChunks(buf, tag+1)
 	c.obsColl(obs.StageAllgather, t, len(buf))
 }
 
-// AllgatherV gathers variable-length contributions: mine is this rank's
-// data, counts[r] gives every rank's length. Returns the concatenation in
-// rank order, identical on every rank.
-func (c *Comm) AllgatherV(mine []float32, counts []int) []float32 {
-	p := c.Size()
-	if len(counts) != p {
-		panic("comm: AllgatherV counts length mismatch")
-	}
-	if len(mine) != counts[c.rank] {
-		panic(fmt.Sprintf("comm: AllgatherV rank %d contributed %d, counts says %d", c.rank, len(mine), counts[c.rank]))
-	}
-	offs := make([]int, p+1)
-	for i, n := range counts {
-		offs[i+1] = offs[i] + n
-	}
-	t := obs.Start()
-	out := make([]float32, offs[p])
-	copy(out[offs[c.rank]:], mine)
-	next := (c.rank + 1) % p
-	prev := (c.rank - 1 + p) % p
-	for s := 0; s < p-1; s++ {
-		sendIdx := ((c.rank-s)%p + p) % p
-		recvIdx := ((c.rank-s-1)%p + p) % p
-		c.Send(next, tagAllgather+128+s, out[offs[sendIdx]:offs[sendIdx+1]])
-		got := c.Recv(prev, tagAllgather+128+s)
-		copy(out[offs[recvIdx]:offs[recvIdx+1]], got)
-		putBuf(got)
-	}
-	c.obsColl(obs.StageAllgather, t, len(out))
-	return out
-}
-
-// ReduceScatter reduces buf (p equal blocks of per elements) across ranks
-// and returns this rank's reduced block, using the ring schedule over
-// pooled buffers (buf is left untouched). The returned slice is pooled —
-// hand it back with Release when done.
-func (c *Comm) ReduceScatter(buf []float32, per int, op Op) []float32 {
-	p := c.Size()
-	if len(buf) != p*per {
-		panic(fmt.Sprintf("comm: ReduceScatter buffer %d != %d ranks * %d", len(buf), p, per))
-	}
-	mine := getBuf(per)
-	if p == 1 {
-		copy(mine, buf)
-		return mine
-	}
-	// The balanced partition of p*per elements is exactly the p blocks of
-	// per, so the ring's chunk c.rank is this rank's output block.
-	t := obs.Start()
-	scratch := getBuf(len(buf))
-	copy(scratch, buf)
-	c.reduceScatterRing(scratch, op, tagReduceScatter)
-	copy(mine, scratch[c.rank*per:(c.rank+1)*per])
-	putBuf(scratch)
-	c.obsColl(obs.StageReduceScatter, t, len(buf))
-	return mine
-}
-
-// tagStableRS is the tag window of the stable reduce-scatter; it sits past
-// the stable allreduce's scatter tag and its allgather window (which uses at
-// most p-1 steps from tagStable+1), inside the pre-barrier gap.
-const tagStableRS = tagStable + 0x40
-
-// ReduceScatterStable reduces buf across ranks with the same rank-ordered
-// association as AllreduceStableRing and hands each rank only its own chunk:
-// counts[q] gives the length of rank q's chunk, and buf is the concatenation
-// of all p chunks in rank order (sum(counts) == len(buf)). Element i of the
-// returned chunk is ((x0[i] op x1[i]) op x2[i]) ... op x_{p-1}[i] — bitwise
-// identical to what a stable allreduce of the same buffer would leave in
-// this rank's chunk — at roughly half the allreduce's wire cost ((p-1)/p of
-// the buffer sent per rank, nothing gathered back). buf is left untouched;
-// the returned slice is pooled — hand it back with Release when consumed.
-//
-// This is the collective the paper suggests for the channel-parallel
-// forward (and filter-parallel backward-data): the full-extent partial is
-// reduced, but each rank only ever needs its own block of the result.
-func (c *Comm) ReduceScatterStable(buf []float32, counts []int, op Op) []float32 {
-	return c.ReduceScatterStableSlabs(buf, 1, counts, op)
-}
-
-// ReduceScatterStableSlabs is ReduceScatterStable over a repeated chunk
-// layout: buf holds `slabs` consecutive repetitions of the per-rank chunk
-// row [counts[0] | counts[1] | ... | counts[p-1]], and the returned pooled
-// slice holds this rank's chunk of every slab, slab-major
-// ([slabs * counts[rank]]). All of a peer's slabs travel in ONE message, so
-// the exchange costs p-1 sends per rank regardless of slab count — the
-// shape the performance model prices. The per-element association is rank
-// order (0, 1, ..., p-1, left-associated), independent of slab structure.
+// ReduceScatterStableSlabs reduces buf across ranks in rank order and hands
+// each rank only its own chunk. buf holds `slabs` consecutive repetitions of
+// the per-rank chunk row [counts[0] | counts[1] | ... | counts[p-1]], and the
+// returned pooled slice holds this rank's chunk of every slab, slab-major
+// ([slabs * counts[rank]]). Element i of it is ((x0[i] op x1[i]) op x2[i])
+// ... op x_{p-1}[i], bitwise what Allreduce of the same buffer leaves there,
+// at about half the allreduce's wire cost. All of a peer's slabs travel in
+// ONE message, so the exchange costs p-1 sends per rank regardless of slab
+// count — the shape the performance model prices. buf is left untouched;
+// hand the result back with Release when consumed.
 //
 // The channel/filter-parallel convolutions use this with one slab per local
 // sample: a [nLoc, D, h, w] partial reduces to this rank's [nLoc, dLoc, h, w]
@@ -500,61 +250,26 @@ func (c *Comm) ReduceScatterStableSlabs(buf []float32, slabs int, counts []int, 
 	if slabs < 1 {
 		panic(fmt.Sprintf("comm: ReduceScatterStableSlabs needs slabs >= 1, got %d", slabs))
 	}
-	r := c.rank
 	rowLen := 0
-	myOff := 0
-	for q, n := range counts {
-		if q == r {
-			myOff = rowLen
-		}
+	for _, n := range counts {
 		rowLen += n
 	}
 	if rowLen*slabs != len(buf) {
 		panic(fmt.Sprintf("comm: ReduceScatterStableSlabs counts sum %d * %d slabs != buffer %d", rowLen, slabs, len(buf)))
 	}
-	myLen := counts[r]
-	mine := getBuf(slabs * myLen)
+	mine := getBuf(slabs * counts[c.rank])
 	if p == 1 {
 		copy(mine, buf)
 		return mine
 	}
 	t := obs.Start()
-	// Scatter phase: pack every slab's chunk for owner q into one message.
-	off := 0
-	for q := 0; q < p; q++ {
-		n := counts[q]
-		if q != r && n > 0 {
-			msg := getBuf(slabs * n)
-			for s := 0; s < slabs; s++ {
-				copy(msg[s*n:(s+1)*n], buf[s*rowLen+off:s*rowLen+off+n])
-			}
-			c.SendNoCopy(q, tagStableRS, msg)
+	chunk := func(q int) (lo, hi int) {
+		for _, n := range counts[:q] {
+			lo += n
 		}
-		off += n
+		return lo, lo + counts[q]
 	}
-	// Ordered fold of my chunks: every rank's contribution folds in rank
-	// order (0, 1, ..., p-1, left-associated), exactly like allreduceStable.
-	for q := 0; q < p && myLen > 0; q++ {
-		if q == r {
-			for s := 0; s < slabs; s++ {
-				src := buf[s*rowLen+myOff : s*rowLen+myOff+myLen]
-				dst := mine[s*myLen : (s+1)*myLen]
-				if q == 0 {
-					copy(dst, src)
-				} else {
-					op.apply(dst, src)
-				}
-			}
-			continue
-		}
-		contrib := c.Recv(q, tagStableRS)
-		if q == 0 {
-			copy(mine, contrib)
-		} else {
-			op.apply(mine, contrib)
-		}
-		putBuf(contrib)
-	}
+	c.foldRankOrder(buf, slabs, chunk, op, tagStableRS, mine)
 	c.obsColl(obs.StageReduceScatter, t, len(buf))
 	return mine
 }

@@ -102,100 +102,103 @@ func TestSendRecvExchange(t *testing.T) {
 	w := NewWorld(2)
 	w.Run(func(c *Comm) {
 		me := float32(c.Rank())
-		got := c.SendRecv(1-c.Rank(), 2, []float32{me})
+		c.Send(1-c.Rank(), 2, []float32{me})
+		got := c.Recv(1-c.Rank(), 2)
 		if got[0] != 1-me {
 			t.Errorf("rank %d exchanged got %v", c.Rank(), got[0])
 		}
 	})
 }
 
-func testAllreduceSizes(t *testing.T, algo AllreduceAlgo, sizes []int, ranks []int) {
+// rankOrderFold is the serial reference every reduction must equal bitwise:
+// ((x0 op x1) op x2) ... op x_{p-1}, element by element, written
+// independently of Op.apply.
+func rankOrderFold(inputs [][]float32, op Op) []float32 {
+	out := append([]float32(nil), inputs[0]...)
+	for _, x := range inputs[1:] {
+		for i, v := range x {
+			switch op {
+			case OpSum:
+				out[i] += v
+			case OpMax:
+				out[i] = max(out[i], v)
+			case OpMin:
+				out[i] = min(out[i], v)
+			}
+		}
+	}
+	return out
+}
+
+// checkAllreduceMatchesRankOrderFold: whatever the length or rank count, the
+// blocking, non-blocking and pinned-alias allreduces leave on every rank the
+// serial left fold in rank order, bit for bit, for OpSum, OpMax and OpMin on
+// the inputs gen produces.
+func checkAllreduceMatchesRankOrderFold(t *testing.T, gen func(rng *rand.Rand, rank, i int) float32) {
 	t.Helper()
-	for _, p := range ranks {
-		for _, n := range sizes {
-			w := NewWorld(p)
-			var mu sync.Mutex
-			results := make([][]float32, p)
-			w.Run(func(c *Comm) {
-				buf := make([]float32, n)
-				for i := range buf {
-					buf[i] = float32(c.Rank()+1) * float32(i+1)
+	calls := []struct {
+		name string
+		run  func(c *Comm, buf []float32, op Op)
+	}{
+		{"Allreduce", func(c *Comm, buf []float32, op Op) { c.Allreduce(buf, op) }},
+		{"IAllreduce", func(c *Comm, buf []float32, op Op) { c.IAllreduce(buf, op).Wait() }},
+		{"AllreduceAlgo", func(c *Comm, buf []float32, op Op) { c.AllreduceAlgo(buf, op, AllreduceStableRing) }},
+	}
+	for p := 1; p <= 9; p++ {
+		rng := rand.New(rand.NewSource(int64(p)))
+		w := NewWorld(p)
+		for _, n := range []int{0, 1, 3, p - 1, p, 5, 64, 1000, 4095, 4096, 5000} {
+			inputs := make([][]float32, p)
+			for r := range inputs {
+				inputs[r] = make([]float32, n)
+				for i := range inputs[r] {
+					inputs[r][i] = gen(rng, r, i)
 				}
-				c.AllreduceAlgo(buf, OpSum, algo)
-				mu.Lock()
-				results[c.Rank()] = buf
-				mu.Unlock()
-			})
-			sumRanks := float32(p*(p+1)) / 2
-			for r, buf := range results {
-				for i, v := range buf {
-					want := sumRanks * float32(i+1)
-					if math.Abs(float64(v-want)) > 1e-3*float64(want) {
-						t.Fatalf("algo=%v p=%d n=%d rank %d elem %d = %v, want %v", algo, p, n, r, i, v, want)
+			}
+			for _, op := range []Op{OpSum, OpMax, OpMin} {
+				want := rankOrderFold(inputs, op)
+				w.Run(func(c *Comm) {
+					for _, call := range calls {
+						buf := append([]float32(nil), inputs[c.Rank()]...)
+						call.run(c, buf, op)
+						for i := range buf {
+							if math.Float32bits(buf[i]) != math.Float32bits(want[i]) {
+								t.Errorf("p=%d n=%d op=%d %s rank %d elem %d = %v, want rank-order fold %v",
+									p, n, op, call.name, c.Rank(), i, buf[i], want[i])
+								return
+							}
+						}
 					}
+				})
+				if t.Failed() {
+					return
 				}
 			}
 		}
 	}
 }
 
-func TestAllreduceRing(t *testing.T) {
-	testAllreduceSizes(t, AllreduceRing, []int{8, 64, 1000}, []int{2, 3, 4, 7, 8})
+// TestAllreduceMatchesRankOrderFold runs the rank-order fold check on random
+// values in [-1, 1).
+func TestAllreduceMatchesRankOrderFold(t *testing.T) {
+	checkAllreduceMatchesRankOrderFold(t, func(rng *rand.Rand, _, _ int) float32 { return rng.Float32()*2 - 1 })
 }
 
-func TestAllreduceRecursiveDoubling(t *testing.T) {
-	testAllreduceSizes(t, AllreduceRecursiveDoubling, []int{1, 5, 64}, []int{2, 3, 4, 5, 8, 9})
+// TestAllreduceStableCorrectSum runs the rank-order fold check on the
+// rank-scaled ramp (rank+1)*(i+1).
+func TestAllreduceStableCorrectSum(t *testing.T) {
+	checkAllreduceMatchesRankOrderFold(t, func(_ *rand.Rand, rank, i int) float32 { return float32(rank+1) * float32(i+1) })
 }
 
-func TestAllreduceAuto(t *testing.T) {
-	testAllreduceSizes(t, AllreduceAuto, []int{1, 3, 5000}, []int{1, 2, 6, 8})
-}
-
+// TestAllreduceMaxMin runs the rank-order fold check on alternating
+// +rank/-rank, whose extrema are the last and first ranks.
 func TestAllreduceMaxMin(t *testing.T) {
-	w := NewWorld(4)
-	w.Run(func(c *Comm) {
-		buf := []float32{float32(c.Rank()), -float32(c.Rank())}
-		c.AllreduceAlgo(buf, OpMax, AllreduceRecursiveDoubling)
-		if buf[0] != 3 || buf[1] != 0 {
-			t.Errorf("max got %v", buf)
+	checkAllreduceMatchesRankOrderFold(t, func(_ *rand.Rand, rank, i int) float32 {
+		if i%2 == 1 {
+			return -float32(rank)
 		}
-		buf = []float32{float32(c.Rank()), -float32(c.Rank())}
-		c.AllreduceAlgo(buf, OpMin, AllreduceRecursiveDoubling)
-		if buf[0] != 0 || buf[1] != -3 {
-			t.Errorf("min got %v", buf)
-		}
+		return float32(rank)
 	})
-}
-
-func TestAllreduceAlgorithmsAgree(t *testing.T) {
-	// Ring and recursive doubling must produce identical results up to
-	// floating-point association on the same inputs.
-	for _, p := range []int{2, 3, 5, 8} {
-		n := 97
-		ref := make([]float32, n)
-		rng := rand.New(rand.NewSource(11))
-		inputs := make([][]float32, p)
-		for r := range inputs {
-			inputs[r] = make([]float32, n)
-			for i := range inputs[r] {
-				inputs[r][i] = rng.Float32() - 0.5
-				ref[i] += inputs[r][i]
-			}
-		}
-		for _, algo := range []AllreduceAlgo{AllreduceRing, AllreduceRecursiveDoubling} {
-			w := NewWorld(p)
-			w.Run(func(c *Comm) {
-				buf := append([]float32(nil), inputs[c.Rank()]...)
-				c.AllreduceAlgo(buf, OpSum, algo)
-				for i := range buf {
-					if math.Abs(float64(buf[i]-ref[i])) > 1e-4 {
-						t.Errorf("p=%d algo=%v elem %d = %v, want %v", p, algo, i, buf[i], ref[i])
-						return
-					}
-				}
-			})
-		}
-	}
 }
 
 func TestBcast(t *testing.T) {
@@ -221,41 +224,6 @@ func TestBcast(t *testing.T) {
 	}
 }
 
-func TestReduce(t *testing.T) {
-	for _, p := range []int{2, 3, 5, 8} {
-		root := p - 1
-		w := NewWorld(p)
-		w.Run(func(c *Comm) {
-			buf := []float32{float32(c.Rank() + 1)}
-			c.Reduce(buf, OpSum, root)
-			if c.Rank() == root {
-				want := float32(p*(p+1)) / 2
-				if buf[0] != want {
-					t.Errorf("p=%d reduce = %v, want %v", p, buf[0], want)
-				}
-			}
-		})
-	}
-}
-
-func TestGather(t *testing.T) {
-	w := NewWorld(4)
-	w.Run(func(c *Comm) {
-		out := c.Gather([]float32{float32(c.Rank()), float32(c.Rank() * 10)}, 1)
-		if c.Rank() == 1 {
-			want := []float32{0, 0, 1, 10, 2, 20, 3, 30}
-			for i := range want {
-				if out[i] != want[i] {
-					t.Errorf("gather = %v, want %v", out, want)
-					return
-				}
-			}
-		} else if out != nil {
-			t.Errorf("non-root rank %d got non-nil gather result", c.Rank())
-		}
-	})
-}
-
 func TestAllgather(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		w := NewWorld(p)
@@ -278,43 +246,20 @@ func TestAllgather(t *testing.T) {
 	}
 }
 
-func TestAllgatherV(t *testing.T) {
-	for _, p := range []int{1, 2, 4, 5} {
-		w := NewWorld(p)
-		w.Run(func(c *Comm) {
-			counts := make([]int, p)
-			for r := range counts {
-				counts[r] = r + 1 // rank r contributes r+1 elements
-			}
-			mine := make([]float32, c.Rank()+1)
-			for i := range mine {
-				mine[i] = float32(c.Rank())
-			}
-			out := c.AllgatherV(mine, counts)
-			k := 0
-			for r := 0; r < p; r++ {
-				for i := 0; i < r+1; i++ {
-					if out[k] != float32(r) {
-						t.Errorf("p=%d allgatherv elem %d = %v, want %d", p, k, out[k], r)
-						return
-					}
-					k++
-				}
-			}
-		})
-	}
-}
-
 func TestReduceScatter(t *testing.T) {
 	for _, p := range []int{2, 3, 4, 8} {
 		w := NewWorld(p)
 		w.Run(func(c *Comm) {
 			per := 4
+			counts := make([]int, p)
+			for q := range counts {
+				counts[q] = per
+			}
 			buf := make([]float32, p*per)
 			for i := range buf {
 				buf[i] = float32(c.Rank() + 1)
 			}
-			mine := c.ReduceScatter(buf, per, OpSum)
+			mine := c.ReduceScatterStableSlabs(buf, 1, counts, OpSum)
 			want := float32(p*(p+1)) / 2
 			for i, v := range mine {
 				if v != want {
@@ -322,6 +267,7 @@ func TestReduceScatter(t *testing.T) {
 					return
 				}
 			}
+			c.Release(mine)
 		})
 	}
 }
@@ -562,16 +508,24 @@ func TestQuickAlltoAllTranspose(t *testing.T) {
 	}
 }
 
-// Property: ReduceScatter's block equals the corresponding slice of a full
-// Allreduce for random inputs.
+// Property: ReduceScatterStableSlabs' chunk is bitwise the matching slice
+// of a full Allreduce, for random rank counts, slab counts and (possibly
+// empty) chunk lengths.
 func TestQuickReduceScatterMatchesAllreduce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := 2 + rng.Intn(6)
-		per := 1 + rng.Intn(20)
+		slabs := 1 + rng.Intn(3)
+		counts := make([]int, p)
+		offs := make([]int, p+1)
+		for q := range counts {
+			counts[q] = rng.Intn(20)
+			offs[q+1] = offs[q] + counts[q]
+		}
+		rowLen := offs[p]
 		inputs := make([][]float32, p)
 		for r := range inputs {
-			inputs[r] = make([]float32, p*per)
+			inputs[r] = make([]float32, slabs*rowLen)
 			for i := range inputs[r] {
 				inputs[r][i] = rng.Float32() - 0.5
 			}
@@ -580,18 +534,21 @@ func TestQuickReduceScatterMatchesAllreduce(t *testing.T) {
 		var mu sync.Mutex
 		w := NewWorld(p)
 		w.Run(func(c *Comm) {
-			rs := c.ReduceScatter(append([]float32(nil), inputs[c.Rank()]...), per, OpSum)
-			ar := append([]float32(nil), inputs[c.Rank()]...)
+			r := c.Rank()
+			rs := c.ReduceScatterStableSlabs(inputs[r], slabs, counts, OpSum)
+			ar := append([]float32(nil), inputs[r]...)
 			c.Allreduce(ar, OpSum)
-			for i := 0; i < per; i++ {
-				d := rs[i] - ar[c.Rank()*per+i]
-				if d > 1e-4 || d < -1e-4 {
-					mu.Lock()
-					ok = false
-					mu.Unlock()
-					return
+			for s := 0; s < slabs; s++ {
+				for i := 0; i < counts[r]; i++ {
+					if math.Float32bits(rs[s*counts[r]+i]) != math.Float32bits(ar[s*rowLen+offs[r]+i]) {
+						mu.Lock()
+						ok = false
+						mu.Unlock()
+						return
+					}
 				}
 			}
+			c.Release(rs)
 		})
 		return ok
 	}
@@ -613,3 +570,9 @@ func TestBcastSingleRankAndSelfConsistency(t *testing.T) {
 		}
 	})
 }
+
+// Size returns the number of ranks in the world.
+func (w *World) Size() int { return w.size }
+
+// WorldRank returns the world rank of communicator rank r.
+func (c *Comm) WorldRank(r int) int { return c.group[r] }

@@ -2,7 +2,6 @@ package comm
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -11,7 +10,7 @@ import (
 // paper's communication library): each communicator owns a proxy goroutine
 // that executes collectives submitted by the rank's compute goroutine, so
 // the compute goroutine never blocks on the wire. IAllreduce enqueues an
-// operation and returns a Request; Wait/Test complete it. The proxy holds a
+// operation and returns a Request; Wait completes it. The proxy holds a
 // shadow communicator handle whose id carries proxyCommBit, giving proxy
 // traffic a tag space disjoint from every blocking operation the compute
 // goroutine issues — deferred gradient reductions interleave freely with
@@ -20,9 +19,8 @@ import (
 // Ordering contract (as for MPI non-blocking collectives): every rank of
 // the communicator must submit the same operations in the same order. The
 // proxy executes them in submission order, one at a time, which both
-// prevents deadlock and pins the reduction schedule — with
-// AllreduceStableRing the overlapped result is bitwise identical to the
-// blocking one.
+// prevents deadlock and pins the reduction schedule, so the overlapped
+// result is bitwise identical to the blocking one.
 
 // proxyCommBit marks a proxy (shadow) communicator id. Split ids are small
 // sequential integers, so bit 40 can never collide with a real id; folded
@@ -30,8 +28,8 @@ import (
 const proxyCommBit int64 = 1 << 40
 
 // Request is the handle to one in-flight non-blocking collective. A Request
-// is single-use: Wait (or a Test that returns true) consumes it and recycles
-// the handle, after which the caller must drop it.
+// is single-use: Wait consumes it and recycles the handle, after which the
+// caller must drop it.
 type Request struct {
 	mu   sync.Mutex
 	cond sync.Cond
@@ -51,42 +49,6 @@ func (r *Request) Wait() {
 	r.eng.putReq(r)
 }
 
-// Test reports whether the operation has completed without blocking. A true
-// return consumes the request handle, exactly like Wait.
-func (r *Request) Test() bool {
-	r.mu.Lock()
-	done := r.done
-	r.mu.Unlock()
-	if done {
-		r.eng.putReq(r)
-	}
-	return done
-}
-
-// WaitTimeout waits up to d for the operation to complete; it reports
-// whether it did. True consumes the request handle exactly like Wait; on
-// false the operation is still in flight and the handle remains live — the
-// caller must complete it later with Wait, Test, or another WaitTimeout.
-func (r *Request) WaitTimeout(d time.Duration) bool {
-	deadline := time.Now().Add(d)
-	tm := time.AfterFunc(d, func() {
-		r.mu.Lock()
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	})
-	r.mu.Lock()
-	for !r.done && time.Now().Before(deadline) {
-		r.cond.Wait()
-	}
-	done := r.done
-	r.mu.Unlock()
-	tm.Stop()
-	if done {
-		r.eng.putReq(r)
-	}
-	return done
-}
-
 func (r *Request) complete() {
 	r.mu.Lock()
 	r.done = true
@@ -98,11 +60,10 @@ func (r *Request) complete() {
 // is non-nil — an arbitrary communication closure run with the proxy's
 // shadow communicator (engine-style request handles for halo exchanges).
 type collOp struct {
-	buf  []float32
-	op   Op
-	algo AllreduceAlgo
-	fn   func(proxy *Comm)
-	req  *Request
+	buf []float32
+	op  Op
+	fn  func(proxy *Comm)
+	req *Request
 }
 
 // engine is the per-communicator proxy: a persistent goroutine draining a
@@ -137,15 +98,10 @@ func (c *Comm) engine() *engine {
 
 // IAllreduce starts a non-blocking allreduce of buf with operator op and
 // returns its request handle. The caller must not touch buf until the
-// request completes. Uses the stable rank-ordered reduction so deferred
-// and inline reductions of the same values are bitwise identical.
+// request completes. The proxy runs Allreduce, so deferred and inline
+// reductions of the same values are bitwise identical.
 func (c *Comm) IAllreduce(buf []float32, op Op) *Request {
-	return c.IAllreduceAlgo(buf, op, AllreduceStableRing)
-}
-
-// IAllreduceAlgo is IAllreduce with an explicit algorithm choice.
-func (c *Comm) IAllreduceAlgo(buf []float32, op Op, algo AllreduceAlgo) *Request {
-	return c.engine().submit(collOp{buf: buf, op: op, algo: algo})
+	return c.engine().submit(collOp{buf: buf, op: op})
 }
 
 // Do runs fn on the communicator's proxy goroutine with the proxy's shadow
@@ -248,7 +204,7 @@ func (e *engine) run() {
 		if op.fn != nil {
 			op.fn(e.proxy)
 		} else {
-			e.proxy.AllreduceAlgo(op.buf, op.op, op.algo)
+			e.proxy.Allreduce(op.buf, op.op)
 		}
 		if t != 0 {
 			obs.RingFor(e.proxy.group[e.proxy.rank]).Record(
@@ -269,7 +225,7 @@ func (e *engine) run() {
 // joining the rank's own goroutines and BEFORE reviving the rank: the
 // engine goroutine is not joined by the rank's WaitGroup, so without the
 // quiesce an in-flight proxy op could deposit a stale message into a peer
-// mailbox after the supervisor's Drain, corrupting the next incarnation's
+// mailbox after the supervisor's DrainAll, corrupting the next incarnation's
 // collectives. While the rank is still marked dead, pending ops unwind
 // immediately (their sends and receives hit the dead checks), so the join
 // is prompt. The next Do/IAllreduce on the handle starts a fresh engine.

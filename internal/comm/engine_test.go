@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -44,7 +45,7 @@ func TestIAllreduceMatchesBlocking(t *testing.T) {
 				a := append([]float32(nil), inputs[c.Rank()]...)
 				b := append([]float32(nil), inputs[c.Rank()]...)
 				req := c.IAllreduce(a, OpSum)
-				c.AllreduceAlgo(b, OpSum, AllreduceStableRing)
+				c.Allreduce(b, OpSum)
 				req.Wait()
 				mu.Lock()
 				async[c.Rank()] = a
@@ -61,10 +62,6 @@ func TestIAllreduceMatchesBlocking(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestAllreduceStableCorrectSum(t *testing.T) {
-	testAllreduceSizes(t, AllreduceStableRing, []int{1, 3, 64, 1000}, []int{1, 2, 3, 4, 7, 8})
 }
 
 // The keystone of the gradient-overlap determinism guarantee: the stable
@@ -96,9 +93,9 @@ func TestAllreduceStableFusionInvariant(t *testing.T) {
 		fused := make([]float32, na+nb)
 		copy(fused, a)
 		copy(fused[na:], b)
-		c.AllreduceAlgo(a, OpSum, AllreduceStableRing)
-		c.AllreduceAlgo(b, OpSum, AllreduceStableRing)
-		c.AllreduceAlgo(fused, OpSum, AllreduceStableRing)
+		c.Allreduce(a, OpSum)
+		c.Allreduce(b, OpSum)
+		c.Allreduce(fused, OpSum)
 		sep := append(append([]float32(nil), a...), b...)
 		mu.Lock()
 		results[c.Rank()] = result{sep: sep, fused: fused}
@@ -116,7 +113,7 @@ func TestAllreduceStableFusionInvariant(t *testing.T) {
 
 func TestIAllreduceManyOutstanding(t *testing.T) {
 	// A backlog of non-blocking collectives must complete in submission
-	// order with correct results, and Test must eventually observe each.
+	// order with correct results.
 	const p, k, n = 4, 12, 257
 	w := NewWorld(p)
 	w.Run(func(c *Comm) {
@@ -131,13 +128,7 @@ func TestIAllreduceManyOutstanding(t *testing.T) {
 		}
 		sumRanks := float32(p*(p+1)) / 2
 		for j := range reqs {
-			if j%2 == 0 {
-				for !reqs[j].Test() {
-					time.Sleep(time.Microsecond)
-				}
-			} else {
-				reqs[j].Wait()
-			}
+			reqs[j].Wait()
 			want := sumRanks * float32(j+1)
 			for i, v := range bufs[j] {
 				if v != want {
@@ -175,7 +166,8 @@ func TestIAllreduceConcurrentSplitComms(t *testing.T) {
 			r3 := col.IAllreduce(d, OpSum)
 			// Blocking point-to-point traffic while proxies are busy.
 			partner := c.Rank() ^ 1
-			got := c.SendRecv(partner, 17, []float32{float32(c.Rank())})
+			c.Send(partner, 17, []float32{float32(c.Rank())})
+			got := c.Recv(partner, 17)
 			if got[0] != float32(partner) {
 				t.Errorf("iter %d: exchanged %v, want %v", iter, got[0], partner)
 			}
@@ -231,32 +223,6 @@ func TestWorldReuseAfterRun(t *testing.T) {
 	}
 }
 
-func TestReduceScatterRingUnevenAndPooled(t *testing.T) {
-	// The ring-scheduled ReduceScatter must equal the allreduce slice and
-	// its result must be releasable back to the pool.
-	for _, p := range []int{1, 2, 3, 5, 8} {
-		per := 6
-		w := NewWorld(p)
-		w.Run(func(c *Comm) {
-			buf := make([]float32, p*per)
-			for i := range buf {
-				buf[i] = float32(c.Rank()+1) * float32(i%11)
-			}
-			mine := c.ReduceScatter(buf, per, OpSum)
-			ar := append([]float32(nil), buf...)
-			c.Allreduce(ar, OpSum)
-			for i := 0; i < per; i++ {
-				want := ar[c.Rank()*per+i]
-				if d := mine[i] - want; d > 1e-4 || d < -1e-4 {
-					t.Errorf("p=%d rank %d elem %d = %v, want %v", p, c.Rank(), i, mine[i], want)
-					return
-				}
-			}
-			c.Release(mine)
-		})
-	}
-}
-
 // assertZeroAllocs measures rank 0 while every rank executes the identical
 // warm loop: the steady-state claim covers the whole world (proxies
 // included), since AllocsPerRun counts process-wide mallocs.
@@ -289,17 +255,16 @@ func assertZeroAllocsSPMD(t *testing.T, name string, p, warm, runs int, body fun
 	}
 }
 
+// Small buffers take the same stable path as large ones, so both must be
+// allocation-free warm.
 func TestWarmRingAllreduceZeroAllocs(t *testing.T) {
-	for _, cfg := range []struct {
-		name string
-		algo AllreduceAlgo
-	}{{"ring", AllreduceRing}, {"stable", AllreduceStableRing}, {"rd", AllreduceRecursiveDoubling}} {
+	for _, n := range []int{16, 8192} {
 		bufs := make([][]float32, 4)
 		for i := range bufs {
-			bufs[i] = make([]float32, 8192)
+			bufs[i] = make([]float32, n)
 		}
-		assertZeroAllocsSPMD(t, "Allreduce/"+cfg.name, 4, 10, 20, func(c *Comm) {
-			c.AllreduceAlgo(bufs[c.Rank()], OpSum, cfg.algo)
+		assertZeroAllocsSPMD(t, fmt.Sprintf("Allreduce/%d", n), 4, 10, 20, func(c *Comm) {
+			c.Allreduce(bufs[c.Rank()], OpSum)
 		})
 	}
 }

@@ -32,7 +32,7 @@ import (
 //
 // World.Revive clears the dead flag and the rank's consumed kill trigger so
 // a supervisor can restart the rank's goroutines (after draining stale
-// mailbox state with Comm.Drain).
+// mailbox state with Comm.DrainAll).
 
 // ErrTimeout is returned by RecvTimeout when the deadline passes with no
 // matching message.
@@ -154,12 +154,9 @@ func (w *World) Fail(rank int) {
 	w.fault.markDead(rank)
 }
 
-// Failed reports whether rank is currently marked dead.
-func (w *World) Failed(rank int) bool { return w.fault.dead[rank].Load() }
-
 // Revive clears rank's dead flag and its consumed kill trigger so fresh
 // goroutines may serve the rank again. The caller is responsible for
-// discarding the rank's stale mailbox state first (Comm.Drain) and for
+// discarding the rank's stale mailbox state first (Comm.DrainAll) and for
 // ensuring the previous incarnation's goroutines have exited.
 func (w *World) Revive(rank int) {
 	if rank < 0 || rank >= w.size {

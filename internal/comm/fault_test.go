@@ -2,7 +2,6 @@ package comm
 
 import (
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 )
@@ -110,7 +109,7 @@ func TestFailWakesBlockedReceiver(t *testing.T) {
 	}
 }
 
-// TestReviveRestoresTraffic: after Fail + Revive (with a mailbox Drain), a
+// TestReviveRestoresTraffic: after Fail + Revive (with a mailbox DrainAll), a
 // fresh goroutine serves the rank again and the consumed kill trigger does
 // not re-fire.
 func TestReviveRestoresTraffic(t *testing.T) {
@@ -134,7 +133,7 @@ func TestReviveRestoresTraffic(t *testing.T) {
 		t.Fatal("first incarnation survived; kill at send 1 never fired")
 	}
 	w.Revive(1)
-	w.Comm(1).Drain()
+	w.Comm(1).DrainAll()
 	if !run() {
 		t.Fatal("revived rank was killed again; trigger should be consumed")
 	}
@@ -265,32 +264,6 @@ func TestEngineSurvivesKill(t *testing.T) {
 	w.Shutdown() // must join the retired engine without hanging
 }
 
-// TestWaitTimeout: WaitTimeout returns false while the op is blocked and
-// true (consuming the handle) once it completes.
-func TestWaitTimeout(t *testing.T) {
-	w := NewWorld(2)
-	c0, c1 := w.Comm(0), w.Comm(1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	c0r := c0.Dup() // base-tag-space handle for the proxy op's receive
-	go func() {
-		defer wg.Done()
-		// The proxy op blocks until rank 1 sends the release message.
-		req := c0.Do(func(*Comm) { c0r.Release(c0r.Recv(1, 6)) })
-		if req.WaitTimeout(10 * time.Millisecond) {
-			t.Error("WaitTimeout reported completion while op was blocked")
-		}
-		c0.Send(1, 8, []float32{0}) // signal rank 1 to release the op
-		if !req.WaitTimeout(2 * time.Second) {
-			t.Error("WaitTimeout never completed after release")
-		}
-	}()
-	c1.Release(c1.Recv(0, 8))
-	c1.Send(0, 6, []float32{1})
-	wg.Wait()
-	w.Shutdown()
-}
-
 // TestNoGoroutineLeakAfterFail: killed ranks and their retired engines leave
 // no goroutines behind.
 func TestNoGoroutineLeakAfterFail(t *testing.T) {
@@ -319,3 +292,6 @@ func TestNoGoroutineLeakAfterFail(t *testing.T) {
 	}
 	t.Fatalf("goroutines: %d before, %d after fault-injected runs", before, runtime.NumGoroutine())
 }
+
+// Failed reports whether rank is currently marked dead.
+func (w *World) Failed(rank int) bool { return w.fault.dead[rank].Load() }

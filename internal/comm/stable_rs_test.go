@@ -7,7 +7,7 @@ import (
 )
 
 // The stable reduce-scatter's contract: each rank's chunk is bitwise
-// identical to what AllreduceStableRing would leave in that chunk, for any
+// identical to what Allreduce would leave in that chunk, for any
 // chunk partition (balanced, skewed, empty chunks included).
 func TestReduceScatterStableMatchesStableAllreduce(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4} {
@@ -43,14 +43,14 @@ func TestReduceScatterStableMatchesStableAllreduce(t *testing.T) {
 				r := c.Rank()
 				full := make([]float32, total)
 				copy(full, contrib[r])
-				mine := c.ReduceScatterStable(full, counts, OpSum)
+				mine := c.ReduceScatterStableSlabs(full, 1, counts, OpSum)
 				out := make([]float32, counts[r])
 				copy(out, mine)
 				c.Release(mine)
 
 				ar := make([]float32, total)
 				copy(ar, contrib[r])
-				c.AllreduceAlgo(ar, OpSum, AllreduceStableRing)
+				c.Allreduce(ar, OpSum)
 				mu.Lock()
 				got[r] = out
 				want[r] = ar
@@ -71,8 +71,8 @@ func TestReduceScatterStableMatchesStableAllreduce(t *testing.T) {
 }
 
 // The slab variant must be bitwise identical to reducing each slab with an
-// independent ReduceScatterStable call (and therefore to the stable
-// allreduce), while moving all slabs in one message per peer.
+// independent one-slab call (and therefore to Allreduce), while moving all
+// slabs in one message per peer.
 func TestReduceScatterStableSlabsMatchesPerSlab(t *testing.T) {
 	const p, slabs = 3, 4
 	counts := []int{2, 0, 3}
@@ -100,7 +100,7 @@ func TestReduceScatterStableSlabsMatchesPerSlab(t *testing.T) {
 
 		ref := make([]float32, 0, slabs*counts[r])
 		for s := 0; s < slabs; s++ {
-			one := c.ReduceScatterStable(buf[s*rowLen:(s+1)*rowLen], counts, OpSum)
+			one := c.ReduceScatterStableSlabs(buf[s*rowLen:(s+1)*rowLen], 1, counts, OpSum)
 			ref = append(ref, one...)
 			c.Release(one)
 		}
@@ -132,7 +132,7 @@ func TestReduceScatterStableLeavesInputUntouched(t *testing.T) {
 		}
 		orig := make([]float32, len(buf))
 		copy(orig, buf)
-		mine := c.ReduceScatterStable(buf, counts, OpSum)
+		mine := c.ReduceScatterStableSlabs(buf, 1, counts, OpSum)
 		c.Release(mine)
 		for i := range buf {
 			if buf[i] != orig[i] {
@@ -215,7 +215,7 @@ func TestWarmReduceScatterStableZeroAllocs(t *testing.T) {
 			bufs[i][j] = float32(i + j)
 		}
 	}
-	assertZeroAllocsSPMD(t, "ReduceScatterStable", 4, 10, 20, func(c *Comm) {
-		c.Release(c.ReduceScatterStable(bufs[c.Rank()], counts, OpSum))
+	assertZeroAllocsSPMD(t, "ReduceScatterStableSlabs", 4, 10, 20, func(c *Comm) {
+		c.Release(c.ReduceScatterStableSlabs(bufs[c.Rank()], 1, counts, OpSum))
 	})
 }

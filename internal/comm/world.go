@@ -5,18 +5,20 @@
 // (buffered, non-blocking) and receives block, exactly the progress
 // guarantees the collective algorithms below rely on.
 //
-// Collectives (allreduce, reduce-scatter, allgather, all-to-allv, broadcast,
-// reduce, gather, barrier) are built on top of point-to-point messages with
-// the same algorithms MPI implementations use (ring, recursive doubling,
-// binomial trees), so message counts and payload volumes match what the
-// paper's performance model prices.
+// Collectives are built on top of point-to-point messages: Allreduce (and
+// its non-blocking IAllreduce), ReduceScatterStableSlabs, Allgather,
+// AlltoAllV, Bcast and Barrier. There is one reduction algorithm: the owner
+// of each chunk folds every rank's contribution in rank order, so every
+// reduction is bitwise equal to the serial fold ((x0 op x1) op x2) ... op
+// x_{p-1}, whatever the buffer length, fusion or rank count. Allreduce is
+// that reduce-scatter followed by the ring allgather.
 //
 // Two properties matter for training-step performance:
 //
 //   - Non-blocking collectives (the Aluminum model): IAllreduce enqueues the
 //     operation on a per-communicator proxy goroutine and returns a Request
 //     handle; the rank's compute goroutine keeps running while the proxy
-//     makes communication progress, and Wait/Test complete the handle. Every
+//     makes communication progress, and Wait completes the handle. Every
 //     rank of a communicator must submit the same sequence of non-blocking
 //     collectives (MPI ordering semantics); proxy traffic lives in its own
 //     tag space, so it interleaves freely with blocking sends, receives, and
@@ -177,9 +179,6 @@ func NewWorld(size int) *World {
 	return w
 }
 
-// Size returns the number of ranks in the world.
-func (w *World) Size() int { return w.size }
-
 // Comm returns the world communicator handle for the given rank. Each rank
 // goroutine should obtain its own handle.
 func (w *World) Comm(rank int) *Comm {
@@ -286,9 +285,6 @@ func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the number of ranks in this communicator.
 func (c *Comm) Size() int { return len(c.group) }
-
-// WorldRank returns the world rank of communicator rank r.
-func (c *Comm) WorldRank(r int) int { return c.group[r] }
 
 // tagOf folds the communicator id into the tag so traffic on different
 // communicators never matches.
@@ -563,41 +559,14 @@ func (c *Comm) TryRecv(src, tag int) (data []float32, ok bool) {
 	return c.world.mailboxes[c.group[c.rank]].tryGet(src, c.tagOf(tag))
 }
 
-// Drain discards every message queued for this rank on this communicator
-// (proxy-engine shadow traffic included), returning the payloads to the
-// message pool, and reports how many it dropped. It is a recovery-path
-// helper: call it while re-initialising a revived rank, when no goroutine
-// of the communicator is sending to or receiving on this rank.
-func (c *Comm) Drain() int {
-	mb := c.world.mailboxes[c.group[c.rank]]
-	base, proxy := c.id, c.id|proxyCommBit
-	n := 0
-	mb.mu.Lock()
-	for key, q := range mb.queues {
-		if cid := int64(key.tag >> 20); cid != base && cid != proxy {
-			continue
-		}
-		for {
-			data, ok := q.pop()
-			if !ok {
-				break
-			}
-			putBuf(data)
-			n++
-		}
-	}
-	mb.mu.Unlock()
-	return n
-}
-
 // DrainAll discards every message queued for this rank across ALL
 // communicators — derived splits, duplicates, and proxy shadows included —
 // returning the payloads to the message pool, and reports how many it
-// dropped. Recovery paths need this rather than per-communicator Drain
-// calls: a network sharded over a group communicator splits further
-// sub-communicators internally (core.NewCtx's Spatial/Chan/ChanPeers), and
-// a message a killed incarnation left on one of those lines would silently
-// offset the next incarnation's fixed-tag gathers by a whole iteration.
+// dropped. Recovery paths need every communicator drained: a network
+// sharded over a group communicator splits further sub-communicators
+// internally (core.NewCtx's Spatial/Chan/ChanPeers), and a message a killed
+// incarnation left on one of those lines would silently offset the next
+// incarnation's fixed-tag gathers by a whole iteration.
 // Call it while re-initialising a revived rank, when no goroutine of any
 // communicator over this rank is sending to or receiving on it, after
 // first consuming any control messages (stop sentinels) the caller must
@@ -630,13 +599,6 @@ func (c *Comm) DrainAll() int {
 // goroutines.
 func (c *Comm) Dup() *Comm {
 	return &Comm{world: c.world, group: c.group, rank: c.rank, id: c.id, splitEpoch: c.splitEpoch}
-}
-
-// SendRecv exchanges buffers with a partner rank and returns the received
-// payload. Safe against deadlock because sends are eager.
-func (c *Comm) SendRecv(partner, tag int, data []float32) []float32 {
-	c.Send(partner, tag, data)
-	return c.Recv(partner, tag)
 }
 
 // Split partitions the communicator like MPI_Comm_split: ranks passing the

@@ -286,9 +286,9 @@ func (l *ChannelParallelConv) ReduceGradients(ctx *Ctx) {
 	if ctx.ChanPeers.Size() == 1 {
 		return
 	}
-	ctx.ChanPeers.AllreduceAlgo(l.DW.Data(), comm.OpSum, comm.AllreduceStableRing)
+	ctx.ChanPeers.Allreduce(l.DW.Data(), comm.OpSum)
 	if l.DBias != nil {
-		ctx.ChanPeers.AllreduceAlgo(l.DBias, comm.OpSum, comm.AllreduceStableRing)
+		ctx.ChanPeers.Allreduce(l.DBias, comm.OpSum)
 	}
 }
 
@@ -449,9 +449,9 @@ func (l *FilterParallelConv) ReduceGradients(ctx *Ctx) {
 	if ctx.ChanPeers.Size() == 1 {
 		return
 	}
-	ctx.ChanPeers.AllreduceAlgo(l.DW.Data(), comm.OpSum, comm.AllreduceStableRing)
+	ctx.ChanPeers.Allreduce(l.DW.Data(), comm.OpSum)
 	if l.DBias != nil {
-		ctx.ChanPeers.AllreduceAlgo(l.DBias, comm.OpSum, comm.AllreduceStableRing)
+		ctx.ChanPeers.Allreduce(l.DBias, comm.OpSum)
 	}
 }
 

@@ -346,8 +346,8 @@ func (l *Conv) ReduceGradients(ctx *Ctx) {
 	if ctx.C.Size() == 1 {
 		return
 	}
-	ctx.C.AllreduceAlgo(l.DW.Data(), comm.OpSum, comm.AllreduceStableRing)
+	ctx.C.Allreduce(l.DW.Data(), comm.OpSum)
 	if l.DBias != nil {
-		ctx.C.AllreduceAlgo(l.DBias, comm.OpSum, comm.AllreduceStableRing)
+		ctx.C.Allreduce(l.DBias, comm.OpSum)
 	}
 }

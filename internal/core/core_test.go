@@ -536,3 +536,16 @@ func Gather(shards []DistTensor) *tensor.Tensor {
 	}
 	return global
 }
+
+// HaloVolume returns the number of elements this rank receives in the
+// exchange — the quantity the performance model prices (Section V-A).
+func (p *HaloPlan) HaloVolume() int {
+	v := 0
+	for _, tr := range p.recvW {
+		v += p.nLoc * p.c * p.ownH.Len() * tr.Rng.Len()
+	}
+	for _, tr := range p.recvH {
+		v += p.nLoc * p.c * tr.Rng.Len() * p.extW()
+	}
+	return v
+}

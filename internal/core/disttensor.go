@@ -119,6 +119,3 @@ func NewCtxAt(c *comm.Comm, grid dist.Grid, tagStart int) *Ctx {
 	peers := c.Split(pc, c.Rank())
 	return &Ctx{C: c, Grid: grid, Spatial: sp, Chan: ch, ChanPeers: peers, Rank: c.Rank(), nextTag: tagStart}
 }
-
-// Coords returns this rank's grid coordinates.
-func (ctx *Ctx) Coords() (pn, pc, ph, pw int) { return ctx.Grid.Coords(ctx.Rank) }

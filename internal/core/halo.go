@@ -246,19 +246,6 @@ func (p *HaloPlan) RunReverse(ctx *Ctx, ext Ext, local *tensor.Tensor, tag int) 
 		}))
 }
 
-// HaloVolume returns the number of elements this rank receives in the
-// exchange — the quantity the performance model prices (Section V-A).
-func (p *HaloPlan) HaloVolume() int {
-	v := 0
-	for _, tr := range p.recvW {
-		v += p.nLoc * p.c * p.ownH.Len() * tr.Rng.Len()
-	}
-	for _, tr := range p.recvH {
-		v += p.nLoc * p.c * tr.Rng.Len() * p.extW()
-	}
-	return v
-}
-
 // forwardPlan builds the halo plan for the input of a convolution/pooling
 // operator: x is blocked over inDist, outputs over the same grid with
 // extents outH x outW, and block j of the output requires

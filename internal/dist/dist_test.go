@@ -1,6 +1,9 @@
 package dist
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestBlockPartitionBalanced(t *testing.T) {
 	// 13 over 4 parts: 4,3,3,3 with block 0 largest (the property the
@@ -281,4 +284,23 @@ func TestDistChannelShards(t *testing.T) {
 	if !a.SameLayout(b) {
 		t.Error("PC:0 and PC:1 grids must describe the same layout")
 	}
+}
+
+// Validate checks the grid and the split/grid consistency. Channel-split
+// grids currently keep the spatial dimensions whole for weight-bearing
+// layers; that constraint is enforced by the layer constructors (activation
+// layers compose a channel split with spatial blocking freely).
+func (p Placement) Validate() error {
+	if err := p.Grid.Validate(); err != nil {
+		return err
+	}
+	if p.Split != SplitNone && p.Split != SplitChannel && p.Split != SplitFilter {
+		return fmt.Errorf("dist: invalid split %v", p.Split)
+	}
+	return nil
+}
+
+// Contains reports whether r covers every index of o.
+func (r Range) Contains(o Range) bool {
+	return o.Empty() || (r.Lo <= o.Lo && o.Hi <= r.Hi)
 }

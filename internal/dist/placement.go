@@ -73,20 +73,6 @@ func (p Placement) Norm() Placement {
 	return p
 }
 
-// Validate checks the grid and the split/grid consistency. Channel-split
-// grids currently keep the spatial dimensions whole for weight-bearing
-// layers; that constraint is enforced by the layer constructors (activation
-// layers compose a channel split with spatial blocking freely).
-func (p Placement) Validate() error {
-	if err := p.Grid.Validate(); err != nil {
-		return err
-	}
-	if p.Split != SplitNone && p.Split != SplitChannel && p.Split != SplitFilter {
-		return fmt.Errorf("dist: invalid split %v", p.Split)
-	}
-	return nil
-}
-
 func (p Placement) String() string {
 	if p.Grid.ChannelWays() > 1 && p.Split != SplitNone {
 		return fmt.Sprintf("%v/%v", p.Grid, p.Split)

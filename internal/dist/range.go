@@ -41,11 +41,6 @@ func (r Range) Intersect(o Range) Range {
 	return Range{Lo: lo, Hi: hi}
 }
 
-// Contains reports whether r covers every index of o.
-func (r Range) Contains(o Range) bool {
-	return o.Empty() || (r.Lo <= o.Lo && o.Hi <= r.Hi)
-}
-
 func (r Range) String() string { return fmt.Sprintf("[%d,%d)", r.Lo, r.Hi) }
 
 // BlockPartition returns block j of a balanced partition of [0, total) into

@@ -30,14 +30,6 @@ import (
 // dynamic micro-batching regime. Training keeps the per-sample ConvForward
 // whose accumulation order the distributed-equivalence tests pin down.
 func ConvForwardBatched(x, w *tensor.Tensor, bias []float32, y *tensor.Tensor, stride, pad int) {
-	ConvForwardBatchedTraced(x, w, bias, y, stride, pad, nil, 0)
-}
-
-// ConvForwardBatchedTraced is ConvForwardBatched with flight-recorder
-// attribution: with a non-nil ring it emits im2col / gemm-phase / unshuffle
-// spans tagged with the correlation id; with nil it is exactly
-// ConvForwardBatched (no hooks run).
-func ConvForwardBatchedTraced(x, w *tensor.Tensor, bias []float32, y *tensor.Tensor, stride, pad int, tr *obs.Ring, id uint64) {
 	n, c, h, wd, f, k, oh, ow := convCheck(x, w, y, stride, pad)
 	if bias != nil && len(bias) != f {
 		panic("kernels: bias length != filters")
@@ -49,10 +41,6 @@ func ConvForwardBatchedTraced(x, w *tensor.Tensor, bias []float32, y *tensor.Ten
 
 	colBuf := defaultWS.Get(ckk * cols)
 	col := *colBuf
-	var t int64
-	if tr != nil {
-		t = obs.Start()
-	}
 	ij := im2colBatchJobPool.Get().(*im2colBatchJob)
 	ij.x, ij.col = xd, col
 	ij.c, ij.h, ij.w, ij.k = c, h, wd, k
@@ -60,23 +48,18 @@ func ConvForwardBatchedTraced(x, w *tensor.Tensor, bias []float32, y *tensor.Ten
 	parallelChunks(n*c, ij)
 	ij.x, ij.col = nil, nil
 	im2colBatchJobPool.Put(ij)
-	tr.Record(obs.StageIm2col, 0, id, t, int64(ckk*cols)*4)
 
 	outBuf := defaultWS.Get(f * cols)
 	out := *outBuf
-	GemmNNStableTraced(f, cols, ckk, 1, wwd, col, 0, out, tr, id)
+	GemmNNStable(f, cols, ckk, 1, wwd, col, 0, out)
 	defaultWS.Put(colBuf)
 
-	if tr != nil {
-		t = obs.Start()
-	}
 	uj := convUnshuffleJobPool.Get().(*convUnshuffleJob)
 	uj.out, uj.yd, uj.bias = out, yd, bias
 	uj.f, uj.plane, uj.cols = f, plane, cols
 	parallelChunks(n*f, uj)
 	uj.out, uj.yd, uj.bias = nil, nil, nil
 	convUnshuffleJobPool.Put(uj)
-	tr.Record(obs.StageUnshuffle, 0, id, t, int64(f*cols)*4)
 	defaultWS.Put(outBuf)
 }
 

@@ -53,14 +53,6 @@ func GemmNN(m, n, k int, alpha float32, a []float32, b []float32, beta float32, 
 // the packing overhead GemmNN's small-path dispatch avoids, which is the
 // price of determinism.
 func GemmNNStable(m, n, k int, alpha float32, a []float32, b []float32, beta float32, c []float32) {
-	GemmNNStableTraced(m, n, k, alpha, a, b, beta, c, nil, 0)
-}
-
-// GemmNNStableTraced is GemmNNStable with flight-recorder attribution: when
-// tr is non-nil, per-phase spans (gemm_pack_a, gemm_pack_b, gemm_kernel)
-// tagged with the correlation id land on that ring. A nil tr skips every
-// tracing hook, so the untraced path pays nothing.
-func GemmNNStableTraced(m, n, k int, alpha float32, a []float32, b []float32, beta float32, c []float32, tr *obs.Ring, id uint64) {
 	checkGemm(m, n, k, len(a), len(b), len(c))
 	if m == 0 || n == 0 {
 		return
@@ -69,7 +61,7 @@ func GemmNNStableTraced(m, n, k int, alpha float32, a []float32, b []float32, be
 		scaleC(beta, c[:m*n])
 		return
 	}
-	gemmPacked(false, false, m, n, k, alpha, a, b, beta, c, nil, nil, nil, tr, id)
+	gemmPacked(false, false, m, n, k, alpha, a, b, beta, c, nil, nil, nil, nil, 0)
 }
 
 // GemmNT computes C = alpha*A*Bᵀ + beta*C for row-major A (M x K),

@@ -28,15 +28,6 @@ type PackedB struct {
 	data   []float32
 }
 
-// K returns the op(B) row count the pack was built for.
-func (pb *PackedB) K() int { return pb.k }
-
-// N returns the op(B) column count the pack was built for.
-func (pb *PackedB) N() int { return pb.n }
-
-// Bytes returns the packed buffer size in bytes (capacity accounting).
-func (pb *PackedB) Bytes() int { return 4 * len(pb.data) }
-
 // PackB packs op(B) (K x N) into the panel-blocked layout under the active
 // microkernel geometry. With transB false, b is row-major K x N; with
 // transB true, b is row-major N x K and op(B) = bᵀ — the form conv weights

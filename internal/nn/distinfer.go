@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -198,18 +197,6 @@ func NewDistInferNet(c *comm.Comm, arch *Arch, maxBatch int, placements []dist.P
 	return n, nil
 }
 
-// MaxBatch returns the fixed capacity every Forward runs at.
-func (n *DistInferNet) MaxBatch() int { return n.maxN }
-
-// Ranks returns the number of ranks this replica is sharded over.
-func (n *DistInferNet) Ranks() int { return n.ctx.C.Size() }
-
-// IsLeader reports whether this rank assembles (and returns) the output.
-func (n *DistInferNet) IsLeader() bool { return n.ctx.Rank == 0 }
-
-// InShape returns the per-sample input shape.
-func (n *DistInferNet) InShape() Shape { return n.Arch.In }
-
 // OutShape returns the per-sample output shape.
 func (n *DistInferNet) OutShape() Shape { return n.ShapeOf[len(n.ShapeOf)-1] }
 
@@ -294,18 +281,6 @@ func (n *DistInferNet) gatherOutput(y core.DistTensor, live int) *tensor.Tensor 
 	v := tensor.FromSlice(n.outFull.Data()[:live*out.C*out.H*out.W], live, out.C, out.H, out.W)
 	n.outViews[live] = v
 	return v
-}
-
-// LoadState restores a full-state checkpoint (written by nn.SaveState from
-// any executor of the same architecture) into this rank's shards. Each rank
-// reads the checkpoint independently — call collectively with the same
-// bytes on every rank.
-func (n *DistInferNet) LoadState(r io.Reader) error {
-	ck, err := ReadCheckpoint(r)
-	if err != nil {
-		return err
-	}
-	return n.LoadCheckpoint(ck)
 }
 
 // LoadCheckpoint restores an in-memory checkpoint into this rank's shards:

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"io"
 	"sync"
 	"testing"
 
@@ -214,4 +215,19 @@ func TestDistInferForwardZeroAllocsWarm(t *testing.T) {
 	if got != 0 {
 		t.Errorf("%v allocs per warm sharded forward, want 0", got)
 	}
+}
+
+// IsLeader reports whether this rank assembles (and returns) the output.
+func (n *DistInferNet) IsLeader() bool { return n.ctx.Rank == 0 }
+
+// LoadState restores a full-state checkpoint (written by nn.SaveState from
+// any executor of the same architecture) into this rank's shards. Each rank
+// reads the checkpoint independently — call collectively with the same
+// bytes on every rank.
+func (n *DistInferNet) LoadState(r io.Reader) error {
+	ck, err := ReadCheckpoint(r)
+	if err != nil {
+		return err
+	}
+	return n.LoadCheckpoint(ck)
 }

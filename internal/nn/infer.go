@@ -11,14 +11,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// inferNoFusion disables the prepacked/fused serving path when set: nets
-// built while it is true run every conv through the legacy pack-on-the-fly
-// ConvForwardBatched and execute batchnorm/ReLU as separate layers. The
-// fused path is bitwise identical to the legacy one (test-enforced), so the
-// knob exists for the equivalence test that builds the legacy oracle, not
-// for correctness escapes. Read once at NewInferNet.
-var inferNoFusion atomic.Bool
-
 // InferNet is the forward-only execution engine behind the serving
 // subsystem: it runs an architecture in eval mode (batch normalization uses
 // running statistics) for any batch size up to a fixed capacity, with every
@@ -32,9 +24,11 @@ var inferNoFusion atomic.Bool
 //     sub-batch calls run on cached views of their prefix. Shape-preserving
 //     layers (batchnorm, ReLU) write in place when they are their parent's
 //     only consumer, so a ResNet block chain touches one buffer.
-//   - Convolutions use kernels.ConvForwardBatched: the whole micro-batch is
-//     lowered onto a single packed GEMM, which is where dynamic batching's
-//     throughput over batch-1 serving comes from.
+//   - Convolutions use kernels.ConvForwardBatchedPrepacked: the whole
+//     micro-batch is lowered onto a single GEMM against weights packed once,
+//     which is where dynamic batching's throughput over batch-1 serving
+//     comes from. A conv's sole batchnorm and ReLU consumers fold into the
+//     GEMM's store epilogue.
 //   - No gradient or stash state exists at all; Params/Buffers expose the
 //     weights only so checkpoints can be restored into the net.
 //
@@ -102,7 +96,6 @@ func NewInferNet(arch *Arch, maxBatch int) (*InferNet, error) {
 			childOf[i] = -1
 		}
 	}
-	fusion := !inferNoFusion.Load()
 	for i, s := range arch.Specs {
 		var in Shape
 		if len(s.Parents) > 0 {
@@ -113,8 +106,7 @@ func NewInferNet(arch *Arch, maxBatch int) (*InferNet, error) {
 			n.layers[i] = nil // cur[0] is the caller's input tensor
 			continue
 		case KindConv:
-			l := &inferConv{spec: s, w: tensor.New(s.F, in.C, s.Geom.K, s.Geom.K),
-				legacy: !fusion, pack: &convPack{}}
+			l := &inferConv{spec: s, w: tensor.New(s.F, in.C, s.Geom.K, s.Geom.K), pack: &convPack{}}
 			fanIn := in.C * s.Geom.K * s.Geom.K
 			l.w.FillRandN(int64(i), float32(math.Sqrt(2.0/float64(fanIn))))
 			if s.Bias {
@@ -158,52 +150,37 @@ func NewInferNet(arch *Arch, maxBatch int) (*InferNet, error) {
 	// shape-preserving children of the conv), so skipping them leaves their
 	// aliased buffers holding the conv's — now fused — output, and Forward's
 	// view bookkeeping needs no special cases.
-	if fusion {
-		for i, s := range arch.Specs {
-			j := childOf[i]
-			if j < 0 {
-				continue
-			}
-			switch s.Kind {
-			case KindConv:
-				cv := n.layers[i].(*inferConv)
-				switch arch.Specs[j].Kind {
-				case KindBatchNorm:
-					cv.fuseBN = n.layers[j].(*inferBN)
-					n.fused[j] = true
-					if r := childOf[j]; r >= 0 && arch.Specs[r].Kind == KindReLU {
-						cv.fuseReLU = true
-						n.fused[r] = true
-					}
-				case KindReLU:
+	for i, s := range arch.Specs {
+		j := childOf[i]
+		if j < 0 {
+			continue
+		}
+		switch s.Kind {
+		case KindConv:
+			cv := n.layers[i].(*inferConv)
+			switch arch.Specs[j].Kind {
+			case KindBatchNorm:
+				cv.fuseBN = n.layers[j].(*inferBN)
+				n.fused[j] = true
+				if r := childOf[j]; r >= 0 && arch.Specs[r].Kind == KindReLU {
 					cv.fuseReLU = true
-					n.fused[j] = true
+					n.fused[r] = true
 				}
-			case KindAdd:
-				// A residual add whose sole consumer is a ReLU applies it in
-				// the same elementwise pass (kernels.AddReLU, bitwise equal
-				// to the two separate passes).
-				if arch.Specs[j].Kind == KindReLU {
-					n.layers[i].(*inferAdd).relu = true
-					n.fused[j] = true
-				}
+			case KindReLU:
+				cv.fuseReLU = true
+				n.fused[j] = true
+			}
+		case KindAdd:
+			// A residual add whose sole consumer is a ReLU applies it in
+			// the same elementwise pass (kernels.AddReLU, bitwise equal
+			// to the two separate passes).
+			if arch.Specs[j].Kind == KindReLU {
+				n.layers[i].(*inferAdd).relu = true
+				n.fused[j] = true
 			}
 		}
 	}
 	return n, nil
-}
-
-// Repack drops every conv layer's prepacked weights and cached epilogue;
-// the next Forward rebuilds them from current parameter values. Call after
-// restoring a checkpoint into a net (or any of its clones) that has already
-// run a Forward — the serving startup flow (LoadState before the first
-// Forward) does not need it, because packing is lazy.
-func (n *InferNet) Repack() {
-	for _, l := range n.layers {
-		if cv, ok := l.(*inferConv); ok {
-			cv.pack.p.Store((*packedConv)(nil))
-		}
-	}
 }
 
 // Clone returns an independent execution engine sharing n's (read-only)
@@ -220,10 +197,6 @@ func (n *InferNet) Clone() (*InferNet, error) {
 			c.layers[i] = l.shareWeights()
 		}
 	}
-	// The clone executes n's fusion plan, not one rebuilt under the current
-	// knob state: its conv layers carry n's fuse fields, so the skip list
-	// must match them.
-	copy(c.fused, n.fused)
 	return c, nil
 }
 
@@ -346,7 +319,6 @@ type inferConv struct {
 	w    *tensor.Tensor
 	b    []float32
 
-	legacy   bool      // pack-on-the-fly ConvForwardBatched (fusion knob off)
 	fuseBN   *inferBN  // batchnorm folded into the epilogue; nil = none
 	fuseReLU bool      // ReLU folded into the epilogue
 	pack     *convPack // shared across clones
@@ -380,10 +352,6 @@ func (l *inferConv) forward(ins [2]*tensor.Tensor, out *tensor.Tensor) {
 }
 
 func (l *inferConv) forwardTraced(ins [2]*tensor.Tensor, out *tensor.Tensor, tr *obs.Ring, id uint64) {
-	if l.legacy {
-		kernels.ConvForwardBatchedTraced(ins[0], l.w, l.b, out, l.spec.Geom.S, l.spec.Geom.Pad, tr, id)
-		return
-	}
 	pc := l.packed()
 	kernels.ConvForwardBatchedPrepacked(ins[0], pc.pb, l.spec.Geom.K, pc.epi, out, l.spec.Geom.S, l.spec.Geom.Pad, tr, id)
 }
@@ -413,7 +381,7 @@ func (l *inferConv) params(name string) []Param {
 func (l *inferConv) buffers(string) []Param { return nil }
 func (l *inferConv) shareWeights() inferLayer {
 	return &inferConv{spec: l.spec, w: l.w, b: l.b,
-		legacy: l.legacy, fuseBN: l.fuseBN, fuseReLU: l.fuseReLU, pack: l.pack}
+		fuseBN: l.fuseBN, fuseReLU: l.fuseReLU, pack: l.pack}
 }
 
 type inferBN struct {

@@ -222,10 +222,40 @@ func TestInferNetForwardZeroAllocs(t *testing.T) {
 	}
 }
 
+// unfusedForward is the oracle for the fused serving path: a plain walk
+// over net's layers with a fresh buffer per layer, every conv through the
+// pack-on-the-fly kernels.ConvForwardBatched and every batchnorm, ReLU and
+// residual add as its own full pass.
+func unfusedForward(net *InferNet, x *tensor.Tensor) *tensor.Tensor {
+	b := x.Shape()[0]
+	outs := make([]*tensor.Tensor, len(net.layers))
+	outs[0] = x
+	for i := 1; i < len(net.layers); i++ {
+		spec := net.Arch.Specs[i]
+		sh := net.ShapeOf[i]
+		in := outs[spec.Parents[0]]
+		out := tensor.New(b, sh.C, sh.H, sh.W)
+		switch l := net.layers[i].(type) {
+		case *inferConv:
+			kernels.ConvForwardBatched(in, l.w, l.b, out, spec.Geom.S, spec.Geom.Pad)
+		case *inferBN:
+			kernels.BatchNormInference(in, l.runMean, l.runVar, l.gamma, l.beta, l.eps, out)
+		case *inferReLU:
+			kernels.ReLUForward(in, out)
+		case *inferAdd:
+			kernels.Add(in, outs[spec.Parents[1]], out)
+		default: // pooling: no fusion involved
+			l.forward([2]*tensor.Tensor{in}, out)
+		}
+		outs[i] = out
+	}
+	return outs[len(outs)-1]
+}
+
 // TestInferNetFusionBitwiseMatchesLegacy is the acceptance test for the
-// prepacked/fused serving path: an InferNet built with fusion on (prepacked
-// weights, conv+BN+ReLU folded into the GEMM store epilogue) must produce
-// bit-for-bit the output of one built with fusion off (pack-on-the-fly
+// prepacked/fused serving path: an InferNet (prepacked weights, conv+BN+ReLU
+// folded into the GEMM store epilogue, add+ReLU in one pass) must produce
+// bit-for-bit the output of the unfused layer walk (pack-on-the-fly
 // ConvForwardBatched, batchnorm and ReLU as separate full passes), for every
 // batch size. The arch covers all three fusion shapes: conv+BN+ReLU (stem),
 // conv+BN whose batchnorm feeds an Add (b2a), and an unfused biased conv
@@ -242,27 +272,19 @@ func TestInferNetFusionBitwiseMatchesLegacy(t *testing.T) {
 	if err := SaveState(&buf, arch.Name, seq.Params(), seq.Buffers()); err != nil {
 		t.Fatal(err)
 	}
-
-	build := func(fusion bool) *InferNet {
-		inferNoFusion.Store(!fusion)
-		defer inferNoFusion.Store(false)
-		inf, err := NewInferNet(arch, maxN)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := LoadState(bytes.NewReader(buf.Bytes()), arch.Name, inf.Params(), inf.Buffers()); err != nil {
-			t.Fatal(err)
-		}
-		return inf
+	fused, err := NewInferNet(arch, maxN)
+	if err != nil {
+		t.Fatal(err)
 	}
-	legacy := build(false)
-	fused := build(true)
+	if err := LoadState(bytes.NewReader(buf.Bytes()), arch.Name, fused.Params(), fused.Buffers()); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, b := range []int{1, 3, maxN} {
 		x := tensor.New(b, 3, size, size)
 		x.FillRandN(int64(b), 1)
-		if d := fused.Forward(x).MaxAbsDiff(legacy.Forward(x)); d != 0 {
-			t.Fatalf("batch %d: fused forward differs from legacy: max abs diff %g, want bitwise identity", b, d)
+		if d := fused.Forward(x).MaxAbsDiff(unfusedForward(fused, x)); d != 0 {
+			t.Fatalf("batch %d: fused forward differs from the unfused walk: max abs diff %g, want bitwise identity", b, d)
 		}
 	}
 }
@@ -307,5 +329,18 @@ func TestInferNetRepack(t *testing.T) {
 	inf.Repack()
 	if d := inf.Forward(x).MaxAbsDiff(want); d != 0 {
 		t.Fatalf("post-Repack forward differs from fresh restore: %g, want bitwise identity", d)
+	}
+}
+
+// Repack drops every conv layer's prepacked weights and cached epilogue;
+// the next Forward rebuilds them from current parameter values. Call after
+// restoring a checkpoint into a net (or any of its clones) that has already
+// run a Forward — the serving startup flow (LoadState before the first
+// Forward) does not need it, because packing is lazy.
+func (n *InferNet) Repack() {
+	for _, l := range n.layers {
+		if cv, ok := l.(*inferConv); ok {
+			cv.pack.p.Store((*packedConv)(nil))
+		}
 	}
 }

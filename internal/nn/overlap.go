@@ -22,7 +22,7 @@ import "repro/internal/comm"
 // buckets so a handful of large messages replace many latency-bound small
 // ones. Bucket assignment is computed once from the layer list — never
 // from runtime timing — and the underlying reduction is rank-order stable
-// (comm.AllreduceStableRing), so overlapped and synchronous runs produce
+// (comm.Allreduce), so overlapped and synchronous runs produce
 // bitwise-identical gradients no matter how the schedule interleaves.
 
 // GradMode selects how a StrategyNet completes parameter gradients.

@@ -159,7 +159,7 @@ func (m Machine) ConvPlacedCost(s ConvSpec, pl dist.Placement, overlap bool) Lay
 		actWords := nLoc * s.F * outH * outW
 		// The channel sum completes with a reduce-scatter: each rank needs
 		// only its own filter block of the output (the paper's suggestion,
-		// comm.ReduceScatterStable) — half the allreduce's wire volume.
+		// comm.ReduceScatterStableSlabs) — half the allreduce's wire volume.
 		lc.FP = c + m.ReduceScatter(actWords, pc, spansChan)
 		lc.BPx = cx + m.Allgather(actWords, pc, spansChan) // assemble the full dy
 		lc.BPw = cw

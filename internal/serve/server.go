@@ -810,19 +810,3 @@ func (s *Server) drain(fe *frontEnd, cur *batch) {
 	fe.batcherExited.Store(true)
 	fe.rt.stop()
 }
-
-// Client is the in-process handle load generators and embedding services
-// use; it is a thin view of the server (the zero-alloc path IS Predict).
-type Client struct{ s *Server }
-
-// Client returns an in-process client for the server.
-func (s *Server) Client() *Client { return &Client{s: s} }
-
-// Predict is Server.Predict.
-func (c *Client) Predict(in, out []float32) error { return c.s.Predict(in, out) }
-
-// OutputLen is Server.OutputLen.
-func (c *Client) OutputLen() int { return c.s.outLen }
-
-// InputLen is Server.InputLen.
-func (c *Client) InputLen() int { return c.s.inLen }

@@ -70,9 +70,6 @@ func computeStrides(shape []int) []int {
 // modified.
 func (t *Tensor) Shape() []int { return t.shape }
 
-// Rank returns the number of dimensions.
-func (t *Tensor) Rank() int { return len(t.shape) }
-
 // Dim returns the size of dimension i.
 func (t *Tensor) Dim(i int) int { return t.shape[i] }
 
@@ -81,10 +78,6 @@ func (t *Tensor) Size() int { return len(t.data) }
 
 // Data returns the backing slice in row-major order.
 func (t *Tensor) Data() []float32 { return t.data }
-
-// Strides returns the row-major strides. The returned slice must not be
-// modified.
-func (t *Tensor) Strides() []int { return t.stride }
 
 // Offset returns the linear offset of the given multi-index.
 func (t *Tensor) Offset(idx ...int) int {
@@ -103,9 +96,6 @@ func (t *Tensor) Offset(idx ...int) int {
 
 // At returns the element at the given multi-index.
 func (t *Tensor) At(idx ...int) float32 { return t.data[t.Offset(idx...)] }
-
-// Set stores v at the given multi-index.
-func (t *Tensor) Set(v float32, idx ...int) { t.data[t.Offset(idx...)] = v }
 
 // At4 is a bounds-unchecked fast path for rank-4 tensors.
 func (t *Tensor) At4(a, b, c, d int) float32 {
@@ -150,14 +140,6 @@ func (t *Tensor) FillRandN(seed int64, sigma float32) {
 	rng := rand.New(rand.NewSource(seed))
 	for i := range t.data {
 		t.data[i] = float32(rng.NormFloat64()) * sigma
-	}
-}
-
-// FillRand fills with uniform values in [lo, hi) from a deterministic stream.
-func (t *Tensor) FillRand(seed int64, lo, hi float32) {
-	rng := rand.New(rand.NewSource(seed))
-	for i := range t.data {
-		t.data[i] = lo + (hi-lo)*rng.Float32()
 	}
 }
 
@@ -220,15 +202,6 @@ func (t *Tensor) RelDiff(o *Tensor) float64 {
 		}
 	}
 	return num / (den + 1e-12)
-}
-
-// SumAbs returns the sum of absolute values (L1 norm).
-func (t *Tensor) SumAbs() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += math.Abs(float64(v))
-	}
-	return s
 }
 
 // EqualShape reports whether t and o have identical shapes.

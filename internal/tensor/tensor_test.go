@@ -451,3 +451,30 @@ func TestAddScaledPanicsOnMismatch(t *testing.T) {
 	}()
 	New(2).AddScaled(New(3), 1)
 }
+
+// Rank returns the number of dimensions.
+func (t *Tensor) Rank() int { return len(t.shape) }
+
+// Strides returns the row-major strides. The returned slice must not be
+// modified.
+func (t *Tensor) Strides() []int { return t.stride }
+
+// Set stores v at the given multi-index.
+func (t *Tensor) Set(v float32, idx ...int) { t.data[t.Offset(idx...)] = v }
+
+// FillRand fills with uniform values in [lo, hi) from a deterministic stream.
+func (t *Tensor) FillRand(seed int64, lo, hi float32) {
+	rng := rand.New(rand.NewSource(seed))
+	for i := range t.data {
+		t.data[i] = lo + (hi-lo)*rng.Float32()
+	}
+}
+
+// SumAbs returns the sum of absolute values (L1 norm).
+func (t *Tensor) SumAbs() float64 {
+	s := 0.0
+	for _, v := range t.data {
+		s += math.Abs(float64(v))
+	}
+	return s
+}
