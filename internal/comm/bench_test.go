@@ -21,7 +21,7 @@ func BenchmarkMailboxMatch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				mb.put(0, hot, payload)
-				mb.get(0, hot)
+				mb.tryGet(0, hot)
 			}
 		})
 	}

@@ -64,16 +64,55 @@ const AllreduceStableRing AllreduceAlgo = 0
 // Every element is reduced in rank order: element i ends as
 // ((x0[i] op x1[i]) op x2[i]) ... op x_{p-1}[i], whatever the buffer's
 // length, fusion or chunking, and whether the call is blocking or runs on
-// the proxy (IAllreduce). The algorithm is the stable reduce-scatter over
-// the balanced p-way chunk partition (the owner of each chunk folds every
-// rank's contribution in rank order) followed by the ring allgather; each
-// rank sends 2n(p-1)/p words, as in the ring algorithm.
+// the proxy (IAllreduce). The algorithm is ReduceScatterInPlace followed by
+// AllgatherInPlace: the owner of each chunk of the balanced p-way partition
+// folds every rank's contribution in rank order, then the ring allgather
+// circulates the finished chunks; each rank sends 2n(p-1)/p words, as in
+// the ring algorithm.
 func (c *Comm) Allreduce(buf []float32, op Op) {
-	p := c.Size()
-	if p == 1 {
+	if c.Size() == 1 {
 		return
 	}
 	t := obs.Start()
+	c.reduceScatterInPlace(buf, op)
+	c.allgatherChunks(buf, tagStable+1)
+	c.obsColl(obs.StageAllreduce, t, len(buf))
+}
+
+// ReduceScatterInPlace is the first half of Allreduce: it leaves this
+// rank's chunk of the rank-ordered reduction in buf[lo:hi], where [lo, hi)
+// is OwnedChunk(len(buf)), bitwise what Allreduce leaves there. The rest of
+// buf keeps this rank's own contribution. Each rank sends n(p-1)/p words.
+func (c *Comm) ReduceScatterInPlace(buf []float32, op Op) (lo, hi int) {
+	if c.Size() > 1 {
+		t := obs.Start()
+		c.reduceScatterInPlace(buf, op)
+		c.obsColl(obs.StageReduceScatter, t, len(buf))
+	}
+	return c.OwnedChunk(len(buf))
+}
+
+// AllgatherInPlace is the second half of Allreduce: every rank holds its
+// finished chunk buf[OwnedChunk(len(buf))], and on return every rank holds
+// every rank's chunk. Each rank sends n(p-1)/p words around the ring.
+func (c *Comm) AllgatherInPlace(buf []float32) {
+	if c.Size() == 1 {
+		return
+	}
+	t := obs.Start()
+	c.allgatherChunks(buf, tagStable+1)
+	c.obsColl(obs.StageAllgather, t, len(buf))
+}
+
+// OwnedChunk returns the half-open range of an n-element buffer this rank
+// owns under the balanced partition that ReduceScatterInPlace and
+// AllgatherInPlace use: rank r owns chunk r.
+func (c *Comm) OwnedChunk(n int) (lo, hi int) { return ringChunk(n, c.Size(), c.rank) }
+
+// reduceScatterInPlace folds this rank's balanced chunk of buf in rank
+// order and writes it back into buf; it records no span.
+func (c *Comm) reduceScatterInPlace(buf []float32, op Op) {
+	p := c.Size()
 	n := len(buf)
 	chunk := func(q int) (lo, hi int) { return ringChunk(n, p, q) }
 	lo, hi := chunk(c.rank)
@@ -81,8 +120,6 @@ func (c *Comm) Allreduce(buf []float32, op Op) {
 	c.foldRankOrder(buf, 1, chunk, op, tagStable, mine)
 	copy(buf[lo:hi], mine)
 	putBuf(mine)
-	c.allgatherChunks(buf, tagStable+1)
-	c.obsColl(obs.StageAllreduce, t, n)
 }
 
 // AllreduceAlgo is Allreduce. algo must be AllreduceStableRing.

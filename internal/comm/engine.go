@@ -56,14 +56,16 @@ func (r *Request) complete() {
 	r.mu.Unlock()
 }
 
-// collOp is one queued proxy operation: a collective on buf, or — when fn
-// is non-nil — an arbitrary communication closure run with the proxy's
-// shadow communicator (engine-style request handles for halo exchanges).
+// collOp is one queued proxy operation: an allreduce on buf (a
+// reduce-scatter when scatter is set), or — when fn is non-nil — an
+// arbitrary communication closure run with the proxy's shadow communicator
+// (engine-style request handles for halo exchanges).
 type collOp struct {
-	buf []float32
-	op  Op
-	fn  func(proxy *Comm)
-	req *Request
+	buf     []float32
+	op      Op
+	scatter bool
+	fn      func(proxy *Comm)
+	req     *Request
 }
 
 // engine is the per-communicator proxy: a persistent goroutine draining a
@@ -102,6 +104,15 @@ func (c *Comm) engine() *engine {
 // reductions of the same values are bitwise identical.
 func (c *Comm) IAllreduce(buf []float32, op Op) *Request {
 	return c.engine().submit(collOp{buf: buf, op: op})
+}
+
+// IReduceScatterInPlace starts a non-blocking ReduceScatterInPlace of buf
+// and returns its request handle; after Wait, buf[OwnedChunk(len(buf))]
+// holds this rank's chunk of the reduction. Unlike a Do closure, the proxy
+// span it records carries the buffer's bytes, so the flight recorder
+// counts the exchange as a collective, as it does for IAllreduce.
+func (c *Comm) IReduceScatterInPlace(buf []float32, op Op) *Request {
+	return c.engine().submit(collOp{buf: buf, op: op, scatter: true})
 }
 
 // Do runs fn on the communicator's proxy goroutine with the proxy's shadow
@@ -201,9 +212,12 @@ func (e *engine) run() {
 		e.mu.Unlock()
 
 		t := obs.Start()
-		if op.fn != nil {
+		switch {
+		case op.fn != nil:
 			op.fn(e.proxy)
-		} else {
+		case op.scatter:
+			e.proxy.ReduceScatterInPlace(op.buf, op.op)
+		default:
 			e.proxy.Allreduce(op.buf, op.op)
 		}
 		if t != 0 {

@@ -6,12 +6,14 @@
 // guarantees the collective algorithms below rely on.
 //
 // Collectives are built on top of point-to-point messages: Allreduce (and
-// its non-blocking IAllreduce), ReduceScatterStableSlabs, Allgather,
-// AlltoAllV, Bcast and Barrier. There is one reduction algorithm: the owner
-// of each chunk folds every rank's contribution in rank order, so every
-// reduction is bitwise equal to the serial fold ((x0 op x1) op x2) ... op
-// x_{p-1}, whatever the buffer length, fusion or rank count. Allreduce is
-// that reduce-scatter followed by the ring allgather.
+// its non-blocking IAllreduce), its two halves ReduceScatterInPlace (and
+// IReduceScatterInPlace) and AllgatherInPlace, ReduceScatterStableSlabs,
+// Allgather, AlltoAllV, Bcast and Barrier. There is one reduction
+// algorithm: the owner of each chunk folds every rank's contribution in
+// rank order, so every reduction is bitwise equal to the serial fold
+// ((x0 op x1) op x2) ... op x_{p-1}, whatever the buffer length, fusion or
+// rank count. Allreduce is that reduce-scatter followed by the ring
+// allgather, and one partition (OwnedChunk) decides which rank owns what.
 //
 // Two properties matter for training-step performance:
 //
@@ -127,18 +129,6 @@ func (mb *mailbox) tryGet(src, tag int) (data []float32, ok bool) {
 	data, ok = mb.line(msgKey{src, tag}).pop()
 	mb.mu.Unlock()
 	return data, ok
-}
-
-func (mb *mailbox) get(src, tag int) []float32 {
-	mb.mu.Lock()
-	q := mb.line(msgKey{src, tag})
-	for {
-		if data, ok := q.pop(); ok {
-			mb.mu.Unlock()
-			return data
-		}
-		q.cond.Wait()
-	}
 }
 
 // World is a set of ranks that can communicate. It corresponds to

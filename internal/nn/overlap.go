@@ -24,6 +24,11 @@ import "repro/internal/comm"
 // from runtime timing — and the underlying reduction is rank-order stable
 // (comm.Allreduce), so overlapped and synchronous runs produce
 // bitwise-identical gradients no matter how the schedule interleaves.
+//
+// A large tensor is reduced in place, and its update is sharded (see SGD):
+// its bucket only reduce-scatters, leaving the finished gradient on the
+// chunk this rank owns, and SGD.Step allgathers the updated parameters —
+// the other half of the allreduce, moved past the update.
 
 // GradMode selects how a StrategyNet completes parameter gradients.
 type GradMode int
@@ -46,14 +51,15 @@ const (
 // regime of the in-process transport.
 const fuseTargetWords = 4096
 
-// gradBucket is one allreduce unit: either a single large tensor reduced
+// gradBucket is one reduction unit: either a single large tensor reduced
 // in place (fused == nil) or a fusion buffer holding several small ones.
 type gradBucket struct {
-	parts  [][]float32
-	words  int
-	fused  []float32
-	launch int // layer index whose retirement launches this bucket
-	req    *comm.Request
+	parts   [][]float32
+	words   int
+	fused   []float32
+	scatter bool // the tensor's update is sharded: reduce-scatter only
+	launch  int  // layer index whose retirement launches this bucket
+	req     *comm.Request
 }
 
 // gradPlan is the fixed bucket assignment for one StrategyNet.
@@ -88,7 +94,7 @@ func buildGradPlan(ops []op) *gradPlan {
 				continue
 			}
 			if len(g) >= fuseTargetWords {
-				b := &gradBucket{parts: [][]float32{g}, words: len(g), launch: i}
+				b := &gradBucket{parts: [][]float32{g}, words: len(g), scatter: prm.shard != nil, launch: i}
 				p.buckets = append(p.buckets, b)
 				p.atLayer[i] = append(p.atLayer[i], b)
 				continue
@@ -122,7 +128,11 @@ func (p *gradPlan) launch(c *comm.Comm, i int) {
 			}
 			buf = b.fused
 		}
-		b.req = c.IAllreduce(buf, comm.OpSum)
+		if b.scatter {
+			b.req = c.IReduceScatterInPlace(buf, comm.OpSum)
+		} else {
+			b.req = c.IAllreduce(buf, comm.OpSum)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -70,6 +71,23 @@ func fcHeavyPlacements(arch *nn.Arch) []dist.Placement {
 		}
 	}
 	return pls
+}
+
+// shardEdgeArch has two tensors whose update is sharded at the edges of
+// the partition: c1.w has 51*9*3*3 = 4131 words, which 4 ranks do not
+// divide, and c3.w exactly 64*64 = 4096, the fusion threshold, which 3
+// ranks do not divide. c2.w (51*64 words) and the biases stay below the
+// threshold and fuse.
+func shardEdgeArch(size int) *nn.Arch {
+	b := nn.NewBuilder("shardedge", nn.Shape{C: 9, H: size, W: size})
+	c := b.Conv("c1", b.Last(), 51, dist.ConvGeom{K: 3, S: 1, Pad: 1}, true)
+	c = b.ReLU("c1_relu", c)
+	c = b.Conv("c2", c, 64, dist.ConvGeom{K: 1, S: 1}, true)
+	c = b.ReLU("c2_relu", c)
+	c = b.Conv("c3", c, 64, dist.ConvGeom{K: 1, S: 1}, false)
+	c = b.ReLU("c3_relu", c)
+	b.Conv("pred", c, 3, dist.ConvGeom{K: 1, S: 1}, true)
+	return b.MustBuild()
 }
 
 // uniform places every layer of arch on grid g: the NewDistNet layout.
@@ -149,13 +167,15 @@ func trainFinalParams(t *testing.T, arch *nn.Arch, pls []dist.Placement, n, step
 
 // The tentpole determinism guarantee: overlapped and synchronous training
 // produce bitwise-identical parameters — on 1/2/4-rank sample-parallel
-// grids of resnet-tiny, on spatial/hybrid grids with halo exchanges, and on
+// grids of resnet-tiny, on spatial/hybrid grids with halo exchanges, on
 // per-layer placements whose backward shuffles and channel/filter-split
-// reductions run while gradient buckets are in flight — after several full
-// SGD steps.
+// reductions run while gradient buckets are in flight, and on sharded
+// updates whose chunks are uneven or exactly at the fusion threshold —
+// after several full SGD steps. Every replicated parameter is also bitwise
+// the same on every rank: SGD.Step's allgather leaves them coherent.
 func TestOverlapBitwiseMatchesSync(t *testing.T) {
 	spatial, sample := dist.Grid{PN: 1, PH: 2, PW: 2}, dist.Grid{PN: 4, PH: 1, PW: 1}
-	resnet, fusion, fc := models.ResNet50Tiny(16, 10), fusionArch(8), fcHeavyArch()
+	resnet, fusion, fc, edge := models.ResNet50Tiny(16, 10), fusionArch(8), fcHeavyArch(), shardEdgeArch(4)
 	cases := []struct {
 		name string
 		arch *nn.Arch
@@ -172,6 +192,8 @@ func TestOverlapBitwiseMatchesSync(t *testing.T) {
 		// backward Redistribute at c2 runs with pred/c3/c2 buckets in flight.
 		{"fusion spatial->sample", fusion, switched(fusion, spatial, sample, 4), 4, true},
 		{"fcheavy placed", fc, fcHeavyPlacements(fc), 4, true},
+		{"shard edges {1,2,2}", edge, uniform(edge, spatial), 2, true},
+		{"shard edges {3,1,1}", edge, uniform(edge, dist.Grid{PN: 3, PH: 1, PW: 1}), 3, true},
 	}
 	for i, tc := range cases {
 		if raceDetectorOn && (i == 0 || i == 2) {
@@ -179,6 +201,7 @@ func TestOverlapBitwiseMatchesSync(t *testing.T) {
 		}
 		syncP := trainFinalParams(t, tc.arch, tc.pls, tc.n, 3, tc.seg, nn.GradSync)
 		overP := trainFinalParams(t, tc.arch, tc.pls, tc.n, 3, tc.seg, nn.GradOverlap)
+		checkReplicasCoherent(t, tc.name, tc.arch, tc.pls, overP)
 		for r := range syncP {
 			if len(syncP[r]) != len(overP[r]) {
 				t.Fatalf("%s rank %d: param count %d vs %d", tc.name, r, len(syncP[r]), len(overP[r]))
@@ -191,6 +214,31 @@ func TestOverlapBitwiseMatchesSync(t *testing.T) {
 							tc.name, r, sp.Name, j, sp.W[j], op.W[j])
 						break
 					}
+				}
+			}
+		}
+	}
+}
+
+// checkReplicasCoherent requires every rank's copy of each replicated
+// parameter to be bitwise rank 0's. Layers on a channel-split grid hold a
+// different shard per rank and are skipped.
+func checkReplicasCoherent(t *testing.T, name string, arch *nn.Arch, pls []dist.Placement, params [][]nn.Param) {
+	t.Helper()
+	split := map[string]bool{}
+	for i, s := range arch.Specs {
+		split[s.Name] = pls[i].Grid.ChannelWays() > 1
+	}
+	for r := 1; r < len(params); r++ {
+		for i, p := range params[r] {
+			if split[p.Name[:strings.LastIndexByte(p.Name, '.')]] {
+				continue
+			}
+			p0 := params[0][i]
+			for j := range p.W {
+				if math.Float32bits(p.W[j]) != math.Float32bits(p0.W[j]) {
+					t.Errorf("%s: rank %d %s[%d] = %v, rank 0 holds %v (bitwise)", name, r, p.Name, j, p.W[j], p0.W[j])
+					break
 				}
 			}
 		}

@@ -12,6 +12,8 @@ import (
 type Param struct {
 	Name string
 	W, G []float32
+
+	shard *paramShard // set on a tensor whose update is sharded over ranks; see SGD
 }
 
 // SeqNet executes an architecture on a single device using the sequential

@@ -194,6 +194,16 @@ func NewStrategyNet(base *core.Ctx, arch *Arch, n int, seed int64, placements []
 			if b != nil {
 				o.params = append(o.params, Param{Name: s.Name + ".b", W: b, G: db})
 			}
+			if o.conv != nil && base.C.Size() > 1 {
+				// Replicated over every rank: shard the update of each
+				// tensor the overlap engine reduces in place.
+				for j := range o.params {
+					if n := len(o.params[j].W); n >= fuseTargetWords {
+						lo, hi := base.C.OwnedChunk(n)
+						o.params[j].shard = &paramShard{c: base.C, lo: lo, hi: hi}
+					}
+				}
+			}
 		case KindBatchNorm:
 			l := core.NewBatchNorm(ctx, inD, core.BatchNormGlobal)
 			o.l = l
@@ -265,10 +275,11 @@ func (net *StrategyNet) Forward(x core.DistTensor) core.DistTensor {
 
 // Backward propagates the loss gradient, shuffling error signals back
 // across distribution changes (the backward shuffle of Section III-C).
-// Parameter gradients are complete (reduced) on return. Under GradOverlap
-// the replicated-weight convolutions' reductions run as non-blocking
+// Parameter gradients are reduced on return. Under GradOverlap the
+// replicated-weight convolutions' reductions run as non-blocking
 // collectives concurrently with the shallower layers' backward and are
-// drained before returning, so callers see the same contract either way.
+// drained before returning; a tensor whose update SGD shards is then
+// reduced only on the chunk this rank owns, the only part SGD.Step reads.
 func (net *StrategyNet) Backward(dLast core.DistTensor) {
 	overlap := net.Grad != GradSync && net.world.C.Size() > 1
 	for _, o := range net.ops {
@@ -320,8 +331,10 @@ func (net *StrategyNet) shuffleTo(t core.DistTensor, g dist.Grid) core.DistTenso
 // Params returns the learnable parameters this rank holds: replicated
 // tensors for SplitNone layers, this rank's weight shard for channel/
 // filter-parallel ones. Gradients are identical across the ranks sharing a
-// tensor after the backward reductions, so per-rank SGD keeps the copies in
-// lockstep (Section III-A).
+// tensor after the backward reductions, so SGD keeps the copies in lockstep
+// (Section III-A). On more than one rank, each large replicated conv
+// tensor carries the chunk of its update this rank owns (see SGD); only
+// that chunk of its gradient is guaranteed reduced.
 func (net *StrategyNet) Params() []Param {
 	var ps []Param
 	for _, o := range net.ops {
