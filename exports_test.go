@@ -22,7 +22,6 @@ import (
 // references but that stay on purpose, each with its reason.
 var unusedExportAllowlist = map[string]string{
 	"core.BatchNormLocal":          "value of the exported core.BatchNormMode enum",
-	"core.NewConvInference":        "forward-only halo conv, the layer spatially sharded inference replicas need (ROADMAP item 12(b))",
 	"kernels.ConvForwardBatched":   "pack-on-the-fly batched conv: the oracle the prepacked, fused serving convs are tested bitwise against",
 	"nn.SaveState":                 "writes the checkpoint file that cmd/serve -checkpoint loads",
 	"nn.SegMicroBatchStep":         "baseline of the micro-batch memory/time trade-off (ROADMAP item 6(c))",
@@ -38,20 +37,22 @@ var unusedExportAllowlist = map[string]string{
 }
 
 // TestNoUnusedExports fails when an exported package-level func, type, var or
-// const, or an exported method, under internal/ has no reference from
-// non-test code in internal/, cmd/, examples/ or benchmark/. The benchmark
-// module is in the walk, so everything it pins counts as used.
+// const, any method, or an unexported package-level func under internal/ has
+// no reference from non-test code in internal/, cmd/, examples/ or
+// benchmark/. The benchmark module is in the walk, so everything it pins
+// counts as used.
 //
-// Package-level names are matched syntactically: another package references
-// one as pkg.Name; its own package by a bare identifier outside its own
-// declaration (a type's methods count as part of its declaration).
+// Exported package-level names are matched syntactically: another package
+// references one as pkg.Name; its own package by a bare identifier outside
+// its own declaration (a type's methods count as part of its declaration).
 //
-// Methods need types, so the non-test packages are type-checked from source
-// (the standard library from export data). A method counts as used when
-// non-test code selects it (a call, method value or method expression,
-// promoted ones included), or when its receiver satisfies an interface that
-// has the method: an interface declared in the walk, or one of the standard
-// ones in stdInterfaces. Struct fields are not checked.
+// Methods and unexported funcs need types, so the non-test packages are
+// type-checked from source (the standard library from export data). One
+// counts as used when non-test code outside its own body refers to it (a
+// call, func or method value, or method expression, promoted methods
+// included), or, for a method, when its receiver satisfies an interface
+// that has the method: an interface declared in the walk, or one of the
+// standard ones in stdInterfaces. Struct fields are not checked.
 func TestNoUnusedExports(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs := map[string][]*ast.File{} // import path -> non-test files
@@ -97,7 +98,7 @@ func TestNoUnusedExports(t *testing.T) {
 	slices.Sort(unused)
 	slices.Sort(stale)
 	if len(unused) > 0 {
-		t.Errorf("exports with no non-test reference (delete them, move them into a _test.go file, or allowlist them with a reason):\n\t%s",
+		t.Errorf("names with no non-test reference (delete them, move them into a _test.go file, or allowlist them with a reason):\n\t%s",
 			strings.Join(unused, "\n\t"))
 	}
 	if len(stale) > 0 {
@@ -172,11 +173,12 @@ var stdInterfaces = []struct{ pkg, name string }{
 	{"encoding/json", "Marshaler"},
 }
 
-// methodExports type-checks the non-test packages and records the exported
-// methods declared under internal/ and the ones that count as used.
+// methodExports type-checks the non-test packages and records the methods
+// and unexported package-level funcs declared under internal/ and the ones
+// that count as used.
 func methodExports(t *testing.T, fset *token.FileSet, pkgs map[string][]*ast.File, declared map[export]string, used map[export]bool) {
 	im := &srcImporter{fset: fset, files: pkgs, std: importer.Default(), done: map[string]*types.Package{},
-		info: &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}}}
+		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
 	var checked []*types.Package
 	for dir := range pkgs {
 		pkg, err := im.Import(dir)
@@ -215,10 +217,28 @@ func methodExports(t *testing.T, fset *token.FileSet, pkgs map[string][]*ast.Fil
 		addIfaces(pkg.Scope(), si.name)
 	}
 
-	selected := map[*types.Func]bool{}
-	for _, sel := range im.info.Selections {
-		if fn, ok := sel.Obj().(*types.Func); ok && sel.Kind() != types.FieldVal {
-			selected[fn.Origin()] = true
+	// A func's own body does not keep it alive: recursion is not a use.
+	body := map[*types.Func]ast.Node{}
+	for _, files := range pkgs {
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					if fn, ok := im.info.Defs[fd.Name].(*types.Func); ok {
+						body[fn] = fd
+					}
+				}
+			}
+		}
+	}
+	referenced := map[*types.Func]bool{}
+	for id, obj := range im.info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		fn = fn.Origin()
+		if d := body[fn]; d == nil || id.Pos() < d.Pos() || id.Pos() >= d.End() {
+			referenced[fn] = true
 		}
 	}
 	for _, pkg := range checked {
@@ -226,22 +246,24 @@ func methodExports(t *testing.T, fset *token.FileSet, pkgs map[string][]*ast.Fil
 			continue
 		}
 		for _, name := range pkg.Scope().Names() {
-			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok || types.IsInterface(named) {
-				continue
-			}
-			for m := range named.Methods() {
-				if !m.Exported() {
+			switch obj := pkg.Scope().Lookup(name).(type) {
+			case *types.Func:
+				if !obj.Exported() && name != "init" {
+					e := export{pkg.Path(), name}
+					declared[e] = fset.Position(obj.Pos()).String()
+					used[e] = referenced[obj]
+				}
+			case *types.TypeName:
+				named, ok := obj.Type().(*types.Named)
+				if obj.IsAlias() || !ok || types.IsInterface(named) {
 					continue
 				}
-				e := export{pkg.Path(), name + "." + m.Name()}
-				declared[e] = fset.Position(m.Pos()).String()
-				if selected[m] || satisfiesInterfaceWith(named, m.Name(), ifaces) {
-					used[e] = true
+				for m := range named.Methods() {
+					e := export{pkg.Path(), name + "." + m.Name()}
+					declared[e] = fset.Position(m.Pos()).String()
+					if referenced[m] || satisfiesInterfaceWith(named, m.Name(), ifaces) {
+						used[e] = true
+					}
 				}
 			}
 		}

@@ -9,20 +9,63 @@ import (
 	"repro/internal/tensor"
 )
 
-// Conv is a distributed 2-D convolution layer supporting sample, spatial,
-// and hybrid sample/spatial parallelism (Section III-A). The weights (and
-// bias) are replicated on every processor; activations are blocked over the
-// processor grid. Forward and backward-data passes perform halo exchanges;
-// the weight-gradient sum is completed with an allreduce over all
-// processors.
+// Conv is the distributed 2-D convolution: one layer for sample, spatial,
+// channel and filter parallelism, which the paper (Section III) and its
+// channel/filter extension (Section III-D) treat as distributions of the
+// same operation. Activations are blocked over the 4-axis grid
+// {PN, PC, PH, PW}; CRange and FRange are this rank's blocks of the input
+// and output channels. When the grid splits the channel axis, Split says
+// which weight dimension of the global W [F, C, K, K] is partitioned, and
+// this rank holds Bias[FRange] of the global bias [F] and the slice of W
+// that WeightRanges names:
+//
+//   - SplitNone: every rank holds all of W and the bias (PC = 1). Sample
+//     and spatial parallelism, with halo exchanges when the grid splits H
+//     or W.
+//   - SplitChannel: W[:, CRange].
+//   - SplitFilter: W[FRange, :].
+//
+// Forward runs four steps; under each split some are the identity:
+//
+//  1. Assemble the local input. When PH·PW > 1 this is the halo-extended
+//     input, exchanged with spatial neighbours (concurrently with the
+//     interior convolution when Overlap is set). Under SplitFilter it is
+//     the allgather of every channel block over ctx.Chan. Otherwise it is
+//     x itself, convolved with the geometry's padding.
+//  2. Run the local kernel: kernels.ConvForward, or the prepacked
+//     row-stable kernel on a forward-only layer.
+//  3. Complete partial sums. Under SplitChannel every rank holds a partial
+//     sum over all F filters, and a rank-ordered stable reduce-scatter over
+//     ctx.Chan leaves this rank its filter block, to which the bias is
+//     added. The identity under every other split.
+//  4. Reduce the weight gradients over ctx.ChanPeers, the ranks holding
+//     the same slice (every rank when replicated: at PC = 1 ChanPeers holds
+//     the ranks of ctx.C in the same order), unless DeferAllreduce leaves
+//     that to the caller.
+//
+// Backward mirrors them: dy gets its halo when PH·PW > 1, and under
+// SplitChannel the allgather of its filter blocks; under SplitFilter the
+// error signal is a partial sum over this rank's filters, completed by the
+// reduce-scatter over ctx.Chan. Every reduction is rank-ordered, so the
+// layer is deterministic whatever the schedule.
+//
+// The channel and filter splits need whole spatial dimensions
+// (PH = PW = 1), and so does a forward-only layer, which holds no gradient
+// buffers and whose Backward panics.
+//
+// The output and error signal are owned by the layer, allocated on first
+// use and overwritten by the next step; a caller that keeps one across
+// steps must copy it.
 type Conv struct {
 	Geom    dist.ConvGeom
 	InDist  dist.Dist
 	OutDist dist.Dist
+	CRange  dist.Range // input channels this rank holds
+	FRange  dist.Range // output channels (filters) this rank holds
 
-	W     *tensor.Tensor // [F, C, K, K], replicated
-	Bias  []float32      // optional, [F]
-	DW    *tensor.Tensor
+	W     *tensor.Tensor // the WeightRanges slice of the global weights
+	Bias  []float32      // optional, [FRange.Len()]
+	DW    *tensor.Tensor // nil on a forward-only layer
 	DBias []float32
 
 	// Algo selects the local convolution kernel (cuDNN algorithm analogue).
@@ -31,14 +74,17 @@ type Conv struct {
 	// and hiding the dy halo exchange under the filter-gradient computation
 	// in backpropagation (Section IV-A).
 	Overlap bool
-	// DeferAllreduce leaves the dw/dbias allreduce to the caller (the
-	// network runner overlaps it with other layers, Section V-B); when
-	// false Backward completes gradients before returning.
+	// DeferAllreduce leaves step 4 to the caller (the network runner
+	// overlaps it with other layers, Section V-B); when false Backward
+	// completes gradients before returning.
 	DeferAllreduce bool
 
-	fwdPlan *HaloPlan
-	bwdPlan *HaloPlan
-	tag     int
+	split       dist.Split
+	forwardOnly bool
+	halo        bool // the grid splits H or W
+	fwdPlan     *HaloPlan
+	bwdPlan     *HaloPlan
+	tag         int
 
 	// Pre-bound proxy closures for the overlapped halo exchanges: the
 	// exchange runs on the communicator's proxy engine (comm.Comm.Do)
@@ -47,62 +93,200 @@ type Conv struct {
 	// with zero allocations.
 	fwdExch, bwdExch exchangeOp
 
-	// inference marks a forward-only layer (NewConvInference): no gradient
-	// buffers exist, Backward panics, and the halo-extended input is
-	// released at the end of Forward instead of being stashed.
-	inference bool
+	// blocks are every ctx.Chan rank's block of full's dimension 1, and
+	// rsCounts their reduce-scatter chunk lengths per sample.
+	blocks   []dist.Range
+	rsCounts []int
+	rg       regionScratch
 
-	// ws supplies all transient buffers (halo-extended inputs, region
-	// scratch); the layer owns it and reuses the storage across steps, so a
-	// warm training step performs no layer-level allocations beyond its
-	// output shards. Defaults to the process-wide kernels workspace.
-	ws *kernels.Workspace
+	// wp caches W prepacked for the forward-only kernel and epi the bias
+	// folded into its store; InvalidatePacked drops both.
+	wp  *kernels.PackedB
+	epi *kernels.Epilogue
 
-	xExt   Ext // forward input with halo, kept for backward-filter
-	hasExt bool
+	// y and dx are the layer-owned output and error signal. full is the
+	// split dimension at full extent: [nLoc, F, OH, OW] under SplitChannel
+	// (the forward partial sum, then the gathered dy) or [nLoc, C, H, W]
+	// under SplitFilter (the gathered x, then the partial dx).
+	y, dx DistTensor
+	full  *tensor.Tensor
+
+	xIn Ext // step 1's local input, kept for backward-filter
 }
 
-// NewConv constructs a distributed convolution layer producing f filters
+// convWS supplies the halo buffers and region scratch of every Conv.
+var convWS = kernels.DefaultWorkspace()
+
+// NewConv constructs a replicated-weight convolution producing f filters
 // from inputs distributed as inDist. bias=true adds a learnable bias.
 func NewConv(ctx *Ctx, inDist dist.Dist, f int, geom dist.ConvGeom, bias bool) *Conv {
-	l := newConv(ctx, inDist, f, geom, bias)
-	l.DW = tensor.New(f, inDist.C, geom.K, geom.K)
-	if bias {
-		l.DBias = make([]float32, f)
-	}
-	l.bwdPlan = backwardPlan(l.OutDist, ctx.Rank, geom, inDist.H, inDist.W)
-	return l
+	return NewPlacedConv(ctx, inDist, f, geom, bias, dist.SplitNone, false)
 }
 
-func newConv(ctx *Ctx, inDist dist.Dist, f int, geom dist.ConvGeom, bias bool) *Conv {
+// NewChannelParallelConv constructs the SplitChannel convolution.
+func NewChannelParallelConv(ctx *Ctx, inDist dist.Dist, f int, geom dist.ConvGeom, bias bool) *Conv {
+	return NewPlacedConv(ctx, inDist, f, geom, bias, dist.SplitChannel, false)
+}
+
+// NewFilterParallelConv constructs the SplitFilter convolution.
+func NewFilterParallelConv(ctx *Ctx, inDist dist.Dist, f int, geom dist.ConvGeom, bias bool) *Conv {
+	return NewPlacedConv(ctx, inDist, f, geom, bias, dist.SplitFilter, false)
+}
+
+// NewPlacedConv constructs the convolution producing f filters from inputs
+// distributed as inDist, with its weights split by split. bias=true adds a
+// learnable bias. A forwardOnly layer allocates no gradient state and runs
+// the prepacked row-stable kernel, so its answers are independent of the
+// batch composition.
+func NewPlacedConv(ctx *Ctx, inDist dist.Dist, f int, geom dist.ConvGeom, bias bool, split dist.Split, forwardOnly bool) *Conv {
 	if err := geom.Validate(); err != nil {
 		panic(err)
 	}
-	if inDist.Grid.ChannelWays() > 1 {
-		panic(fmt.Sprintf("core: replicated-weight Conv cannot consume channel-partitioned input %v; use NewChannelParallelConv or NewFilterParallelConv", inDist))
+	if err := inDist.Validate(); err != nil {
+		panic(err)
 	}
-	outH, outW := geom.OutSize(inDist.H), geom.OutSize(inDist.W)
-	if outH < inDist.Grid.PH || outW < inDist.Grid.PW {
-		panic(fmt.Sprintf("core: output %dx%d too small for grid %v", outH, outW, inDist.Grid))
+	g := inDist.Grid
+	switch {
+	case g.Norm() != ctx.Grid:
+		panic(fmt.Sprintf("core: input grid %v does not match context grid %v", g, ctx.Grid))
+	case split == dist.SplitNone && g.ChannelWays() > 1:
+		panic(fmt.Sprintf("core: replicated-weight conv cannot consume channel-partitioned input %v; split the channel or filter dimension", inDist))
+	case split != dist.SplitNone && g.SpatialWays() > 1:
+		panic(fmt.Sprintf("core: %v-split conv requires whole spatial dimensions, got grid %v", split, g))
+	case forwardOnly && g.SpatialWays() > 1:
+		panic(fmt.Sprintf("core: forward-only conv requires whole spatial dimensions, got grid %v", g))
 	}
-	outDist := dist.Dist{Grid: inDist.Grid, N: inDist.N, C: f, H: outH, W: outW}
+	out := dist.Dist{Grid: g, N: inDist.N, C: f, H: geom.OutSize(inDist.H), W: geom.OutSize(inDist.W)}
+	if err := out.Validate(); err != nil {
+		panic(err)
+	}
 	l := &Conv{
-		Geom:    geom,
-		InDist:  inDist,
-		OutDist: outDist,
-		W:       tensor.New(f, inDist.C, geom.K, geom.K),
-		Algo:    kernels.ConvAuto,
-		Overlap: true,
-		tag:     ctx.AllocTags(4),
-		ws:      kernels.DefaultWorkspace(),
+		Geom: geom, InDist: inDist, OutDist: out, split: split,
+		CRange: inDist.RangeC(ctx.Rank), FRange: out.RangeC(ctx.Rank),
+		Algo: kernels.ConvAuto, Overlap: true,
+		forwardOnly: forwardOnly,
+		halo:        g.SpatialWays() > 1,
+		tag:         ctx.AllocTags(4),
 	}
+	if split != dist.SplitNone {
+		full := l.fullDist()
+		ways := g.ChannelWays()
+		l.blocks, l.rsCounts = make([]dist.Range, ways), make([]int, ways)
+		for q := range l.blocks {
+			l.blocks[q] = dist.BlockPartition(full.C, ways, q)
+			l.rsCounts[q] = l.blocks[q].Len() * full.H * full.W
+		}
+	}
+	wf, wc := l.WeightRanges()
+	l.W = tensor.New(wf.Len(), wc.Len(), geom.K, geom.K)
 	if bias {
-		l.Bias = make([]float32, f)
+		l.Bias = make([]float32, l.FRange.Len())
 	}
-	// Only the forward halo plan is built here; NewConv adds the backward
-	// plan, which a forward-only layer never needs.
-	l.fwdPlan = forwardPlan(inDist, ctx.Rank, geom, outH, outW)
+	if !forwardOnly {
+		l.DW = tensor.New(wf.Len(), wc.Len(), geom.K, geom.K)
+		if bias {
+			l.DBias = make([]float32, l.FRange.Len())
+		}
+	}
+	if l.halo {
+		l.fwdPlan = forwardPlan(inDist, ctx.Rank, geom, out.H, out.W)
+		l.bwdPlan = backwardPlan(out, ctx.Rank, geom, inDist.H, inDist.W)
+	}
 	return l
+}
+
+// Split returns the weight dimension the layer partitions.
+func (l *Conv) Split() dist.Split { return l.split }
+
+// WeightRanges returns the filters and input channels of the global
+// weights that W holds.
+func (l *Conv) WeightRanges() (f, c dist.Range) {
+	f, c = dist.Range{Lo: 0, Hi: l.OutDist.C}, dist.Range{Lo: 0, Hi: l.InDist.C}
+	switch l.split {
+	case dist.SplitChannel:
+		c = l.CRange
+	case dist.SplitFilter:
+		f = l.FRange
+	}
+	return f, c
+}
+
+// fullDist is the distribution whose channels a split layer holds at full
+// extent in full: the output under SplitChannel, the input under
+// SplitFilter.
+func (l *Conv) fullDist() dist.Dist {
+	if l.split == dist.SplitFilter {
+		return l.InDist
+	}
+	return l.OutDist
+}
+
+// InvalidatePacked drops the prepacked weights and bias epilogue of a
+// forward-only layer; the next Forward repacks from the current W and Bias.
+// Call after writing new values into them (checkpoint restore, rejoin state
+// transfer) on a layer that may already have served.
+func (l *Conv) InvalidatePacked() { l.wp, l.epi = nil, nil }
+
+// Forward returns this rank's output shard, which the layer owns.
+func (l *Conv) Forward(ctx *Ctx, x DistTensor) DistTensor {
+	if !x.Dist.SameLayout(l.InDist) {
+		panic(fmt.Sprintf("core: conv input dist %v, want %v", x.Dist, l.InDist))
+	}
+	if l.y.Local == nil {
+		l.y = NewDistTensor(l.OutDist, ctx.Rank)
+		if l.split != dist.SplitNone {
+			d := l.fullDist()
+			l.full = tensor.New(d.RangeN(ctx.Rank).Len(), d.C, d.H, d.W)
+		}
+	}
+	// A forward-only layer, or a caller timing Forward alone, never reaches
+	// Backward's release; recycle the previous step's input here.
+	l.xIn.Release(convWS)
+	switch {
+	case l.halo:
+		l.forwardHalo(ctx, x)
+		return l.y
+	case l.split == dist.SplitFilter:
+		gatherDim1(ctx, x.Local, l.full, l.blocks, l.tag, &l.rg)
+		l.xIn = Ext{T: l.full}
+	default:
+		l.xIn = Ext{T: x.Local}
+	}
+	if l.split == dist.SplitChannel {
+		l.convLocal(l.xIn.T, l.full)
+		reduceScatterOwnBlock(ctx, l.full, l.y.Local, l.rsCounts)
+		if l.Bias != nil {
+			addBiasBlock(l.y.Local, l.Bias)
+		}
+	} else {
+		l.convLocal(l.xIn.T, l.y.Local)
+	}
+	if l.forwardOnly {
+		l.xIn = Ext{}
+	}
+	return l.y
+}
+
+// convLocal is step 2 on whole spatial dimensions: out = conv(in, W), plus
+// the bias unless it belongs after step 3.
+func (l *Conv) convLocal(in, out *tensor.Tensor) {
+	bias := l.Bias
+	if l.split == dist.SplitChannel {
+		bias = nil
+	}
+	if !l.forwardOnly {
+		kernels.ConvForward(in, l.W, bias, out, l.Geom.S, l.Geom.Pad, l.Algo)
+		return
+	}
+	if l.wp == nil {
+		// The prepacked kernel's per-element accumulation order is
+		// ConvForwardBatched's, with the bias folded into the GEMM store.
+		l.wp = kernels.PackConvWeights(l.W)
+		if bias != nil {
+			l.epi = &kernels.Epilogue{Bias: bias}
+		}
+	}
+	kernels.ConvForwardBatchedPrepacked(in, l.wp, l.Geom.K, l.epi, out, l.Geom.S, l.Geom.Pad, nil, 0)
 }
 
 // exchangeOp carries one halo exchange onto the communication proxy: fn is
@@ -130,29 +314,20 @@ func (e *exchangeOp) run(proxy *comm.Comm) {
 	e.plan.RunIntoOn(proxy, e.local, e.ext, e.tag)
 }
 
-// Forward computes the local output shard, exchanging input halos with
-// spatial neighbors. With Overlap, the halo exchange runs concurrently with
-// the interior convolution and only the boundary waits for it.
-func (l *Conv) Forward(ctx *Ctx, x DistTensor) DistTensor {
-	if !x.Dist.SameLayout(l.InDist) {
-		panic(fmt.Sprintf("core: conv input dist %v, want %v", x.Dist, l.InDist))
-	}
-	y := NewDistTensor(l.OutDist, ctx.Rank)
+// forwardHalo is Forward on a spatially split grid: steps 1 and 2 on the
+// halo-extended input. With Overlap, the halo exchange runs concurrently
+// with the interior convolution and only the boundary waits for it.
+func (l *Conv) forwardHalo(ctx *Ctx, x DistTensor) {
 	plan := l.fwdPlan
-	hasHalo := len(plan.recvW)+len(plan.recvH)+len(plan.sendW)+len(plan.sendH) > 0
-
-	// Forward-only use (inference) never reaches Backward's release; recycle
-	// the previous step's buffer here so those loops stay allocation-free.
-	l.xExt.Release(l.ws)
-	ext := plan.NewExtIn(l.ws)
+	y := l.y.Local
+	ext := plan.NewExtIn(convWS)
 	plan.fillOwned(ext, x.Local)
-	if l.Overlap && hasHalo {
+	oh, ow := l.localOutH(ctx), l.localOutW(ctx)
+	if l.Overlap && plan.exchanges() {
 		req := l.fwdExch.start(ctx, plan, x.Local, ext, l.tag)
 		intH, intW := l.interiorRange(ctx)
-		l.convRegion(ext, y.Local, intH, intW)
+		l.convRegion(ext, y, intH, intW)
 		req.Wait()
-		oh := l.localOutH(ctx)
-		ow := l.localOutW(ctx)
 		// Boundary: top and bottom full-width strips, then left/right
 		// columns of the interior rows.
 		for _, r := range []struct{ h, w dist.Range }{
@@ -161,30 +336,21 @@ func (l *Conv) Forward(ctx *Ctx, x DistTensor) DistTensor {
 			{intH, dist.Range{Lo: 0, Hi: intW.Lo}},
 			{intH, dist.Range{Lo: intW.Hi, Hi: ow}},
 		} {
-			l.convRegion(ext, y.Local, r.h, r.w)
+			l.convRegion(ext, y, r.h, r.w)
 		}
 	} else {
-		if hasHalo {
+		if plan.exchanges() {
 			plan.RunInto(ctx, x.Local, ext, l.tag)
 		}
-		oh, ow := l.localOutH(ctx), l.localOutW(ctx)
 		if plan.AlignH() == 0 && plan.AlignW() == 0 &&
 			ext.T.Dim(2) == (oh-1)*l.Geom.S+l.Geom.K && ext.T.Dim(3) == (ow-1)*l.Geom.S+l.Geom.K {
 			// Ext is exactly the required window: convolve it directly.
-			kernels.ConvForward(ext.T, l.W, l.Bias, y.Local, l.Geom.S, 0, l.Algo)
+			kernels.ConvForward(ext.T, l.W, l.Bias, y, l.Geom.S, 0, l.Algo)
 		} else {
-			l.convRegion(ext, y.Local, dist.Range{Lo: 0, Hi: oh}, dist.Range{Lo: 0, Hi: ow})
+			l.convRegion(ext, y, dist.Range{Lo: 0, Hi: oh}, dist.Range{Lo: 0, Hi: ow})
 		}
 	}
-	if l.inference {
-		// Nothing will ever read the stash; hand the halo buffer straight
-		// back to the workspace.
-		ext.Release(l.ws)
-		return y
-	}
-	l.xExt = ext
-	l.hasExt = true
-	return y
+	l.xIn = ext
 }
 
 // localOutH/localOutW are the extents of this rank's output shard.
@@ -240,40 +406,76 @@ func (l *Conv) convRegion(ext Ext, yLoc *tensor.Tensor, rh, rw dist.Range) {
 	f := l.W.Dim(0)
 	ah, aw := l.fwdPlan.AlignH(), l.fwdPlan.AlignW()
 	sh, sw := (rh.Len()-1)*s+k, (rw.Len()-1)*s+k
-	subBuf := l.ws.Get(n * c * sh * sw)
+	subBuf := convWS.Get(n * c * sh * sw)
 	sub := tensor.FromSlice(*subBuf, n, c, sh, sw)
 	sub.CopyRegion(
 		tensor.Region{Off: []int{0, 0, 0, 0}, Size: sub.Shape()},
 		ext.T,
 		tensor.Region{Off: []int{0, 0, ah + rh.Lo*s, aw + rw.Lo*s}, Size: []int{n, c, sh, sw}})
-	yBuf := l.ws.Get(n * f * rh.Len() * rw.Len())
+	yBuf := convWS.Get(n * f * rh.Len() * rw.Len())
 	yPart := tensor.FromSlice(*yBuf, n, f, rh.Len(), rw.Len())
 	kernels.ConvForward(sub, l.W, l.Bias, yPart, s, 0, l.Algo)
 	yLoc.InsertRegion(
 		tensor.Region{Off: []int{0, 0, rh.Lo, rw.Lo}, Size: []int{n, f, rh.Len(), rw.Len()}},
 		yPart.Data())
-	l.ws.Put(subBuf)
-	l.ws.Put(yBuf)
+	convWS.Put(subBuf)
+	convWS.Put(yBuf)
 }
 
-// Backward computes the local weight gradients (completed by an allreduce
-// over all processors unless DeferAllreduce), and returns the error signal
-// for the parent layer. With Overlap, the dy halo exchange is hidden under
-// the filter-gradient convolution, which needs no halo (Section IV-A).
+// Backward computes this rank's weight gradients (completed by step 4
+// unless DeferAllreduce) and returns the error signal for this rank's
+// input shard, which the layer owns.
 func (l *Conv) Backward(ctx *Ctx, dy DistTensor) DistTensor {
+	if l.forwardOnly {
+		panic("core: Backward on a forward-only Conv")
+	}
+	if l.xIn.T == nil {
+		panic("core: conv Backward called before Forward")
+	}
 	if !dy.Dist.SameLayout(l.OutDist) {
 		panic(fmt.Sprintf("core: conv dy dist %v, want %v", dy.Dist, l.OutDist))
 	}
-	if l.DW == nil {
-		panic("core: Backward on an inference-only Conv (NewConvInference)")
+	if l.dx.Local == nil {
+		l.dx = NewDistTensor(l.InDist, ctx.Rank)
 	}
-	if !l.hasExt {
-		panic("core: conv Backward called before Forward")
+	if l.halo {
+		l.backwardHalo(ctx, dy)
+	} else {
+		dyFull, dxFull := dy.Local, l.dx.Local
+		switch l.split {
+		case dist.SplitChannel:
+			gatherDim1(ctx, dy.Local, l.full, l.blocks, l.tag, &l.rg)
+			dyFull = l.full
+		case dist.SplitFilter:
+			// full holds the gathered x until backward-filter has read it.
+			dxFull = l.full
+		}
+		kernels.ConvBackwardFilter(l.xIn.T, dyFull, l.DW, l.Geom.S, l.Geom.Pad, false)
+		if l.DBias != nil {
+			kernels.BiasBackward(dy.Local, l.DBias, false)
+		}
+		kernels.ConvBackwardData(dyFull, l.W, dxFull, l.Geom.S, l.Geom.Pad)
+		if l.split == dist.SplitFilter {
+			reduceScatterOwnBlock(ctx, dxFull, l.dx.Local, l.rsCounts)
+		}
 	}
-	plan := l.bwdPlan
-	hasHalo := len(plan.recvW)+len(plan.recvH)+len(plan.sendW)+len(plan.sendH) > 0
+	l.xIn.Release(convWS)
+	l.xIn = Ext{}
+	if !l.DeferAllreduce && ctx.ChanPeers.Size() > 1 {
+		ctx.ChanPeers.Allreduce(l.DW.Data(), comm.OpSum)
+		if l.DBias != nil {
+			ctx.ChanPeers.Allreduce(l.DBias, comm.OpSum)
+		}
+	}
+	return l.dx
+}
 
-	dyExt := plan.NewExtIn(l.ws)
+// backwardHalo is Backward's data and filter gradients on a spatially split
+// grid. With Overlap, the dy halo exchange is hidden under the
+// filter-gradient convolution, which needs no halo (Section IV-A).
+func (l *Conv) backwardHalo(ctx *Ctx, dy DistTensor) {
+	plan := l.bwdPlan
+	dyExt := plan.NewExtIn(convWS)
 	plan.fillOwned(dyExt, dy.Local)
 	xAligned, xBuf := l.alignedInput(ctx)
 	runFilter := func() {
@@ -282,34 +484,23 @@ func (l *Conv) Backward(ctx *Ctx, dy DistTensor) DistTensor {
 			kernels.BiasBackward(dy.Local, l.DBias, false)
 		}
 	}
-	if l.Overlap && hasHalo {
+	if l.Overlap && plan.exchanges() {
 		req := l.bwdExch.start(ctx, plan, dy.Local, dyExt, l.tag+2)
 		runFilter()
 		req.Wait()
 	} else {
-		if hasHalo {
+		if plan.exchanges() {
 			plan.RunInto(ctx, dy.Local, dyExt, l.tag+2)
 		}
 		runFilter()
 	}
-	if xBuf != nil {
-		l.ws.Put(xBuf)
-	}
-	l.xExt.Release(l.ws)
-
-	dx := NewDistTensor(l.InDist, ctx.Rank)
+	convWS.Put(xBuf)
+	l.xIn.Release(convWS)
 	inH := l.InDist.RangeH(ctx.Rank)
 	inW := l.InDist.RangeW(ctx.Rank)
-	kernels.ConvBackwardDataRegion(dyExt.T, l.W, dx.Local, l.Geom.S, l.Geom.Pad,
+	kernels.ConvBackwardDataRegion(dyExt.T, l.W, l.dx.Local, l.Geom.S, l.Geom.Pad,
 		inH.Lo, inW.Lo, dyExt.HLo, dyExt.WLo)
-	dyExt.Release(l.ws)
-
-	if !l.DeferAllreduce {
-		l.ReduceGradients(ctx)
-	}
-	l.hasExt = false
-	l.xExt = Ext{}
-	return dx
+	dyExt.Release(convWS)
 }
 
 // alignedInput returns the forward ext buffer restricted to the required
@@ -317,37 +508,102 @@ func (l *Conv) Backward(ctx *Ctx, dy DistTensor) DistTensor {
 // When the buffer is already exactly the required window it is returned
 // as-is, avoiding the copy — the common stride-1 case. The second result is
 // the workspace handle of the copy (nil when no copy was made); the caller
-// returns it to the layer workspace after use.
+// returns it to the workspace after use.
 func (l *Conv) alignedInput(ctx *Ctx) (*tensor.Tensor, *[]float32) {
 	oh, ow := l.localOutH(ctx), l.localOutW(ctx)
 	needH := (oh-1)*l.Geom.S + l.Geom.K
 	needW := (ow-1)*l.Geom.S + l.Geom.K
 	ah, aw := l.fwdPlan.AlignH(), l.fwdPlan.AlignW()
-	if ah == 0 && aw == 0 && l.xExt.T.Dim(2) == needH && l.xExt.T.Dim(3) == needW {
-		return l.xExt.T, nil
+	x := l.xIn.T
+	if ah == 0 && aw == 0 && x.Dim(2) == needH && x.Dim(3) == needW {
+		return x, nil
 	}
-	n, c := l.xExt.T.Dim(0), l.xExt.T.Dim(1)
-	buf := l.ws.Get(n * c * needH * needW)
+	n, c := x.Dim(0), x.Dim(1)
+	buf := convWS.Get(n * c * needH * needW)
 	sub := tensor.FromSlice(*buf, n, c, needH, needW)
 	sub.CopyRegion(
 		tensor.Region{Off: []int{0, 0, 0, 0}, Size: sub.Shape()},
-		l.xExt.T,
+		x,
 		tensor.Region{Off: []int{0, 0, ah, aw}, Size: []int{n, c, needH, needW}})
 	return sub, buf
 }
 
-// ReduceGradients completes the weight-gradient sum of Eq. 2 with an
-// allreduce over all processors (D^(C) and D^(F) are fully replicated, so
-// the group P^(p)(D^(C), D^(F)) is the whole grid). The reduction is
-// rank-order stable, so the same gradients emerge bitwise whether the sum
-// runs here, deferred on a proxy goroutine, or fused into a coalescing
-// bucket (nn's gradient-overlap engine).
-func (l *Conv) ReduceGradients(ctx *Ctx) {
-	if ctx.C.Size() == 1 {
+// regionScratch is persistent Off/Size storage for the dim-1 block copies,
+// so warm Forward/Backward calls build tensor.Regions without allocating.
+type regionScratch struct {
+	off, size [4]int
+}
+
+// region fills the scratch and returns a region backed by it.
+func (r *regionScratch) region(off, size [4]int) tensor.Region {
+	r.off, r.size = off, size
+	return tensor.Region{Off: r.off[:], Size: r.size[:]}
+}
+
+// gatherDim1 assembles the channel-group blocks of a tensor partitioned on
+// dimension 1: every rank of ctx.Chan contributes its local block and
+// receives everyone else's, inserting block q at ranges[q]. Message
+// payloads stage through the comm pool and regions through the caller's
+// scratch, so a warm gather allocates nothing.
+func gatherDim1(ctx *Ctx, local *tensor.Tensor, full *tensor.Tensor, ranges []dist.Range, tag int, rg *regionScratch) {
+	ch := ctx.Chan
+	p := ch.Size()
+	me := ch.Rank()
+	n, h, w := full.Dim(0), full.Dim(2), full.Dim(3)
+	for q := 0; q < p; q++ {
+		if q == me {
+			continue
+		}
+		buf := comm.GetBuf(local.Size())
+		copy(buf, local.Data())
+		ch.SendNoCopy(q, tag, buf)
+	}
+	full.InsertRegion(rg.region([4]int{0, ranges[me].Lo, 0, 0}, [4]int{n, ranges[me].Len(), h, w}), local.Data())
+	for q := 0; q < p; q++ {
+		if q == me {
+			continue
+		}
+		data := ch.Recv(q, tag)
+		if want := n * ranges[q].Len() * h * w; len(data) != want {
+			panic(fmt.Sprintf("core: channel gather got %d words from block %d, want %d", len(data), q, want))
+		}
+		full.InsertRegion(rg.region([4]int{0, ranges[q].Lo, 0, 0}, [4]int{n, ranges[q].Len(), h, w}), data)
+		ch.Release(data)
+	}
+}
+
+// reduceScatterOwnBlock completes a partial distributed on dimension 1:
+// full is [nLoc, D, h, w] holding this rank's partial over the full extent
+// D, own is [nLoc, dLoc, h, w], and counts give every chan-group rank's
+// dim-1 block length in words per sample. One slab-aware stable
+// reduce-scatter (one message per peer carrying every sample's chunk)
+// delivers exactly this rank's block of every sample, reduced in rank
+// order. With a single-rank channel group it degenerates to a copy of the
+// owned block.
+func reduceScatterOwnBlock(ctx *Ctx, full, own *tensor.Tensor, counts []int) {
+	fd, od := full.Data(), own.Data()
+	if ctx.Chan.Size() == 1 {
+		copy(od, fd)
 		return
 	}
-	ctx.C.Allreduce(l.DW.Data(), comm.OpSum)
-	if l.DBias != nil {
-		ctx.C.Allreduce(l.DBias, comm.OpSum)
+	mine := ctx.Chan.ReduceScatterStableSlabs(fd, full.Dim(0), counts, comm.OpSum)
+	copy(od, mine)
+	ctx.Chan.Release(mine)
+}
+
+// addBiasBlock adds bias[f] to every (sample, filter) plane of y
+// [n, f, oh, ow].
+func addBiasBlock(y *tensor.Tensor, bias []float32) {
+	s := y.Shape()
+	n, f, plane := s[0], s[1], s[2]*s[3]
+	yd := y.Data()
+	for ni := 0; ni < n; ni++ {
+		for fi := 0; fi < f; fi++ {
+			row := yd[(ni*f+fi)*plane : (ni*f+fi+1)*plane]
+			b := bias[fi]
+			for i := range row {
+				row[i] += b
+			}
+		}
 	}
 }

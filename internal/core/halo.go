@@ -88,6 +88,11 @@ func planExchange(grid dist.Grid, rank, nLoc, c int, sizeH, sizeW int,
 	return p
 }
 
+// exchanges reports whether this rank sends or receives any halo.
+func (p *HaloPlan) exchanges() bool {
+	return len(p.recvW)+len(p.recvH)+len(p.sendW)+len(p.sendH) > 0
+}
+
 // extH/extW are the halo-extended buffer extents.
 func (p *HaloPlan) extH() int { return p.extHRng.Len() }
 func (p *HaloPlan) extW() int { return p.extWRng.Len() }

@@ -9,53 +9,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// Inference-only layers must produce the same forward results as their
-// training counterparts (conv) / the sequential inference kernel (batchnorm,
-// whose training Forward intentionally uses batch statistics), with no
-// gradient buffers and no Backward.
-func TestConvInferenceForwardMatchesTraining(t *testing.T) {
-	for _, g := range []dist.Grid{{PN: 1, PH: 1, PW: 1}, {PN: 1, PH: 2, PW: 1}, {PN: 2, PH: 1, PW: 2}} {
-		inD := dist.Dist{Grid: g, N: 2, C: 3, H: 8, W: 8}
-		geom := dist.ConvGeom{K: 3, S: 1, Pad: 1}
-		x := tensor.New(2, 3, 8, 8)
-		x.FillRandN(21, 1)
-
-		var mu sync.Mutex
-		train := make([]DistTensor, g.Size())
-		infer := make([]DistTensor, g.Size())
-		runDistributed(g, func(ctx *Ctx) {
-			lt := NewConv(ctx, inD, 4, geom, true)
-			li := NewConvInference(ctx, inD, 4, geom, true)
-			if li.DW != nil || li.DBias != nil {
-				t.Error("inference conv allocated gradient buffers")
-			}
-			// Same weights on both layers (and replicated across ranks).
-			lt.W.FillRandN(5, 0.5)
-			copy(li.W.Data(), lt.W.Data())
-			for i := range lt.Bias {
-				lt.Bias[i] = 0.01 * float32(i)
-			}
-			copy(li.Bias, lt.Bias)
-
-			shard := Scatter(x, inD)[ctx.Rank]
-			yt := lt.Forward(ctx, shard)
-			// Two inference forwards in a row: the second must be identical
-			// (the released halo buffers are recycled correctly).
-			li.Forward(ctx, shard)
-			yi := li.Forward(ctx, shard)
-			mu.Lock()
-			train[ctx.Rank] = yt
-			infer[ctx.Rank] = yi
-			mu.Unlock()
-		})
-		yt := Gather(train)
-		yi := Gather(infer)
-		if d := yt.MaxAbsDiff(yi); d != 0 {
-			t.Errorf("grid %v: inference conv differs from training conv: %g", g, d)
-		}
-	}
-}
-
+// A forward-only batchnorm normalizes with the running statistics: it
+// matches the sequential inference kernel (the training Forward
+// intentionally uses batch statistics), with no gradient buffers.
 func TestBatchNormInferenceUsesRunningStats(t *testing.T) {
 	g := dist.Grid{PN: 1, PH: 2, PW: 1}
 	d := dist.Dist{Grid: g, N: 2, C: 3, H: 8, W: 8}
@@ -94,12 +50,17 @@ func TestBatchNormInferenceUsesRunningStats(t *testing.T) {
 	}
 }
 
-// Filter-split inference convolutions must be bitwise identical to the
+// Filter-split forward-only convolutions must be bitwise identical to the
 // sequential batched serving kernel: every rank holds complete weight rows
 // and gathers the complete input channels, so its filter block reproduces
-// the same accumulations ConvForwardBatched performs.
+// the same accumulations ConvForwardBatched performs. A replicated
+// forward-only conv is the one-block case.
 func TestFilterParallelConvInferenceBitwise(t *testing.T) {
-	for _, pc := range []int{1, 2, 3} {
+	for _, tc := range []struct {
+		pc    int
+		split dist.Split
+	}{{1, dist.SplitNone}, {1, dist.SplitFilter}, {2, dist.SplitFilter}, {3, dist.SplitFilter}} {
+		pc := tc.pc
 		g := dist.Grid{PN: 1, PC: pc, PH: 1, PW: 1}
 		inD := dist.Dist{Grid: g, N: 3, C: 5, H: 6, W: 6}
 		geom := dist.ConvGeom{K: 3, S: 1, Pad: 1}
@@ -118,9 +79,9 @@ func TestFilterParallelConvInferenceBitwise(t *testing.T) {
 		var mu sync.Mutex
 		outs := make([]DistTensor, g.Size())
 		runDistributed(g, func(ctx *Ctx) {
-			l := NewFilterParallelConvInference(ctx, inD, f, geom, true)
+			l := NewPlacedConv(ctx, inD, f, geom, true, tc.split, true)
 			if l.DW != nil || l.DBias != nil {
-				t.Error("inference filter-parallel conv allocated gradient buffers")
+				t.Error("forward-only conv allocated gradient buffers")
 			}
 			// Load this rank's filter rows of the full weights and bias.
 			copy(l.W.Data(), w.Data()[l.FRange.Lo*5*3*3:l.FRange.Hi*5*3*3])
@@ -134,14 +95,14 @@ func TestFilterParallelConvInferenceBitwise(t *testing.T) {
 		got := Gather(outs)
 		for i, v := range got.Data() {
 			if v != want.Data()[i] {
-				t.Fatalf("pc=%d: output[%d] = %v, want %v (bitwise)", pc, i, v, want.Data()[i])
+				t.Fatalf("pc=%d %v: output[%d] = %v, want %v (bitwise)", pc, tc.split, i, v, want.Data()[i])
 				break
 			}
 		}
 	}
 }
 
-// Channel-split inference convolutions reassociate the channel sum (one
+// Channel-split forward-only convolutions reassociate the channel sum (one
 // partial per block), so they match the sequential kernel to float
 // tolerance and must be deterministic run-to-run.
 func TestChannelParallelConvInferenceDeterministic(t *testing.T) {
@@ -160,9 +121,9 @@ func TestChannelParallelConvInferenceDeterministic(t *testing.T) {
 		var mu sync.Mutex
 		outs := make([]DistTensor, g.Size())
 		runDistributed(g, func(ctx *Ctx) {
-			l := NewChannelParallelConvInference(ctx, inD, f, geom, false)
+			l := NewPlacedConv(ctx, inD, f, geom, false, dist.SplitChannel, true)
 			if l.DW != nil {
-				t.Error("inference channel-parallel conv allocated gradient buffers")
+				t.Error("forward-only conv allocated gradient buffers")
 			}
 			// This rank holds W[:, cBlk].
 			l.W.InsertRegion(
@@ -189,12 +150,15 @@ func TestInferenceBackwardPanics(t *testing.T) {
 	g := dist.Grid{PN: 1, PH: 1, PW: 1}
 	d := dist.Dist{Grid: g, N: 1, C: 2, H: 4, W: 4}
 	runDistributed(g, func(ctx *Ctx) {
-		l := NewConvInference(ctx, d, 2, dist.ConvGeom{K: 3, S: 1, Pad: 1}, false)
+		l := NewPlacedConv(ctx, d, 2, dist.ConvGeom{K: 3, S: 1, Pad: 1}, true, dist.SplitNone, true)
+		if l.DW != nil || l.DBias != nil {
+			t.Error("forward-only conv allocated gradient buffers")
+		}
 		x := NewDistTensor(d, ctx.Rank)
 		y := l.Forward(ctx, x)
 		defer func() {
 			if recover() == nil {
-				t.Error("Backward on inference conv did not panic")
+				t.Error("Backward on a forward-only conv did not panic")
 			}
 		}()
 		l.Backward(ctx, y)

@@ -73,6 +73,22 @@ func NewBatchNorm(ctx *Ctx, d dist.Dist, mode BatchNormMode) *BatchNorm {
 	return l
 }
 
+// NewBatchNormInference constructs a forward-only distributed batch
+// normalization layer: Forward normalizes with the running statistics — no
+// cross-rank statistics aggregation, no gradient buffers, no stashed input.
+// Under a channel-split grid the layer holds gamma/beta and the running
+// statistics only for this rank's channel block, exactly like NewBatchNorm.
+// The output shard is preallocated and reused across calls (serving
+// forwards are zero-alloc warm); it is overwritten by the next Forward.
+// Backward panics; weights and running statistics are still exported, so a
+// trained checkpoint restores into it unchanged.
+func NewBatchNormInference(ctx *Ctx, d dist.Dist) *BatchNorm {
+	l := newBatchNorm(d, BatchNormGlobal, d.RangeC(ctx.Rank).Len())
+	l.inference = true
+	l.y = NewDistTensor(d, ctx.Rank)
+	return l
+}
+
 func newBatchNorm(d dist.Dist, mode BatchNormMode, c int) *BatchNorm {
 	l := &BatchNorm{
 		c:    c,

@@ -91,7 +91,7 @@ func runPlacedConv(t *testing.T, g dist.Grid, filter, bias bool) {
 				tensor.Region{Off: []int{0, 0, 0, 0}, Size: []int{f, cr.Len(), 3, 3}},
 				w.ExtractRegion(tensor.Region{Off: []int{0, cr.Lo, 0, 0}, Size: []int{f, cr.Len(), 3, 3}}))
 			if bias {
-				copy(l.Bias, b)
+				copy(l.Bias, b[fr.Lo:fr.Hi])
 			}
 			y = l.Forward(ctx, xs[ctx.Rank])
 			dx = l.Backward(ctx, dys[ctx.Rank])
@@ -130,10 +130,7 @@ func runPlacedConv(t *testing.T, g dist.Grid, filter, bias bool) {
 			}
 		}
 		if bias {
-			wantB := dbSeq
-			if filter {
-				wantB = dbSeq[frs[r].Lo:frs[r].Hi]
-			}
+			wantB := dbSeq[frs[r].Lo:frs[r].Hi]
 			for i := range wantB {
 				if d := float64(dbs[r][i] - wantB[i]); d > 1e-3 || d < -1e-3 {
 					t.Fatalf("grid %v rank %d: dbias[%d] = %v, want %v", g, r, i, dbs[r][i], wantB[i])

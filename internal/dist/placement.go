@@ -16,12 +16,12 @@ const (
 	// SplitChannel partitions conv weights on the input-channel dimension:
 	// each channel group holds W[:, cBlk], consumes its channel shard of x
 	// with no forward halo cost, and completes the channel sum of Eq. 1
-	// with a forward activation allreduce; backward-data is local.
+	// with a forward activation reduce-scatter; backward-data is local.
 	SplitChannel
 	// SplitFilter partitions conv weights on the output-filter dimension:
 	// each channel group holds W[fBlk, :], allgathers the input channels,
 	// computes its filter block locally, and completes backward-data with
-	// an allreduce; weight gradients are local to the filter block.
+	// a reduce-scatter; weight gradients are local to the filter block.
 	SplitFilter
 )
 

@@ -50,16 +50,6 @@ func pickGeom() microGeom {
 // (avx512_16x32, avx2_6x16, go_6x16), for benchmark labels and /statz.
 func GemmKernelName() string { return activeGeom.name }
 
-// setGeomForTest forces a microkernel geometry and returns a restore
-// function. Tests only: PackedB values built under a different geometry
-// become unusable until repacked, and the swap is not safe concurrent with
-// running GEMMs.
 // portableGeoms are the geometries available on every platform; the
 // platform file may extend the usable set with assembly kernels.
 var portableGeoms = []microGeom{geomGo6x16, geomGo16x32}
-
-func setGeomForTest(g microGeom) (restore func()) {
-	old := activeGeom
-	activeGeom = g
-	return func() { activeGeom = old }
-}

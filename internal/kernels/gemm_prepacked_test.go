@@ -274,3 +274,13 @@ func TestConvPrepackedZeroAllocs(t *testing.T) {
 func GemmTNPrepacked(m, n, k int, alpha float32, a []float32, pb *PackedB, beta float32, c []float32) {
 	GemmPrepacked(true, m, n, k, alpha, a, pb, beta, c, nil, nil, 0)
 }
+
+// setGeomForTest forces a microkernel geometry and returns a restore
+// function. PackedB values built under a different geometry become
+// unusable until repacked, and the swap is not safe concurrent with running
+// GEMMs.
+func setGeomForTest(g microGeom) (restore func()) {
+	old := activeGeom
+	activeGeom = g
+	return func() { activeGeom = old }
+}

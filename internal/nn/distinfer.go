@@ -13,19 +13,20 @@ import (
 
 // DistInferNet is the distributed counterpart of InferNet: a forward-only
 // execution engine whose layers are placement-sharded over a group of comm
-// ranks, built on core's inference constructors — the "model too big for
-// one device" serving path. Each rank of the group holds one channel/filter
-// shard of every layer (grid {PN:1, PC:p, PH:1, PW:1}); convolutions choose
-// the channel- or filter-parallel formulation of Section III-D per layer
-// via Placement.Split, and activation collectives use the rank-order-stable
-// ring family, so answers are bitwise deterministic under dynamic batching.
+// ranks, built on core's forward-only layers — the "model too big for one
+// device" serving path. Each rank of the group holds one channel/filter
+// shard of every layer (grid {PN:1, PC:p, PH:1, PW:1}); each convolution
+// is a forward-only core.Conv whose Split (Section III-D) comes from its
+// Placement, and activation collectives are rank-order stable, so answers
+// are bitwise deterministic under dynamic batching.
 //
-// Under the filter split every rank gathers the complete input channels and
+// Under SplitFilter every rank gathers the complete input channels and
 // computes complete weight rows with the batched row-stable kernel, so the
 // assembled output is bitwise identical to an unsharded InferNet on the
 // same weights — the property the serving fleet's mixed sharded/unsharded
-// replica sets rely on. The channel split reassociates the channel sum
-// across blocks (deterministic, but not bitwise equal across decompositions).
+// replica sets rely on; so is a 1-rank group, whose convolutions are
+// replicated. SplitChannel reassociates the channel sum across blocks
+// (deterministic, but not bitwise equal across decompositions).
 //
 // All activation storage is preallocated at construction and every forward
 // runs at the fixed capacity batch (per-sample independence of the batched
@@ -158,19 +159,9 @@ func NewDistInferNet(c *comm.Comm, arch *Arch, maxBatch int, placements []dist.P
 			n.in = core.NewDistTensor(n.dists[0], ctx.Rank)
 			n.inRange = n.dists[0].RangeC(ctx.Rank)
 		case KindConv:
-			fanIn := inShape.C * s.Geom.K * s.Geom.K
-			switch placements[i].Norm().Split {
-			case dist.SplitChannel:
-				l := core.NewChannelParallelConvInference(ctx, inD, s.F, s.Geom, s.Bias)
-				loadWeightSlice(l.W, s.F, inShape.C, s.Geom.K, int64(i), fanIn,
-					dist.Range{Lo: 0, Hi: s.F}, l.CRange)
-				n.layers[i] = &diChanConv{l: l, f: s.F, c: inShape.C, k: s.Geom.K}
-			default: // SplitFilter, and SplitNone on a 1-rank group
-				l := core.NewFilterParallelConvInference(ctx, inD, s.F, s.Geom, s.Bias)
-				loadWeightSlice(l.W, s.F, inShape.C, s.Geom.K, int64(i), fanIn,
-					l.FRange, dist.Range{Lo: 0, Hi: inShape.C})
-				n.layers[i] = &diFilterConv{l: l, f: s.F, c: inShape.C, k: s.Geom.K}
-			}
+			l := core.NewPlacedConv(ctx, inD, s.F, s.Geom, s.Bias, placements[i].Norm().Split, true)
+			initConv(l, int64(i))
+			n.layers[i] = diConv{l}
 		case KindBatchNorm:
 			n.layers[i] = &diBN{l: core.NewBatchNormInference(ctx, inD), cr: inD.RangeC(ctx.Rank), c: inShape.C}
 		case KindReLU:
@@ -321,69 +312,26 @@ type distInferLayer interface {
 	load(ck *Checkpoint, name string) error
 }
 
-type diFilterConv struct {
-	l       *core.FilterParallelConv
-	f, c, k int
-}
+// diConv is a forward-only convolution under any split.
+type diConv struct{ l *core.Conv }
 
-func (d *diFilterConv) forward(ctx *core.Ctx, ins [2]core.DistTensor) core.DistTensor {
+func (d diConv) forward(ctx *core.Ctx, ins [2]core.DistTensor) core.DistTensor {
 	return d.l.Forward(ctx, ins[0])
 }
 
-func (d *diFilterConv) load(ck *Checkpoint, name string) error {
-	w, err := ckEntry(ck.Params, name+".w", "parameter", d.f*d.c*d.k*d.k)
+func (d diConv) load(ck *Checkpoint, name string) error {
+	f, c, k := d.l.OutDist.C, d.l.InDist.C, d.l.Geom.K
+	w, err := ckEntry(ck.Params, name+".w", "parameter", f*c*k*k)
 	if err != nil {
 		return err
 	}
-	// Filter rows are outermost: this rank's block is a contiguous slice.
-	row := d.c * d.k * d.k
-	copy(d.l.W.Data(), w[d.l.FRange.Lo*row:d.l.FRange.Hi*row])
+	var b []float32
 	if d.l.Bias != nil {
-		b, err := ckEntry(ck.Params, name+".b", "parameter", d.f)
-		if err != nil {
+		if b, err = ckEntry(ck.Params, name+".b", "parameter", f); err != nil {
 			return err
 		}
-		copy(d.l.Bias, b[d.l.FRange.Lo:d.l.FRange.Hi])
 	}
-	// The layer may have served (and lazily prepacked) before this restore —
-	// rejoin state transfer does exactly that — so force a repack from the
-	// fresh weights.
-	d.l.InvalidatePacked()
-	return nil
-}
-
-type diChanConv struct {
-	l       *core.ChannelParallelConv
-	f, c, k int
-}
-
-func (d *diChanConv) forward(ctx *core.Ctx, ins [2]core.DistTensor) core.DistTensor {
-	return d.l.Forward(ctx, ins[0])
-}
-
-func (d *diChanConv) load(ck *Checkpoint, name string) error {
-	w, err := ckEntry(ck.Params, name+".w", "parameter", d.f*d.c*d.k*d.k)
-	if err != nil {
-		return err
-	}
-	// This rank holds W[:, cBlk]: slice the channel block out of every
-	// filter row.
-	cr := d.l.CRange
-	kk := d.k * d.k
-	dst := d.l.W.Data()
-	for fi := 0; fi < d.f; fi++ {
-		copy(dst[fi*cr.Len()*kk:(fi+1)*cr.Len()*kk], w[(fi*d.c+cr.Lo)*kk:(fi*d.c+cr.Hi)*kk])
-	}
-	if d.l.Bias != nil {
-		b, err := ckEntry(ck.Params, name+".b", "parameter", d.f)
-		if err != nil {
-			return err
-		}
-		copy(d.l.Bias, b) // replicated within the channel group
-	}
-	// Force a repack in case the layer already served with stale weights
-	// (rejoin state transfer restores into a live net).
-	d.l.InvalidatePacked()
+	loadConv(d.l, w, b)
 	return nil
 }
 

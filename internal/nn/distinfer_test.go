@@ -136,6 +136,58 @@ func TestDistInferCheckpointBitwise(t *testing.T) {
 	}
 }
 
+// Restoring a checkpoint into a replica that has already served (the
+// rejoin state transfer) must drop the weights its convolutions prepacked
+// on the first forward. Under the filter split the answers afterwards are
+// bitwise an InferNet's restored from the same checkpoint; under the
+// channel split, bitwise those of a replica that never served.
+func TestDistInferRestoreAfterServe(t *testing.T) {
+	const size, n, maxB = 8, 4, 4
+	arch := servingArch(size, size)
+	seq, err := NewSeqNet(arch, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainBriefly(t, seq, n, size, size)
+	ck, err := CaptureState(arch.Name, seq.Params(), seq.Buffers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.New(maxB, 3, size, size)
+	x.FillRandN(19, 1)
+	lives := []int{1, 4}
+	served := func(net *DistInferNet) error {
+		net.Forward(x, maxB)
+		return net.LoadCheckpoint(ck)
+	}
+	fresh := func(net *DistInferNet) error { return net.LoadCheckpoint(ck) }
+
+	ref, err := NewInferNet(arch, maxB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Restore(arch.Name, ref.Params(), ref.Buffers()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		split dist.Split
+		want  [][]float32
+	}{
+		{dist.SplitFilter, refOutputs(ref, x, lives)},
+		{dist.SplitChannel, runDistInfer(t, arch, 2, maxB, dist.SplitChannel, fresh, x, lives)},
+	} {
+		got := runDistInfer(t, arch, 2, maxB, tc.split, served, x, lives)
+		for i := range lives {
+			for j := range tc.want[i] {
+				if got[i][j] != tc.want[i][j] {
+					t.Fatalf("%v split live=%d: output[%d] = %v after restore, want %v (bitwise)",
+						tc.split, lives[i], j, got[i][j], tc.want[i][j])
+				}
+			}
+		}
+	}
+}
+
 // Channel-split shards reassociate the channel sum, so they are only
 // float-close to the unsharded engine — but they must be bitwise
 // deterministic across repeated forwards and identical runs.

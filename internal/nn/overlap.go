@@ -12,11 +12,11 @@ import "repro/internal/comm"
 // every request, so the optimizer sees finished gradients exactly as in
 // the synchronous mode.
 //
-// Only replicated-weight convolutions (core.Conv) defer their reductions.
-// Batch normalization's gradient reduction rides the backward-stats
-// allreduce that the data gradient needs anyway, and channel- and
-// filter-parallel convolutions reduce over ctx.ChanPeers inside their
-// backward; both leave nothing for the engine.
+// Only convolutions whose Split is SplitNone (weights replicated on every
+// rank) defer their reductions. Batch normalization's gradient reduction
+// rides the backward-stats allreduce that the data gradient needs anyway,
+// and convolutions with a channel or filter split reduce over
+// ctx.ChanPeers inside their backward; both leave nothing for the engine.
 //
 // Small tensors (biases, small weight blocks) are coalesced into fusion
 // buckets so a handful of large messages replace many latency-bound small
@@ -85,7 +85,7 @@ func buildGradPlan(ops []op) *gradPlan {
 		open = nil
 	}
 	for i := len(ops) - 1; i >= 0; i-- {
-		if ops[i].conv == nil {
+		if !ops[i].defers() {
 			continue
 		}
 		for _, prm := range ops[i].params {

@@ -29,12 +29,13 @@ type StrategyNet struct {
 	Dists      []dist.Dist      // per-layer activation distribution
 	ShapeOf    []Shape
 
-	// Grad selects gradient-reduction scheduling for the replicated-weight
-	// convolutions: GradSync (default) blocks inside each layer's backward;
-	// GradOverlap hides the reductions behind the remaining backward
-	// compute via bucketed non-blocking allreduces. Both produce
-	// bitwise-identical gradients (the reductions are rank-order stable).
-	// Channel- and filter-parallel convolutions reduce synchronously.
+	// Grad selects gradient-reduction scheduling for the convolutions whose
+	// Split is SplitNone (weights replicated on every rank): GradSync
+	// (default) blocks inside each layer's backward; GradOverlap hides the
+	// reductions behind the remaining backward compute via bucketed
+	// non-blocking allreduces. Both produce bitwise-identical gradients
+	// (the reductions are rank-order stable). Convolutions with a channel
+	// or filter split reduce over their ChanPeers synchronously.
 	Grad GradMode
 	plan *gradPlan
 
@@ -52,10 +53,7 @@ type layer interface {
 
 // op is one layer of a StrategyNet: the core layer under the context of
 // its grid (l is nil for the input, and Add is the one two-input kind),
-// plus the parameters it holds. conv is set for a replicated-weight
-// convolution, the one layer whose gradient allreduce the overlap engine
-// may take over: its DeferAllreduce is the switch, its params' gradients
-// the deferred slices.
+// plus the parameters it holds. conv is set for a convolution.
 type op struct {
 	ctx    *core.Ctx
 	l      layer
@@ -63,6 +61,12 @@ type op struct {
 	conv   *core.Conv
 	params []Param
 }
+
+// defers reports whether the op is a convolution whose gradient allreduce
+// the overlap engine may take over: one with replicated weights, reduced
+// over every rank. Its DeferAllreduce is the switch, its params' gradients
+// the deferred slices.
+func (o *op) defers() bool { return o.conv != nil && o.conv.Split() == dist.SplitNone }
 
 func (o *op) forward(a, b core.DistTensor) core.DistTensor {
 	switch {
@@ -169,32 +173,14 @@ func NewStrategyNet(base *core.Ctx, arch *Arch, n int, seed int64, placements []
 		switch s.Kind {
 		case KindInput:
 		case KindConv:
-			fanIn := inD.C * s.Geom.K * s.Geom.K
-			var w, dw *tensor.Tensor
-			var b, db []float32
-			switch pl.Split {
-			case dist.SplitChannel:
-				l := core.NewChannelParallelConv(ctx, inD, s.F, s.Geom, s.Bias)
-				loadWeightSlice(l.W, s.F, inD.C, s.Geom.K, seed+int64(i), fanIn,
-					dist.Range{Lo: 0, Hi: s.F}, l.CRange)
-				o.l, w, dw, b, db = l, l.W, l.DW, l.Bias, l.DBias
-			case dist.SplitFilter:
-				l := core.NewFilterParallelConv(ctx, inD, s.F, s.Geom, s.Bias)
-				loadWeightSlice(l.W, s.F, inD.C, s.Geom.K, seed+int64(i), fanIn,
-					l.FRange, dist.Range{Lo: 0, Hi: inD.C})
-				o.l, w, dw, b, db = l, l.W, l.DW, l.Bias, l.DBias
-			default:
-				l := core.NewConv(ctx, inD, s.F, s.Geom, s.Bias)
-				// Match the sequential He initialization exactly: the RNG
-				// stream depends only on (seed, layer index, fan-in).
-				l.W.FillRandN(seed+int64(i), heStd(fanIn))
-				o.l, o.conv, w, dw, b, db = l, l, l.W, l.DW, l.Bias, l.DBias
+			l := core.NewPlacedConv(ctx, inD, s.F, s.Geom, s.Bias, pl.Split, false)
+			initConv(l, seed+int64(i))
+			o.l, o.conv = l, l
+			o.params = []Param{{Name: s.Name + ".w", W: l.W.Data(), G: l.DW.Data()}}
+			if l.Bias != nil {
+				o.params = append(o.params, Param{Name: s.Name + ".b", W: l.Bias, G: l.DBias})
 			}
-			o.params = []Param{{Name: s.Name + ".w", W: w.Data(), G: dw.Data()}}
-			if b != nil {
-				o.params = append(o.params, Param{Name: s.Name + ".b", W: b, G: db})
-			}
-			if o.conv != nil && base.C.Size() > 1 {
+			if o.defers() && base.C.Size() > 1 {
 				// Replicated over every rank: shard the update of each
 				// tensor the overlap engine reduces in place.
 				for j := range o.params {
@@ -232,18 +218,33 @@ func heStd(fanIn int) float32 {
 	return float32(math.Sqrt(2.0 / float64(fanIn)))
 }
 
-// loadWeightSlice fills w with the (fRange, cRange) slice of the full
-// He-initialized [f, c, k, k] weight tensor the sequential net would draw,
-// so sharded and replicated placements start from identical parameters.
-func loadWeightSlice(w *tensor.Tensor, f, c, k int, seed int64, fanIn int, fRange, cRange dist.Range) {
-	full := tensor.New(f, c, k, k)
-	full.FillRandN(seed, heStd(fanIn))
-	w.InsertRegion(
-		tensor.Region{Off: []int{0, 0, 0, 0}, Size: []int{fRange.Len(), cRange.Len(), k, k}},
-		full.ExtractRegion(tensor.Region{
-			Off:  []int{fRange.Lo, cRange.Lo, 0, 0},
-			Size: []int{fRange.Len(), cRange.Len(), k, k},
-		}))
+// initConv He-initializes l with its slice of the global weights the
+// sequential net draws for seed: the RNG stream depends only on (seed,
+// fan-in), so every placement of a layer starts from the same global
+// parameters.
+func initConv(l *core.Conv, seed int64) {
+	f, c, k := l.OutDist.C, l.InDist.C, l.Geom.K
+	w := tensor.New(f, c, k, k)
+	w.FillRandN(seed, heStd(c*k*k))
+	loadConv(l, w.Data(), nil)
+}
+
+// loadConv copies this rank's slice of the global [F, C, K, K] weights w
+// and [F] bias b (nil: leave the bias as it is) into l, so every placement
+// of a layer holds parts of the same global parameters.
+func loadConv(l *core.Conv, w, b []float32) {
+	fr, cr := l.WeightRanges()
+	c, kk := l.InDist.C, l.Geom.K*l.Geom.K
+	row := cr.Len() * kk
+	dst := l.W.Data()
+	for f := fr.Lo; f < fr.Hi; f++ {
+		copy(dst[(f-fr.Lo)*row:(f-fr.Lo+1)*row], w[(f*c+cr.Lo)*kk:(f*c+cr.Hi)*kk])
+	}
+	if b != nil {
+		copy(l.Bias, b[l.FRange.Lo:l.FRange.Hi])
+	}
+	// A forward-only layer may have served, and prepacked, the old weights.
+	l.InvalidatePacked()
 }
 
 // InputDist returns the distribution the input must arrive in (the first
@@ -276,14 +277,14 @@ func (net *StrategyNet) Forward(x core.DistTensor) core.DistTensor {
 // Backward propagates the loss gradient, shuffling error signals back
 // across distribution changes (the backward shuffle of Section III-C).
 // Parameter gradients are reduced on return. Under GradOverlap the
-// replicated-weight convolutions' reductions run as non-blocking
-// collectives concurrently with the shallower layers' backward and are
-// drained before returning; a tensor whose update SGD shards is then
+// reductions of the convolutions whose Split is SplitNone run as
+// non-blocking collectives concurrently with the shallower layers' backward
+// and are drained before returning; a tensor whose update SGD shards is then
 // reduced only on the chunk this rank owns, the only part SGD.Step reads.
 func (net *StrategyNet) Backward(dLast core.DistTensor) {
 	overlap := net.Grad != GradSync && net.world.C.Size() > 1
 	for _, o := range net.ops {
-		if o.conv != nil {
+		if o.defers() {
 			o.conv.DeferAllreduce = overlap
 		}
 	}

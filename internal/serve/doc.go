@@ -31,7 +31,7 @@
 // batch from one whose queue is draining). Replica groups of one rank run an
 // nn.InferNet clone (shared weights); groups of k ranks run an
 // nn.DistInferNet whose layers are channel/filter-split k ways on core's
-// inference constructors — the leader broadcasts each batch to its group,
+// forward-only layers — the leader broadcasts each batch to its group,
 // all ranks execute the collective forward, and the leader sends the
 // assembled answer back through its communicator's proxy engine
 // (comm.Comm.Do), overlapping the result transfer with the next batch.

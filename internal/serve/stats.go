@@ -257,12 +257,6 @@ type StageStats struct {
 	P99   time.Duration `json:"p99_us"`
 }
 
-// snapshot renders one collector; Stats() aggregates across collectors via
-// snapshotStats.
-func (c *statsCollector) snapshot() Stats {
-	return snapshotStats([]*statsCollector{c})
-}
-
 // snapshotStats merges counters and histograms across collectors (the
 // fleet-level one plus one per front-end) into one Stats.
 func snapshotStats(cs []*statsCollector) Stats {

@@ -108,3 +108,9 @@ func TestQuantileKnownDistribution(t *testing.T) {
 		t.Errorf("p100 = %v, want %v", got, want)
 	}
 }
+
+// snapshot renders one collector; Stats() aggregates across collectors via
+// snapshotStats.
+func (c *statsCollector) snapshot() Stats {
+	return snapshotStats([]*statsCollector{c})
+}

@@ -25,8 +25,6 @@ func newRNG(seed uint64) *rng {
 
 func (rg *rng) float64() float64 { return rg.r.Float64() }
 
-func (rg *rng) intn(n int) int { return rg.r.Intn(n) }
-
 // exp samples a unit-mean exponential.
 func (rg *rng) exp() float64 {
 	// 1-Float64() is in (0,1], so the log is finite.
