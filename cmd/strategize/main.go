@@ -1,8 +1,8 @@
 // Command strategize runs the parallel execution strategy optimizer of
 // Section V-C: given a model and a GPU budget, it prints the per-layer
-// placements — 4-axis grids plus channel/filter weight splits — minimizing
-// modeled end-to-end training time, and compares against the best uniform
-// decomposition.
+// placements — 4-axis grids plus channel/filter weight splits — the
+// optimizer chooses, and their modeled mini-batch time next to that of the
+// best uniform decomposition, both from the one performance model.
 //
 // Usage:
 //
@@ -50,7 +50,7 @@ func main() {
 	}
 
 	fmt.Printf("model %s on %d GPUs (machine %s), batch %d\n", arch.Name, *gpus, m.Name, *batch)
-	fmt.Printf("optimized strategy cost (sum of layer+shuffle): %.4fs\n", st.Cost)
+	fmt.Printf("optimized strategy: modeled mini-batch time %.4fs\n", st.Cost)
 
 	if g, nc, err := strategy.BestUniform(m, arch, *gpus, *batch); err == nil {
 		fmt.Printf("best uniform decomposition: %v, modeled mini-batch time %.4fs (memory %.1f GB/GPU)\n",

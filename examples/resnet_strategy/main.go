@@ -64,13 +64,18 @@ func main() {
 			fmt.Printf("  %2d GPUs: %v\n", gpus, err)
 			continue
 		}
+		// Count each placement, listed in order of first use.
+		var used []dist.Placement
 		counts := map[dist.Placement]int{}
 		for _, pl := range st.Placements {
+			if counts[pl] == 0 {
+				used = append(used, pl)
+			}
 			counts[pl]++
 		}
 		fmt.Printf("  %2d GPUs: modeled cost %.4fs, placements used:", gpus, st.Cost)
-		for pl, c := range counts {
-			fmt.Printf(" %v(x%d)", pl, c)
+		for _, pl := range used {
+			fmt.Printf(" %v(x%d)", pl, counts[pl])
 		}
 		fmt.Println()
 	}
@@ -113,10 +118,12 @@ func main() {
 	for i, spec := range fcArch.Specs {
 		fmt.Printf("  %-6s %-9v %v\n", spec.Name, spec.Kind, fcSt.Placements[i])
 	}
-	shapes, _ := fcArch.Shapes()
-	spatialU := strategy.Uniform(fcArch, dist.Grid{PN: 1, PH: 2, PW: 2})
+	spatial2x2, err := perfmodel.CNNCost(m, fcArch, dist.Grid{PN: 1, PH: 2, PW: 2}, 1, perfmodel.DefaultOptions())
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("-> modeled cost %.5fs vs %.5fs for the best spatial decomposition: with one sample and a\n",
-		fcSt.Cost, strategy.Evaluate(m, fcArch, shapes, spatialU.Placements, 1))
+		fcSt.Cost, spatial2x2.MiniBatchTime)
 	fmt.Println("   2x2 domain only the channel axis still shards the dominant weight allreduce;")
 	fmt.Println("   go run -C benchmark . -workload fcheavy_placed measures such a placed stack live.")
 }

@@ -98,9 +98,6 @@ type LayerCost struct {
 	HaloBwd float64
 }
 
-// Total returns FP+BPx+BPw+BPa — CostD(l) without network-level overlap.
-func (c LayerCost) Total() float64 { return c.FP + c.BPx + c.BPw + c.BPa }
-
 // ConvLayerCost evaluates the performance model for one convolutional layer
 // under the given decomposition. With overlap enabled, the forward halo
 // exchange hides behind the interior convolution and the backward dy halo

@@ -3,6 +3,7 @@ package perfmodel
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/nn"
 )
@@ -43,65 +44,117 @@ type NetCost struct {
 	BPTime        float64 // backward compute incl. halos and hidden allreduce
 	ARExposed     float64 // allreduce time not hidden behind computation
 	PerLayer      []LayerBreakdown
-	MemoryBytes   float64 // peak per-GPU memory estimate
+	MemoryBytes   float64 // peak per-GPU memory estimate (CNNCost only)
 }
 
-// CNNCost evaluates the performance model for an entire architecture under
-// a uniform decomposition (the same grid for every layer, as in the paper's
-// evaluation). n is the global mini-batch size.
-func CNNCost(m Machine, arch *nn.Arch, grid dist.Grid, n int, opt Options) (NetCost, error) {
+// PlacedLayerCost is the model's one per-layer switch: it prices layer spec
+// under placement pl, where in is the layer's input shape and n the global
+// mini-batch. Convolutions and max pooling carry their halo exchanges and
+// collectives in Cost; batchnorm, ReLU, add and global average pooling are
+// memory-bound passes in Elem. On a channel grid the batchnorm and global
+// average pooling collectives carry this rank's channel block: batchnorm
+// allreduces its 2·C/PC parameter gradients over the p/PC ranks holding
+// the same block.
+func (m Machine) PlacedLayerCost(spec nn.Spec, in nn.Shape, n int, pl dist.Placement, opt Options) LayerBreakdown {
+	lb := LayerBreakdown{Name: spec.Name, Kind: spec.Kind}
+	grid := pl.Grid
+	act := ConvSpec{N: n, C: in.C, H: in.H, W: in.W}
+	pc := grid.ChannelWays()
+	cl := dist.BlockPartition(in.C, pc, 0).Len()
+	switch spec.Kind {
+	case nn.KindConv:
+		cs := act
+		cs.F, cs.Geom = spec.F, spec.Geom
+		lb.Cost = m.ConvPlacedCost(cs, pl, opt.OverlapHalo)
+	case nn.KindMaxPool:
+		cs := act
+		cs.F, cs.Geom = in.C, spec.Geom
+		lb.Cost = m.PoolLayerCost(cs, grid, opt.OverlapHalo)
+	case nn.KindBatchNorm:
+		if opt.CountElementwise {
+			lb.Elem = m.ElementwiseCost(act, grid, 4) // stats+normalize fwd, stats+apply bwd
+			// Learnable parameters: allreduce of this rank's 2·C/PC words
+			// over the ranks holding the same channel block (Section V-B).
+			lb.Cost.BPa = m.Allreduce(2*cl, grid.Size()/pc, grid.Size() > m.GPUsPerNode)
+		}
+	case nn.KindReLU, nn.KindAdd:
+		if opt.CountElementwise {
+			lb.Elem = m.ElementwiseCost(act, grid, 2)
+		}
+	case nn.KindGlobalAvgPool:
+		lb.Elem = m.ElementwiseCost(act, grid, 2)
+		// Spatial-group reduction of the channel means.
+		sp := grid.SpatialWays()
+		lb.Cost.FP = m.Allreduce((n/grid.PN)*cl, sp, sp > m.GPUsPerNode)
+	case nn.KindInput:
+		// free
+	}
+	return lb
+}
+
+// ShuffleCost prices the data redistribution between distributions of the
+// same tensor on adjacent layers (Section III-C / V-B): zero when layouts
+// coincide, otherwise an all-to-all moving the largest rank's share, twice
+// (forward activations and backward error signals). Only the grids matter —
+// the weight split does not change the activation layout.
+func (m Machine) ShuffleCost(sh nn.Shape, n int, from, to dist.Grid) float64 {
+	if from.Norm() == to.Norm() {
+		return 0
+	}
+	src := dist.Dist{Grid: from, N: n, C: sh.C, H: sh.H, W: sh.W}
+	dst := dist.Dist{Grid: to, N: n, C: sh.C, H: sh.H, W: sh.W}
+	if src.Validate() != nil || dst.Validate() != nil {
+		return infeasible
+	}
+	maxWords := 0
+	for r := 0; r < from.Size(); r++ {
+		if w := core.ShuffleVolume(src, dst, r); w > maxWords {
+			maxWords = w
+		}
+	}
+	spans := from.Size() > m.GPUsPerNode
+	return 2 * m.AllToAll(maxWords, from.Size(), spans)
+}
+
+// infeasible is the cost of a redistribution between layouts the tensor
+// cannot take.
+const infeasible = 1e30
+
+// Evaluate is the whole-CNN model of Section V-B for any per-layer
+// placement (pls[i] places arch.Specs[i]); n is the global mini-batch
+// size. Each layer is priced by PlacedLayerCost, plus the redistributions
+// from its parents' layouts, charged half to forward and half to backward
+// propagation. Weight-gradient allreduces then hide greedily behind the
+// backward compute of earlier layers. MemoryBytes is left zero: the memory
+// estimate needs one grid for the whole network (see CNNCost).
+func Evaluate(m Machine, arch *nn.Arch, pls []dist.Placement, n int, opt Options) (NetCost, error) {
 	shapes, err := arch.Shapes()
 	if err != nil {
 		return NetCost{}, err
 	}
-	if n < grid.PN {
-		return NetCost{}, fmt.Errorf("perfmodel: batch %d smaller than sample ways %d", n, grid.PN)
+	if len(pls) != len(arch.Specs) {
+		return NetCost{}, fmt.Errorf("perfmodel: %d placements for %d layers", len(pls), len(arch.Specs))
 	}
 	var out NetCost
 	out.PerLayer = make([]LayerBreakdown, 0, len(arch.Specs))
-
-	// Forward + backward compute per layer.
-	var bpCompute []float64
-
+	bpCompute := make([]float64, 0, len(arch.Specs))
 	for i, s := range arch.Specs {
-		lb := LayerBreakdown{Name: s.Name, Kind: s.Kind}
-		var inShape nn.Shape
+		pl := pls[i]
+		if n < pl.Grid.PN {
+			return NetCost{}, fmt.Errorf("perfmodel: batch %d smaller than sample ways %d", n, pl.Grid.PN)
+		}
+		in := shapes[i]
 		if len(s.Parents) > 0 {
-			inShape = shapes[s.Parents[0]]
+			in = shapes[s.Parents[0]]
 		}
-		switch s.Kind {
-		case nn.KindConv:
-			spec := ConvSpec{N: n, C: inShape.C, H: inShape.H, W: inShape.W, F: s.F, Geom: s.Geom}
-			lb.Cost = m.ConvLayerCost(spec, grid, opt.OverlapHalo)
-		case nn.KindMaxPool:
-			spec := ConvSpec{N: n, C: inShape.C, H: inShape.H, W: inShape.W, F: inShape.C, Geom: s.Geom}
-			lb.Cost = m.PoolLayerCost(spec, grid, opt.OverlapHalo)
-		case nn.KindBatchNorm:
-			if opt.CountElementwise {
-				spec := ConvSpec{N: n, C: inShape.C, H: inShape.H, W: inShape.W}
-				lb.Elem = m.ElementwiseCost(spec, grid, 4) // stats+normalize fwd, stats+apply bwd
-				// Learnable parameters: allreduce of 2C words (Section V-B).
-				lb.Cost.BPa = m.Allreduce(2*inShape.C, grid.Size(), grid.Size() > m.GPUsPerNode)
-			}
-		case nn.KindReLU, nn.KindAdd:
-			if opt.CountElementwise {
-				spec := ConvSpec{N: n, C: inShape.C, H: inShape.H, W: inShape.W}
-				lb.Elem = m.ElementwiseCost(spec, grid, 2)
-			}
-		case nn.KindGlobalAvgPool:
-			spec := ConvSpec{N: n, C: inShape.C, H: inShape.H, W: inShape.W}
-			lb.Elem = m.ElementwiseCost(spec, grid, 2)
-			// Spatial-group reduction of the channel means.
-			sp := grid.SpatialWays()
-			lb.Cost.FP += m.Allreduce((n/grid.PN)*inShape.C, sp, sp > m.GPUsPerNode)
-		case nn.KindInput:
-			// free
+		lb := m.PlacedLayerCost(s, in, n, pl, opt)
+		shuffle := 0.0
+		for _, par := range s.Parents {
+			shuffle += m.ShuffleCost(in, n, pls[par].Grid, pl.Grid)
 		}
-		out.FPTime += lb.Cost.FP + lb.Elem/2
-		bp := lb.Cost.BPx + lb.Cost.BPw + lb.Elem/2
-		bpCompute = append(bpCompute, bp)
+		out.FPTime += lb.Cost.FP + lb.Elem/2 + shuffle/2
+		bpCompute = append(bpCompute, lb.Cost.BPx+lb.Cost.BPw+lb.Elem/2+shuffle/2)
 		out.PerLayer = append(out.PerLayer, lb)
-		_ = i
 	}
 
 	// Backward pass with greedy allreduce overlap (Section V-B): walk layers
@@ -110,11 +163,7 @@ func CNNCost(m Machine, arch *nn.Arch, grid dist.Grid, n int, opt Options) (NetC
 	// allreduce in flight at a time).
 	if opt.OverlapAllreduce {
 		pending := 0.0
-		arByLayer := make([]float64, len(arch.Specs))
-		for i, lb := range out.PerLayer {
-			arByLayer[i] = lb.Cost.BPa
-		}
-		for i := len(arch.Specs) - 1; i >= 0; i-- {
+		for i := len(bpCompute) - 1; i >= 0; i-- {
 			c := bpCompute[i]
 			hidden := pending
 			if hidden > c {
@@ -122,7 +171,7 @@ func CNNCost(m Machine, arch *nn.Arch, grid dist.Grid, n int, opt Options) (NetC
 			}
 			pending -= hidden
 			out.BPTime += c
-			pending += arByLayer[i]
+			pending += out.PerLayer[i].Cost.BPa
 		}
 		out.ARExposed = pending
 	} else {
@@ -131,9 +180,23 @@ func CNNCost(m Machine, arch *nn.Arch, grid dist.Grid, n int, opt Options) (NetC
 			out.ARExposed += out.PerLayer[i].Cost.BPa
 		}
 	}
-
-	out.MemoryBytes = MemoryBytes(arch, grid, n)
 	out.MiniBatchTime = out.FPTime + out.BPTime + out.ARExposed
+	return out, nil
+}
+
+// CNNCost evaluates the performance model for an entire architecture under
+// a uniform decomposition (the same grid for every layer, as in the paper's
+// evaluation). n is the global mini-batch size.
+func CNNCost(m Machine, arch *nn.Arch, grid dist.Grid, n int, opt Options) (NetCost, error) {
+	pls := make([]dist.Placement, len(arch.Specs))
+	for i := range pls {
+		pls[i] = dist.P(grid)
+	}
+	out, err := Evaluate(m, arch, pls, n, opt)
+	if err != nil {
+		return NetCost{}, err
+	}
+	out.MemoryBytes = MemoryBytes(arch, grid, n)
 	return out, nil
 }
 

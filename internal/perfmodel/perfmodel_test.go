@@ -6,7 +6,11 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/models"
+	"repro/internal/nn"
 )
+
+// Total returns FP+BPx+BPw+BPa — CostD(l) without network-level overlap.
+func (c LayerCost) Total() float64 { return c.FP + c.BPx + c.BPw + c.BPa }
 
 func TestSendRecvLinearModel(t *testing.T) {
 	m := Lassen()
@@ -336,5 +340,53 @@ func TestQuickLayerCostScalesDown(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPlacedLayerCostChannelGridCollectives: on a channel grid, batchnorm
+// and global average pooling work on this rank's channel block, and
+// batchnorm's parameter allreduce carries 2·C/PC words over the p/PC ranks
+// that hold the same block.
+func TestPlacedLayerCostChannelGridCollectives(t *testing.T) {
+	m := Lassen()
+	opt := DefaultOptions()
+	in := nn.Shape{C: 64, H: 8, W: 8}
+	n := 4
+	half := ConvSpec{N: n, C: in.C / 2, H: in.H, W: in.W}
+	bn := nn.Spec{Name: "bn", Kind: nn.KindBatchNorm}
+	gap := nn.Spec{Name: "gap", Kind: nn.KindGlobalAvgPool}
+	chGrid := dist.Grid{PN: 2, PC: 2, PH: 1, PW: 1}
+	sample := dist.P(dist.Grid{PN: 4, PH: 1, PW: 1})
+	total := func(lb LayerBreakdown) float64 { return lb.Cost.Total() + lb.Elem }
+
+	b := m.PlacedLayerCost(bn, in, n, dist.P(chGrid), opt)
+	if want := m.Allreduce(2*(in.C/2), 2, false); b.Cost.BPa != want {
+		t.Errorf("BN on %v: parameter allreduce %g, want %g (C words over 2 ranks)", chGrid, b.Cost.BPa, want)
+	}
+	if want := m.ElementwiseCost(half, dist.Grid{PN: 2, PH: 1, PW: 1}, 4); b.Elem != want {
+		t.Errorf("BN on %v: elementwise %g, want %g (C/2 channels)", chGrid, b.Elem, want)
+	}
+	if bs := m.PlacedLayerCost(bn, in, n, sample, opt); total(b) >= total(bs) {
+		t.Errorf("BN on %v costs %g, not less than %g on %v", chGrid, total(b), total(bs), sample.Grid)
+	}
+
+	g := m.PlacedLayerCost(gap, in, n, dist.P(chGrid), opt)
+	if want := m.ElementwiseCost(half, dist.Grid{PN: 2, PH: 1, PW: 1}, 2); g.Elem != want || g.Cost.FP != 0 {
+		t.Errorf("GAP on %v: elementwise %g, FP %g; want %g and no spatial reduction", chGrid, g.Elem, g.Cost.FP, want)
+	}
+	if gs := m.PlacedLayerCost(gap, in, n, sample, opt); total(g) > total(gs) {
+		t.Errorf("GAP on %v costs %g, more than %g on %v", chGrid, total(g), total(gs), sample.Grid)
+	}
+	// With a split spatial domain the channel means are reduced over the
+	// spatial group, one channel block per rank: n·C/2 words over 2 ranks,
+	// cheaper than n·C words over 4 on the spatial grid of the same size.
+	chSp := dist.P(dist.Grid{PN: 1, PC: 2, PH: 2, PW: 1})
+	sp := dist.P(dist.Grid{PN: 1, PH: 2, PW: 2})
+	gcs := m.PlacedLayerCost(gap, in, n, chSp, opt)
+	if want := m.Allreduce(n*in.C/2, 2, false); gcs.Cost.FP != want {
+		t.Errorf("GAP on %v: spatial reduction %g, want %g (n·C/2 words over 2 ranks)", chSp.Grid, gcs.Cost.FP, want)
+	}
+	if gsp := m.PlacedLayerCost(gap, in, n, sp, opt); total(gcs) >= total(gsp) {
+		t.Errorf("GAP on %v costs %g, not less than %g on %v", chSp.Grid, total(gcs), total(gsp), sp.Grid)
 	}
 }

@@ -1,38 +1,29 @@
 // Package strategy implements the parallel execution strategy optimizer of
 // Section V-C: per-layer candidate placements are generated heuristically —
 // sample, spatial, and hybrid grids plus the channel/filter splits of
-// Section III-D — and the assignment minimizing modeled end-to-end time
-// (layer costs plus data-redistribution costs between adjacent layers) is
-// found by reduction to single-source shortest path on a layered DAG.
-// Networks with branches (ResNets) are handled with the paper's
-// longest-path-first heuristic.
+// Section III-D — and an assignment is found by reduction to single-source
+// shortest path on a layered DAG over the additive part of the performance
+// model (layer costs plus data-redistribution costs between adjacent
+// layers). Networks with branches (ResNets) are handled with the paper's
+// longest-path-first heuristic. The search only chooses placements: every
+// cost it reports comes from perfmodel.Evaluate, the model the paper
+// tables and BestUniform use.
 package strategy
 
 import (
 	"fmt"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/nn"
 	"repro/internal/perfmodel"
 )
 
 // Strategy assigns one Placement (grid + weight split) to every layer of an
-// architecture and records the modeled cost.
+// architecture and records its modeled mini-batch time (perfmodel.Evaluate).
 type Strategy struct {
 	Placements []dist.Placement
 	Cost       float64
-}
-
-// Uniform returns a strategy using grid g (replicated weights) for every
-// layer.
-func Uniform(arch *nn.Arch, g dist.Grid) Strategy {
-	pls := make([]dist.Placement, len(arch.Specs))
-	for i := range pls {
-		pls[i] = dist.P(g)
-	}
-	return Strategy{Placements: pls}
 }
 
 // Candidates enumerates the load-balanced processor grids using exactly p
@@ -115,63 +106,61 @@ func absInt(x int) int {
 	return x
 }
 
-// LayerCost evaluates the modeled cost of one layer under placement pl.
-func LayerCost(m perfmodel.Machine, spec nn.Spec, inShape nn.Shape, n int, pl dist.Placement) float64 {
-	g := pl.Grid
-	switch spec.Kind {
-	case nn.KindConv:
-		cs := perfmodel.ConvSpec{N: n, C: inShape.C, H: inShape.H, W: inShape.W, F: spec.F, Geom: spec.Geom}
-		return m.ConvPlacedCost(cs, pl, true).Total()
-	case nn.KindMaxPool:
-		cs := perfmodel.ConvSpec{N: n, C: inShape.C, H: inShape.H, W: inShape.W, F: inShape.C, Geom: spec.Geom}
-		return m.PoolLayerCost(cs, g, true).Total()
-	case nn.KindBatchNorm:
-		cs := perfmodel.ConvSpec{N: n, C: inShape.C, H: inShape.H, W: inShape.W}
-		return m.ElementwiseCost(cs, g, 4)
-	case nn.KindReLU, nn.KindAdd, nn.KindGlobalAvgPool:
-		cs := perfmodel.ConvSpec{N: n, C: inShape.C, H: inShape.H, W: inShape.W}
-		return m.ElementwiseCost(cs, g, 2)
-	default:
-		return 0
+// dpWeight is the search's additive per-layer cost: forward, backward and
+// elementwise time from perfmodel's switch, plus the weight-gradient
+// allreduce for convolutions only — batchnorm's parameter allreduce is
+// left out of the search.
+func dpWeight(m perfmodel.Machine, spec nn.Spec, in nn.Shape, n int, pl dist.Placement) float64 {
+	lb := m.PlacedLayerCost(spec, in, n, pl, perfmodel.DefaultOptions())
+	w := lb.Cost.FP + lb.Cost.BPx + lb.Cost.BPw + lb.Elem
+	if spec.Kind == nn.KindConv {
+		w += lb.Cost.BPa
 	}
+	return w
 }
 
-// ShuffleCost prices the data redistribution between distributions of the
-// same tensor on adjacent layers (Section III-C / V-B): zero when layouts
-// coincide, otherwise an all-to-all moving the largest rank's share, twice
-// (forward activations and backward error signals). Only the grids matter —
-// the weight split does not change the activation layout.
-func ShuffleCost(m perfmodel.Machine, sh nn.Shape, n int, from, to dist.Grid) float64 {
-	if from.Norm() == to.Norm() {
-		return 0
+// inShape is layer i's input shape: its first parent's output, or its own
+// shape for the input layer.
+func inShape(arch *nn.Arch, shapes []nn.Shape, i int) nn.Shape {
+	if ps := arch.Specs[i].Parents; len(ps) > 0 {
+		return shapes[ps[0]]
 	}
-	src := dist.Dist{Grid: from, N: n, C: sh.C, H: sh.H, W: sh.W}
-	dst := dist.Dist{Grid: to, N: n, C: sh.C, H: sh.H, W: sh.W}
-	if src.Validate() != nil || dst.Validate() != nil {
-		return inf
-	}
-	maxWords := 0
-	for r := 0; r < from.Size(); r++ {
-		if w := core.ShuffleVolume(src, dst, r); w > maxWords {
-			maxWords = w
-		}
-	}
-	spans := from.Size() > m.GPUsPerNode
-	return 2 * m.AllToAll(maxWords, from.Size(), spans)
+	return shapes[i]
 }
 
 const inf = 1e30
 
 // Optimize finds a good per-layer strategy for arch on p processors with
-// global batch n. Line networks are solved exactly by shortest path; branchy
-// networks use the longest-path-first heuristic of Section V-C. The
-// returned cost is the sum of layer costs and shuffle costs (an upper-bound
-// proxy for the overlapped execution the runtime performs).
+// global batch n, using the longest-path-first heuristic of Section V-C:
+// find the most expensive source-to-sink path, solve it exactly by
+// shortest path (respecting layers already fixed), pin its placements,
+// and repeat until every layer is assigned. A line network is one path,
+// so it is solved exactly. The returned Cost is perfmodel.Evaluate's
+// modeled mini-batch time for the returned placements.
 func Optimize(m perfmodel.Machine, arch *nn.Arch, p, n int) (Strategy, error) {
 	shapes, err := arch.Shapes()
 	if err != nil {
 		return Strategy{}, err
 	}
+	cands := make([][]dist.Placement, len(arch.Specs))
+	for i, s := range arch.Specs {
+		c := PlacementCandidates(p, n, s, inShape(arch, shapes, i))
+		if len(c) == 0 {
+			return Strategy{}, fmt.Errorf("strategy: no feasible distribution for layer %d (%s)", i, s.Name)
+		}
+		cands[i] = c
+	}
+	pls := assign(m, arch, shapes, cands, n)
+	nc, err := perfmodel.Evaluate(m, arch, pls, n, perfmodel.DefaultOptions())
+	if err != nil {
+		return Strategy{}, err
+	}
+	return Strategy{Placements: pls, Cost: nc.MiniBatchTime}, nil
+}
+
+// assign applies the longest-path-first heuristic and returns one
+// placement per layer.
+func assign(m perfmodel.Machine, arch *nn.Arch, shapes []nn.Shape, cands [][]dist.Placement, n int) []dist.Placement {
 	L := len(arch.Specs)
 	children := make([][]int, L)
 	for i, s := range arch.Specs {
@@ -179,114 +168,13 @@ func Optimize(m perfmodel.Machine, arch *nn.Arch, p, n int) (Strategy, error) {
 			children[par] = append(children[par], i)
 		}
 	}
-	isLine := true
-	for i := 0; i < L; i++ {
-		if len(children[i]) > 1 || len(arch.Specs[i].Parents) > 1 {
-			isLine = false
-			break
-		}
-	}
-
-	cands := make([][]dist.Placement, L)
-	for i, s := range arch.Specs {
-		sh := shapes[i]
-		if len(s.Parents) > 0 {
-			sh = shapes[s.Parents[0]]
-		}
-		c := PlacementCandidates(p, n, s, sh)
-		if len(c) == 0 {
-			return Strategy{}, fmt.Errorf("strategy: no feasible distribution for layer %d (%s)", i, s.Name)
-		}
-		cands[i] = c
-	}
-
-	if isLine {
-		pls, cost := solveLine(m, arch, shapes, cands, n, nil)
-		return Strategy{Placements: pls, Cost: cost}, nil
-	}
-	return optimizeBranchy(m, arch, shapes, cands, children, p, n)
-}
-
-// solveLine runs the shortest-path DP over a line network. fixed, if
-// non-nil, pins some layers to a specific placement (used by the branchy
-// heuristic); pinned layers get that single candidate.
-func solveLine(m perfmodel.Machine, arch *nn.Arch, shapes []nn.Shape, cands [][]dist.Placement, n int, fixed []*dist.Placement) ([]dist.Placement, float64) {
-	L := len(arch.Specs)
-	candOf := func(i int) []dist.Placement {
-		if fixed != nil && fixed[i] != nil {
-			return []dist.Placement{*fixed[i]}
-		}
-		return cands[i]
-	}
-	// dp[i][k]: cost of the best assignment of layers 0..i with layer i
-	// using candidate k; edges carry the shuffle between i-1 and i.
-	dp := make([][]float64, L)
-	choice := make([][]int, L)
-	for i := 0; i < L; i++ {
-		cs := candOf(i)
-		dp[i] = make([]float64, len(cs))
-		choice[i] = make([]int, len(cs))
-		inSh := shapes[i]
-		if len(arch.Specs[i].Parents) > 0 {
-			inSh = shapes[arch.Specs[i].Parents[0]]
-		}
-		for k, pl := range cs {
-			lc := LayerCost(m, arch.Specs[i], inSh, n, pl)
-			if i == 0 {
-				dp[i][k] = lc
-				continue
-			}
-			best := inf
-			bestJ := 0
-			for j, ppl := range candOf(i - 1) {
-				// The tensor shuffled between the layers is layer i's input
-				// (= layer i-1's output).
-				c := dp[i-1][j] + ShuffleCost(m, inSh, n, ppl.Grid, pl.Grid)
-				if c < best {
-					best = c
-					bestJ = j
-				}
-			}
-			dp[i][k] = best + lc
-			choice[i][k] = bestJ
-		}
-	}
-	bestK, bestC := 0, inf
-	for k, c := range dp[L-1] {
-		if c < bestC {
-			bestC, bestK = c, k
-		}
-	}
-	pls := make([]dist.Placement, L)
-	k := bestK
-	for i := L - 1; i >= 0; i-- {
-		pls[i] = candOf(i)[k]
-		k = choice[i][k]
-	}
-	return pls, bestC
-}
-
-// optimizeBranchy applies the longest-path-first heuristic: find the most
-// expensive source-to-sink path, optimize it as a line (respecting any
-// already-fixed layers), pin its placements, and repeat on the next longest
-// path until every layer is assigned.
-func optimizeBranchy(m perfmodel.Machine, arch *nn.Arch, shapes []nn.Shape, cands [][]dist.Placement, children [][]int, p, n int) (Strategy, error) {
-	L := len(arch.Specs)
 	fixed := make([]*dist.Placement, L)
 	assigned := 0
 
+	// An unassigned layer weighs its cheapest-communication candidate's
+	// cost, plus an epsilon so ties prefer paths through more of them.
 	nodeWeight := func(i int) float64 {
-		inSh := shapes[i]
-		if len(arch.Specs[i].Parents) > 0 {
-			inSh = shapes[arch.Specs[i].Parents[0]]
-		}
-		// Weight by the cheapest candidate cost; unassigned layers count
-		// extra so paths through them are preferred.
-		w := LayerCost(m, arch.Specs[i], inSh, n, cands[i][0])
-		if fixed[i] == nil {
-			w += 1e-9
-		}
-		return w
+		return dpWeight(m, arch.Specs[i], inShape(arch, shapes, i), n, cands[i][0]) + 1e-9
 	}
 
 	for assigned < L {
@@ -322,7 +210,7 @@ func optimizeBranchy(m perfmodel.Machine, arch *nn.Arch, shapes []nn.Shape, cand
 		}
 		// Solve the path as a line; non-path neighbors contribute via their
 		// fixed placements where available (approximation).
-		pathPls, _ := solvePath(m, arch, shapes, cands, n, fixed, path)
+		pathPls := solvePath(m, arch, shapes, cands, n, fixed, path)
 		progressed := false
 		for idx, li := range path {
 			if fixed[li] == nil {
@@ -368,12 +256,14 @@ func optimizeBranchy(m perfmodel.Machine, arch *nn.Arch, shapes []nn.Shape, cand
 	for i := range pls {
 		pls[i] = *fixed[i]
 	}
-	return Strategy{Placements: pls, Cost: Evaluate(m, arch, shapes, pls, n)}, nil
+	return pls
 }
 
-// solvePath runs the line DP restricted to an explicit path of layer
-// indices.
-func solvePath(m perfmodel.Machine, arch *nn.Arch, shapes []nn.Shape, cands [][]dist.Placement, n int, fixed []*dist.Placement, path []int) ([]dist.Placement, float64) {
+// solvePath runs the shortest-path DP over an explicit path of layer
+// indices; layers already fixed get that single candidate. The edge into
+// a layer carries the shuffle of its input (the previous path layer's
+// output).
+func solvePath(m perfmodel.Machine, arch *nn.Arch, shapes []nn.Shape, cands [][]dist.Placement, n int, fixed []*dist.Placement, path []int) []dist.Placement {
 	P := len(path)
 	candOf := func(pi int) []dist.Placement {
 		li := path[pi]
@@ -389,19 +279,16 @@ func solvePath(m perfmodel.Machine, arch *nn.Arch, shapes []nn.Shape, cands [][]
 		cs := candOf(pi)
 		dp[pi] = make([]float64, len(cs))
 		choice[pi] = make([]int, len(cs))
-		inSh := shapes[li]
-		if len(arch.Specs[li].Parents) > 0 {
-			inSh = shapes[arch.Specs[li].Parents[0]]
-		}
+		inSh := inShape(arch, shapes, li)
 		for k, pl := range cs {
-			lc := LayerCost(m, arch.Specs[li], inSh, n, pl)
+			lc := dpWeight(m, arch.Specs[li], inSh, n, pl)
 			if pi == 0 {
 				dp[pi][k] = lc
 				continue
 			}
 			bestC, bestJ := inf, 0
 			for j, ppl := range candOf(pi - 1) {
-				c := dp[pi-1][j] + ShuffleCost(m, inSh, n, ppl.Grid, pl.Grid)
+				c := dp[pi-1][j] + m.ShuffleCost(inSh, n, ppl.Grid, pl.Grid)
 				if c < bestC {
 					bestC, bestJ = c, j
 				}
@@ -422,23 +309,7 @@ func solvePath(m perfmodel.Machine, arch *nn.Arch, shapes []nn.Shape, cands [][]
 		out[pi] = candOf(pi)[k]
 		k = choice[pi][k]
 	}
-	return out, bestC
-}
-
-// Evaluate sums layer costs and shuffle costs of a complete assignment.
-func Evaluate(m perfmodel.Machine, arch *nn.Arch, shapes []nn.Shape, pls []dist.Placement, n int) float64 {
-	total := 0.0
-	for i, s := range arch.Specs {
-		inSh := shapes[i]
-		if len(s.Parents) > 0 {
-			inSh = shapes[s.Parents[0]]
-		}
-		total += LayerCost(m, s, inSh, n, pls[i])
-		for _, par := range s.Parents {
-			total += ShuffleCost(m, inSh, n, pls[par].Grid, pls[i].Grid)
-		}
-	}
-	return total
+	return out
 }
 
 // BestUniform evaluates every candidate grid applied uniformly to the whole

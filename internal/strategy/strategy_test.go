@@ -49,10 +49,10 @@ func TestCandidatesRespectShapeLimits(t *testing.T) {
 func TestShuffleCostZeroForSameGrid(t *testing.T) {
 	m := perfmodel.Lassen()
 	g := dist.Grid{PN: 2, PH: 2, PW: 1}
-	if c := ShuffleCost(m, nn.Shape{C: 8, H: 32, W: 32}, 4, g, g); c != 0 {
+	if c := m.ShuffleCost(nn.Shape{C: 8, H: 32, W: 32}, 4, g, g); c != 0 {
 		t.Fatalf("same-grid shuffle cost = %g, want 0", c)
 	}
-	c := ShuffleCost(m, nn.Shape{C: 8, H: 32, W: 32}, 4, g, dist.Grid{PN: 4, PH: 1, PW: 1})
+	c := m.ShuffleCost(nn.Shape{C: 8, H: 32, W: 32}, 4, g, dist.Grid{PN: 4, PH: 1, PW: 1})
 	if c <= 0 {
 		t.Fatal("cross-grid shuffle must cost time")
 	}
@@ -66,6 +66,33 @@ func lineArch() *nn.Arch {
 	c = b.Conv("c3", c, 32, dist.ConvGeom{K: 3, S: 2, Pad: 1}, false)
 	b.Conv("c4", c, 8, dist.ConvGeom{K: 1, S: 1, Pad: 0}, false)
 	return b.MustBuild()
+}
+
+// Uniform returns a strategy using grid g (replicated weights) for every
+// layer.
+func Uniform(arch *nn.Arch, g dist.Grid) Strategy {
+	pls := make([]dist.Placement, len(arch.Specs))
+	for i := range pls {
+		pls[i] = dist.P(g)
+	}
+	return Strategy{Placements: pls}
+}
+
+// objective is the DP's additive objective for a complete assignment: the
+// sum of dpWeight and of the shuffles from each layer's parents, in layer
+// order. It is bitwise the sum the DP tests below compared before
+// Optimize reported perfmodel.Evaluate instead.
+func objective(m perfmodel.Machine, arch *nn.Arch, pls []dist.Placement, n int) float64 {
+	shapes, _ := arch.Shapes()
+	total := 0.0
+	for i, s := range arch.Specs {
+		in := inShape(arch, shapes, i)
+		total += dpWeight(m, s, in, n, pls[i])
+		for _, par := range s.Parents {
+			total += m.ShuffleCost(in, n, pls[par].Grid, pls[i].Grid)
+		}
+	}
+	return total
 }
 
 func TestOptimizeLineMatchesBruteForce(t *testing.T) {
@@ -104,9 +131,9 @@ func TestOptimizeLineMatchesBruteForce(t *testing.T) {
 			inSh = shapes[arch.Specs[i].Parents[0]]
 		}
 		for _, pl := range cands[i] {
-			c := LayerCost(m, arch.Specs[i], inSh, n, pl)
+			c := dpWeight(m, arch.Specs[i], inSh, n, pl)
 			if i > 0 {
-				c += ShuffleCost(m, inSh, n, pls[i-1].Grid, pl.Grid)
+				c += m.ShuffleCost(inSh, n, pls[i-1].Grid, pl.Grid)
 			}
 			pls[i] = pl
 			rec(i+1, pls, acc+c)
@@ -114,8 +141,8 @@ func TestOptimizeLineMatchesBruteForce(t *testing.T) {
 	}
 	rec(0, make([]dist.Placement, len(arch.Specs)), 0)
 
-	if diff := st.Cost - best; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("DP cost %g != brute force optimum %g", st.Cost, best)
+	if diff := objective(m, arch, st.Placements, n) - best; diff > 1e-9 || diff < -1e-9 {
+		t.Fatalf("DP cost %g != brute force optimum %g", objective(m, arch, st.Placements, n), best)
 	}
 }
 
@@ -128,11 +155,12 @@ func TestOptimizeStrategyNoWorseThanUniform(t *testing.T) {
 		t.Fatal(err)
 	}
 	shapes, _ := arch.Shapes()
+	opt := objective(m, arch, st.Placements, n)
 	for _, g := range Candidates(p, n, shapes[0]) {
 		u := Uniform(arch, g)
-		cost := Evaluate(m, arch, shapes, u.Placements, n)
-		if st.Cost > cost+1e-12 {
-			t.Fatalf("optimized cost %g worse than uniform %v at %g", st.Cost, g, cost)
+		cost := objective(m, arch, u.Placements, n)
+		if opt > cost+1e-12 {
+			t.Fatalf("optimized cost %g worse than uniform %v at %g", opt, g, cost)
 		}
 	}
 }
@@ -249,8 +277,9 @@ func TestPlacementCandidatesIncludeChannelSplits(t *testing.T) {
 // convolutions over a tiny spatial domain with wide channels) the weight
 // gradient dwarfs the activations, so a channel/filter split — which
 // shards the weights and trades the big gradient allreduce for a small
-// activation collective — must beat pure sample parallelism under the
-// model. This is exactly the strong-scaling regime Section III-D targets.
+// activation collective — must beat pure sample parallelism under the DP
+// objective. This is exactly the strong-scaling regime Section III-D
+// targets.
 func TestOptimizeSelectsChannelSplitForFCHeavy(t *testing.T) {
 	m := perfmodel.Lassen()
 	g := dist.ConvGeom{K: 1, S: 1, Pad: 0}
@@ -274,10 +303,9 @@ func TestOptimizeSelectsChannelSplitForFCHeavy(t *testing.T) {
 		t.Fatalf("optimizer chose no channel/filter splits for the FC-heavy stack: %v", st.Placements)
 	}
 	// And the uniform sample-parallel assignment must really be worse.
-	shapes, _ := arch.Shapes()
 	sample := Uniform(arch, dist.Grid{PN: 4, PH: 1, PW: 1})
-	if uc := Evaluate(m, arch, shapes, sample.Placements, 4); st.Cost >= uc {
-		t.Fatalf("channel-split strategy cost %g not better than sample-parallel %g", st.Cost, uc)
+	if oc, uc := objective(m, arch, st.Placements, 4), objective(m, arch, sample.Placements, 4); oc >= uc {
+		t.Fatalf("channel-split strategy cost %g not better than sample-parallel %g", oc, uc)
 	}
 }
 
@@ -326,6 +354,26 @@ func TestOptimizeEmitsInstantiablePlacements(t *testing.T) {
 					t.Errorf("%s p=%d n=%d layer %d (%s): %v splits F=%d too finely", tc.arch.Name, tc.p, tc.n, i, spec.Name, pl, spec.F)
 				}
 			}
+		}
+	}
+}
+
+// TestOptimizeCostIsEvaluate: the cost Optimize reports is exactly the
+// performance model's modeled mini-batch time for the placements it
+// returns — the number BestUniform and the paper tables report.
+func TestOptimizeCostIsEvaluate(t *testing.T) {
+	m := perfmodel.Lassen()
+	for _, c := range goldenCases(testing.Short()) {
+		st, err := Optimize(m, c.arch, c.p, c.n)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		nc, err := perfmodel.Evaluate(m, c.arch, st.Placements, c.n, perfmodel.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if st.Cost != nc.MiniBatchTime {
+			t.Errorf("%s: Optimize cost %g, Evaluate %g", c.name, st.Cost, nc.MiniBatchTime)
 		}
 	}
 }
