@@ -204,8 +204,15 @@ func TestDistMaxPool(t *testing.T) {
 			yOut := make([]DistTensor, g.Size())
 			dxOut := make([]DistTensor, g.Size())
 			var mu sync.Mutex
+			// A first step on other data leaves the layer's buffers dirty;
+			// the second must not see it.
+			x0 := tensor.New(n, c, h, wd)
+			x0.FillRandN(13, 1)
+			x0Shards := Scatter(x0, inD)
 			runDistributed(g, func(ctx *Ctx) {
-				l := NewMaxPool(ctx, inD, geom)
+				l := NewMaxPool(ctx, inD, geom, false)
+				l.Forward(ctx, x0Shards[ctx.Rank])
+				l.Backward(ctx, dyShards[ctx.Rank])
 				y := l.Forward(ctx, xShards[ctx.Rank])
 				dx := l.Backward(ctx, dyShards[ctx.Rank])
 				mu.Lock()
@@ -336,7 +343,7 @@ func TestDistGlobalAvgPool(t *testing.T) {
 		results := make([]DistTensor, g.Size())
 		dxOut := make([]DistTensor, g.Size())
 		runDistributed(g, func(ctx *Ctx) {
-			l := NewGlobalAvgPool(ctx, d)
+			l := NewGlobalAvgPool(ctx, d, false)
 			y := l.Forward(ctx, xShards[ctx.Rank])
 			// Backward with dy = y (arbitrary values, replicated in group).
 			dx := l.Backward(ctx, y)

@@ -131,19 +131,11 @@ func (p *HaloPlan) fillOwned(ext Ext, local *tensor.Tensor) {
 		local.Data())
 }
 
-// Run executes the forward 2-phase exchange: given the local shard, it
-// returns the halo-extended buffer with all remote halo regions filled.
-// tag must be unique per concurrently outstanding exchange on the context.
-func (p *HaloPlan) Run(ctx *Ctx, local *tensor.Tensor, tag int) Ext {
-	ext := p.NewExt()
-	p.fillOwned(ext, local)
-	p.RunInto(ctx, local, ext, tag)
-	return ext
-}
-
-// RunInto performs the exchange into a pre-filled ext buffer (owned region
-// already populated). Split from Run so the overlapped convolution path can
-// run it off the critical path while computing the interior. Transfer
+// RunInto executes the forward 2-phase exchange into an ext buffer whose
+// owned region fillOwned has already populated, filling every remote halo
+// region. tag must be unique per concurrently outstanding exchange on the
+// context. The overlapped convolution path runs it off the critical path
+// while computing the interior. Transfer
 // fragments stage through the comm message pool in both directions, so a
 // warm exchange allocates nothing.
 func (p *HaloPlan) RunInto(ctx *Ctx, local *tensor.Tensor, ext Ext, tag int) {
@@ -242,13 +234,14 @@ func (p *HaloPlan) RunReverse(ctx *Ctx, ext Ext, local *tensor.Tensor, tag int) 
 		}, buf)
 		cm.Release(buf)
 	}
-	// Extract the accumulated owned region into the local shard.
-	local.InsertRegion(
+	// Copy the accumulated owned region into the local shard.
+	local.CopyRegion(
 		tensor.Region{Off: []int{0, 0, 0, 0}, Size: []int{p.nLoc, p.c, p.ownH.Len(), p.ownW.Len()}},
-		ext.T.ExtractRegion(tensor.Region{
+		ext.T,
+		tensor.Region{
 			Off:  []int{0, 0, p.ownH.Lo - ext.HLo, p.ownW.Lo - ext.WLo},
 			Size: []int{p.nLoc, p.c, p.ownH.Len(), p.ownW.Len()},
-		}))
+		})
 }
 
 // forwardPlan builds the halo plan for the input of a convolution/pooling

@@ -149,18 +149,26 @@ func TestChannelParallelConvInferenceDeterministic(t *testing.T) {
 func TestInferenceBackwardPanics(t *testing.T) {
 	g := dist.Grid{PN: 1, PH: 1, PW: 1}
 	d := dist.Dist{Grid: g, N: 1, C: 2, H: 4, W: 4}
+	geom := dist.ConvGeom{K: 3, S: 1, Pad: 1}
 	runDistributed(g, func(ctx *Ctx) {
-		l := NewPlacedConv(ctx, d, 2, dist.ConvGeom{K: 3, S: 1, Pad: 1}, true, dist.SplitNone, true)
-		if l.DW != nil || l.DBias != nil {
+		cv := NewPlacedConv(ctx, d, 2, geom, true, dist.SplitNone, true)
+		if cv.DW != nil || cv.DBias != nil {
 			t.Error("forward-only conv allocated gradient buffers")
 		}
 		x := NewDistTensor(d, ctx.Rank)
-		y := l.Forward(ctx, x)
-		defer func() {
-			if recover() == nil {
-				t.Error("Backward on a forward-only conv did not panic")
-			}
-		}()
-		l.Backward(ctx, y)
+		for _, l := range []interface {
+			Forward(*Ctx, DistTensor) DistTensor
+			Backward(*Ctx, DistTensor) DistTensor
+		}{cv, NewMaxPool(ctx, d, geom, true), NewGlobalAvgPool(ctx, d, true), NewBatchNormInference(ctx, d)} {
+			y := l.Forward(ctx, x)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("Backward on a forward-only %T did not panic", l)
+					}
+				}()
+				l.Backward(ctx, y)
+			}()
+		}
 	})
 }

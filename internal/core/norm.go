@@ -25,7 +25,8 @@ const (
 )
 
 // BatchNorm is a distributed batch normalization layer with learnable scale
-// (gamma) and shift (beta).
+// (gamma) and shift (beta). Its output and error signal are owned by the
+// layer, allocated on first use and overwritten by the next step.
 type BatchNorm struct {
 	Dist dist.Dist
 	Mode BatchNormMode
@@ -46,10 +47,9 @@ type BatchNorm struct {
 
 	// inference marks a forward-only layer (NewBatchNormInference): Forward
 	// normalizes with the running statistics (no aggregation, no stash) and
-	// Backward panics. y is its preallocated output shard, reused across
-	// calls so warm serving forwards allocate nothing.
+	// Backward panics.
 	inference bool
-	y         DistTensor
+	y, dx     DistTensor
 
 	// Step-persistent scratch: the stats and backward-sums buffers are owned
 	// by the layer and reused across training steps, so a warm step
@@ -78,14 +78,11 @@ func NewBatchNorm(ctx *Ctx, d dist.Dist, mode BatchNormMode) *BatchNorm {
 // cross-rank statistics aggregation, no gradient buffers, no stashed input.
 // Under a channel-split grid the layer holds gamma/beta and the running
 // statistics only for this rank's channel block, exactly like NewBatchNorm.
-// The output shard is preallocated and reused across calls (serving
-// forwards are zero-alloc warm); it is overwritten by the next Forward.
 // Backward panics; weights and running statistics are still exported, so a
 // trained checkpoint restores into it unchanged.
 func NewBatchNormInference(ctx *Ctx, d dist.Dist) *BatchNorm {
 	l := newBatchNorm(d, BatchNormGlobal, d.RangeC(ctx.Rank).Len())
 	l.inference = true
-	l.y = NewDistTensor(d, ctx.Rank)
 	return l
 }
 
@@ -110,11 +107,13 @@ func (l *BatchNorm) Forward(ctx *Ctx, x DistTensor) DistTensor {
 	if !x.Dist.SameLayout(l.Dist) {
 		panic(fmt.Sprintf("core: batchnorm input dist %v, want %v", x.Dist, l.Dist))
 	}
+	if l.y.Local == nil {
+		l.y = NewDistTensor(l.Dist, ctx.Rank)
+	}
 	if l.inference {
 		// Running statistics are replicated within the channel block, so no
 		// aggregation is needed and nothing is stashed for a backward pass
-		// that will never come. The persistent output shard is overwritten
-		// by the next call.
+		// that will never come.
 		kernels.BatchNormInference(x.Local, l.RunMean, l.RunVar, l.Gamma, l.Beta, l.Eps, l.y.Local)
 		return l.y
 	}
@@ -135,10 +134,9 @@ func (l *BatchNorm) Forward(ctx *Ctx, x DistTensor) DistTensor {
 		l.RunMean[ci] = l.Momentum*l.RunMean[ci] + (1-l.Momentum)*m
 		l.RunVar[ci] = l.Momentum*l.RunVar[ci] + (1-l.Momentum)*v
 	}
-	y := NewDistTensor(l.Dist, ctx.Rank)
-	kernels.BatchNormForward(x.Local, l.mean, l.invstd, l.Gamma, l.Beta, y.Local)
+	kernels.BatchNormForward(x.Local, l.mean, l.invstd, l.Gamma, l.Beta, l.y.Local)
 	l.x = x.Local
-	return y
+	return l.y
 }
 
 // Backward computes dgamma/dbeta (reduced over the statistics group — they
@@ -164,18 +162,23 @@ func (l *BatchNorm) Backward(ctx *Ctx, dy DistTensor) DistTensor {
 	}
 	copy(l.DGamma, sums[:c])
 	copy(l.DBeta, sums[c:])
-	dx := NewDistTensor(l.Dist, ctx.Rank)
+	if l.dx.Local == nil {
+		l.dx = NewDistTensor(l.Dist, ctx.Rank)
+	}
 	kernels.BatchNormBackwardData(l.x, dy.Local, l.mean, l.invstd, l.Gamma,
-		l.DGamma, l.DBeta, l.count, dx.Local)
+		l.DGamma, l.DBeta, l.count, l.dx.Local)
 	l.x = nil
-	return dx
+	return l.dx
 }
 
 // ReLU is a distributed rectified linear unit; elementwise, so it
-// parallelizes trivially regardless of distribution (Section III-B).
+// parallelizes trivially regardless of distribution (Section III-B). Its
+// output and error signal are owned by the layer, allocated on first use
+// and overwritten by the next step.
 type ReLU struct {
-	Dist dist.Dist
-	x    *tensor.Tensor
+	Dist  dist.Dist
+	x     *tensor.Tensor
+	y, dx DistTensor
 }
 
 // NewReLU constructs the layer.
@@ -183,23 +186,31 @@ func NewReLU(d dist.Dist) *ReLU { return &ReLU{Dist: d} }
 
 // Forward applies max(0, x) to the local shard.
 func (l *ReLU) Forward(ctx *Ctx, x DistTensor) DistTensor {
-	y := NewDistTensor(l.Dist, ctx.Rank)
-	kernels.ReLUForward(x.Local, y.Local)
+	if l.y.Local == nil {
+		l.y = NewDistTensor(l.Dist, ctx.Rank)
+	}
+	kernels.ReLUForward(x.Local, l.y.Local)
 	l.x = x.Local
-	return y
+	return l.y
 }
 
 // Backward masks the error signal by the forward sign pattern.
 func (l *ReLU) Backward(ctx *Ctx, dy DistTensor) DistTensor {
-	dx := NewDistTensor(l.Dist, ctx.Rank)
-	kernels.ReLUBackward(l.x, dy.Local, dx.Local)
+	if l.dx.Local == nil {
+		l.dx = NewDistTensor(l.Dist, ctx.Rank)
+	}
+	kernels.ReLUBackward(l.x, dy.Local, l.dx.Local)
 	l.x = nil
-	return dx
+	return l.dx
 }
 
-// Add is the elementwise sum joining residual branches.
+// Add is the elementwise sum joining residual branches. Its output and the
+// two error signals are owned by the layer, allocated on first use and
+// overwritten by the next step; the error signals are distinct buffers, so
+// a caller may accumulate into either.
 type Add struct {
-	Dist dist.Dist
+	Dist        dist.Dist
+	out, da, db DistTensor
 }
 
 // NewAdd constructs the layer.
@@ -207,16 +218,20 @@ func NewAdd(d dist.Dist) *Add { return &Add{Dist: d} }
 
 // Forward computes a + b on local shards (distributions must match).
 func (l *Add) Forward(ctx *Ctx, a, b DistTensor) DistTensor {
-	out := NewDistTensor(l.Dist, ctx.Rank)
-	kernels.Add(a.Local, b.Local, out.Local)
-	return out
+	if l.out.Local == nil {
+		l.out = NewDistTensor(l.Dist, ctx.Rank)
+	}
+	kernels.Add(a.Local, b.Local, l.out.Local)
+	return l.out
 }
 
 // Backward passes dy to both branches unchanged.
 func (l *Add) Backward(ctx *Ctx, dy DistTensor) (DistTensor, DistTensor) {
-	a := NewDistTensor(l.Dist, ctx.Rank)
-	copy(a.Local.Data(), dy.Local.Data())
-	b := NewDistTensor(l.Dist, ctx.Rank)
-	copy(b.Local.Data(), dy.Local.Data())
-	return a, b
+	if l.da.Local == nil {
+		l.da = NewDistTensor(l.Dist, ctx.Rank)
+		l.db = NewDistTensor(l.Dist, ctx.Rank)
+	}
+	copy(l.da.Local.Data(), dy.Local.Data())
+	copy(l.db.Local.Data(), dy.Local.Data())
+	return l.da, l.db
 }

@@ -6,72 +6,102 @@ import (
 	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/kernels"
-	"repro/internal/tensor"
 )
 
-// MaxPool is a distributed max-pooling layer. Forward needs the same halo
-// exchange as convolution; backward scatters through the recorded argmax
-// positions into the halo-extended buffer and reverse-exchanges boundary
-// contributions back to their owners.
+// MaxPool is a distributed max-pooling layer. On a grid that splits H or W,
+// Forward needs the same halo exchange as convolution, and backward scatters
+// through the recorded argmax positions into the halo-extended buffer and
+// reverse-exchanges boundary contributions back to their owners; otherwise
+// it pools and scatters the local shard directly.
+//
+// A forward-only layer records no argmax, so it runs the kernel's inference
+// fast path, and needs whole spatial dimensions; its Backward panics. The
+// output, error signal and halo buffer are owned by the layer, allocated on
+// first use and overwritten by the next step.
 type MaxPool struct {
 	Geom    dist.ConvGeom
 	InDist  dist.Dist
 	OutDist dist.Dist
 
-	fwdPlan *HaloPlan
-	tag     int
+	forwardOnly bool
+	fwdPlan     *HaloPlan // nil unless the grid splits H or W
+	tag         int
 
 	argmax []int32
-	extGeo Ext // geometry (not data) of the forward ext buffer
+	y, dx  DistTensor
+	// ext is the halo-extended input in Forward, then Backward's scatter
+	// target.
+	ext Ext
 }
 
 // NewMaxPool constructs a distributed max-pooling layer.
-func NewMaxPool(ctx *Ctx, inDist dist.Dist, geom dist.ConvGeom) *MaxPool {
+func NewMaxPool(ctx *Ctx, inDist dist.Dist, geom dist.ConvGeom, forwardOnly bool) *MaxPool {
 	outH, outW := geom.OutSize(inDist.H), geom.OutSize(inDist.W)
-	if outH < inDist.Grid.PH || outW < inDist.Grid.PW {
+	halo := inDist.Grid.SpatialWays() > 1
+	switch {
+	case outH < inDist.Grid.PH || outW < inDist.Grid.PW:
 		panic(fmt.Sprintf("core: pool output %dx%d too small for grid %v", outH, outW, inDist.Grid))
+	case forwardOnly && halo:
+		panic(fmt.Sprintf("core: forward-only pool requires whole spatial dimensions, got grid %v", inDist.Grid))
 	}
 	l := &MaxPool{
-		Geom:    geom,
-		InDist:  inDist,
-		OutDist: dist.Dist{Grid: inDist.Grid, N: inDist.N, C: inDist.C, H: outH, W: outW},
-		tag:     ctx.AllocTags(4),
+		Geom:        geom,
+		InDist:      inDist,
+		OutDist:     dist.Dist{Grid: inDist.Grid, N: inDist.N, C: inDist.C, H: outH, W: outW},
+		forwardOnly: forwardOnly,
+		tag:         ctx.AllocTags(4),
 	}
-	l.fwdPlan = forwardPlan(inDist, ctx.Rank, geom, outH, outW)
+	if halo {
+		l.fwdPlan = forwardPlan(inDist, ctx.Rank, geom, outH, outW)
+	}
 	return l
 }
 
-// Forward computes the local pooled shard.
+// Forward returns the local pooled shard, which the layer owns.
 func (l *MaxPool) Forward(ctx *Ctx, x DistTensor) DistTensor {
 	if !x.Dist.SameLayout(l.InDist) {
 		panic(fmt.Sprintf("core: pool input dist %v, want %v", x.Dist, l.InDist))
 	}
-	ext := l.fwdPlan.Run(ctx, x.Local, l.tag)
-	y := NewDistTensor(l.OutDist, ctx.Rank)
-	l.argmax = make([]int32, y.Local.Size())
+	if l.y.Local == nil {
+		l.y = NewDistTensor(l.OutDist, ctx.Rank)
+		if !l.forwardOnly {
+			l.argmax = make([]int32, l.y.Local.Size())
+		}
+	}
+	g := l.Geom
+	if l.fwdPlan == nil {
+		kernels.MaxPoolForward(x.Local, l.y.Local, g.K, g.S, g.Pad, l.argmax)
+		return l.y
+	}
+	if l.ext.T == nil {
+		l.ext = l.fwdPlan.NewExt()
+	}
+	l.fwdPlan.fillOwned(l.ext, x.Local)
+	l.fwdPlan.RunInto(ctx, x.Local, l.ext, l.tag)
 	outH := l.OutDist.RangeH(ctx.Rank)
 	outW := l.OutDist.RangeW(ctx.Rank)
-	kernels.MaxPoolForwardRegion(ext.T, y.Local, l.Geom.K, l.Geom.S, l.Geom.Pad,
-		ext.HLo, ext.WLo, outH.Lo, outW.Lo, l.InDist.H, l.InDist.W, l.argmax)
-	l.extGeo = Ext{T: nil, HLo: ext.HLo, WLo: ext.WLo}
-	l.extGeo.T = tensor.New(ext.T.Shape()...) // reuse as the scatter target
-	return y
+	kernels.MaxPoolForwardRegion(l.ext.T, l.y.Local, g.K, g.S, g.Pad,
+		l.ext.HLo, l.ext.WLo, outH.Lo, outW.Lo, l.InDist.H, l.InDist.W, l.argmax)
+	return l.y
 }
 
-// Backward scatters dy through the argmax indices and reverse-exchanges
-// boundary contributions (windows spanning a partition boundary scatter into
-// halo cells owned by a neighbor).
+// Backward scatters dy through the argmax indices, and on a spatially
+// split grid reverse-exchanges boundary contributions (windows spanning a
+// partition boundary scatter into halo cells owned by a neighbor).
 func (l *MaxPool) Backward(ctx *Ctx, dy DistTensor) DistTensor {
-	if l.argmax == nil {
-		panic("core: pool Backward called before Forward")
+	if l.forwardOnly {
+		panic("core: Backward on a forward-only MaxPool")
 	}
-	dxExt := l.extGeo
-	kernels.MaxPoolBackward(dy.Local, l.argmax, dxExt.T)
-	dx := NewDistTensor(l.InDist, ctx.Rank)
-	l.fwdPlan.RunReverse(ctx, dxExt, dx.Local, l.tag+2)
-	l.argmax = nil
-	l.extGeo = Ext{}
-	return dx
+	if l.dx.Local == nil {
+		l.dx = NewDistTensor(l.InDist, ctx.Rank)
+	}
+	if l.fwdPlan == nil {
+		kernels.MaxPoolBackward(dy.Local, l.argmax, l.dx.Local)
+		return l.dx
+	}
+	kernels.MaxPoolBackward(dy.Local, l.argmax, l.ext.T)
+	l.fwdPlan.RunReverse(ctx, l.ext, l.dx.Local, l.tag+2)
+	return l.dx
 }
 
 // GlobalAvgPool averages each channel's full spatial plane: x [N,C,H,W] ->
@@ -79,26 +109,50 @@ func (l *MaxPool) Backward(ctx *Ctx, dy DistTensor) DistTensor {
 // allreduce over the spatial group completes the sum; the result is
 // replicated within the group, so the output distribution collapses the
 // spatial grid dimensions.
+//
+// Training sums each plane in float64 and scales after the reduction. A
+// forward-only layer runs kernels.GlobalAvgPoolForward, the float32 sum
+// and divide the inference engines share, and needs whole spatial
+// dimensions; its Backward panics. The output, sums and error signal are
+// owned by the layer, allocated on first use and overwritten by the next
+// step.
 type GlobalAvgPool struct {
 	InDist  dist.Dist
 	OutDist dist.Dist
+
+	forwardOnly bool
+	sums        []float32
+	y, dx       DistTensor
 }
 
 // NewGlobalAvgPool constructs the layer. The output is distributed over a
 // degenerate spatial grid (PH=PW=1) replicated across this rank's spatial
 // group: every rank of the group holds the same [nLoc, C, 1, 1] tensor.
-func NewGlobalAvgPool(ctx *Ctx, inDist dist.Dist) *GlobalAvgPool {
+func NewGlobalAvgPool(ctx *Ctx, inDist dist.Dist, forwardOnly bool) *GlobalAvgPool {
+	if forwardOnly && inDist.Grid.SpatialWays() > 1 {
+		panic(fmt.Sprintf("core: forward-only global pool requires whole spatial dimensions, got grid %v", inDist.Grid))
+	}
 	out := dist.Dist{Grid: inDist.Grid, N: inDist.N, C: inDist.C, H: inDist.Grid.PH, W: inDist.Grid.PW}
-	return &GlobalAvgPool{InDist: inDist, OutDist: out}
+	return &GlobalAvgPool{InDist: inDist, OutDist: out, forwardOnly: forwardOnly}
 }
 
 // Forward computes the per-channel spatial mean. The OutDist trick: global
 // output extent equals the grid extents, so every rank owns exactly a 1x1
 // block and holds the replicated mean there.
 func (l *GlobalAvgPool) Forward(ctx *Ctx, x DistTensor) DistTensor {
+	if l.y.Local == nil {
+		l.y = NewDistTensor(l.OutDist, ctx.Rank)
+	}
+	if l.forwardOnly {
+		kernels.GlobalAvgPoolForward(x.Local, l.y.Local)
+		return l.y
+	}
 	nLoc := x.Local.Dim(0)
 	c := x.Local.Dim(1)
-	sums := make([]float32, nLoc*c)
+	if l.sums == nil {
+		l.sums = make([]float32, nLoc*c)
+	}
+	sums := l.sums
 	xd := x.Local.Data()
 	plane := x.Local.Dim(2) * x.Local.Dim(3)
 	for i := 0; i < nLoc*c; i++ {
@@ -111,22 +165,26 @@ func (l *GlobalAvgPool) Forward(ctx *Ctx, x DistTensor) DistTensor {
 	if ctx.Spatial.Size() > 1 {
 		ctx.Spatial.Allreduce(sums, comm.OpSum)
 	}
-	y := NewDistTensor(l.OutDist, ctx.Rank)
 	scale := 1 / float32(l.InDist.H*l.InDist.W)
 	for i, s := range sums {
-		y.Local.Data()[i] = s * scale
+		l.y.Local.Data()[i] = s * scale
 	}
-	return y
+	return l.y
 }
 
 // Backward spreads dy/(H*W) uniformly over the local spatial shard.
 func (l *GlobalAvgPool) Backward(ctx *Ctx, dy DistTensor) DistTensor {
-	dx := NewDistTensor(l.InDist, ctx.Rank)
-	nLoc := dx.Local.Dim(0)
-	c := dx.Local.Dim(1)
-	plane := dx.Local.Dim(2) * dx.Local.Dim(3)
+	if l.forwardOnly {
+		panic("core: Backward on a forward-only GlobalAvgPool")
+	}
+	if l.dx.Local == nil {
+		l.dx = NewDistTensor(l.InDist, ctx.Rank)
+	}
+	nLoc := l.dx.Local.Dim(0)
+	c := l.dx.Local.Dim(1)
+	plane := l.dx.Local.Dim(2) * l.dx.Local.Dim(3)
 	scale := 1 / float32(l.InDist.H*l.InDist.W)
-	dxd := dx.Local.Data()
+	dxd := l.dx.Local.Data()
 	dyd := dy.Local.Data()
 	for i := 0; i < nLoc*c; i++ {
 		g := dyd[i] * scale
@@ -135,5 +193,5 @@ func (l *GlobalAvgPool) Backward(ctx *Ctx, dy DistTensor) DistTensor {
 			row[j] = g
 		}
 	}
-	return dx
+	return l.dx
 }

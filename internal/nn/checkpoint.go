@@ -9,10 +9,14 @@ import (
 // Checkpoint is the serialized form of a network's state. Params are the
 // learnable parameters; Buffers are the non-learnable state tensors that
 // inference nevertheless depends on (batch-normalization running statistics).
-// Gradients are transient and never travel. Both executors produce identical
-// checkpoints for the same logical network (parameters are replicated under
-// distribution), so a model trained distributed can be reloaded sequentially
-// — or into a forward-only InferNet for serving — and vice versa.
+// Gradients are transient and never travel. Checkpoints hold full tensors
+// under their layer names, so one written from a SeqNet or an InferNet
+// restores into either. A StrategyNet's Params are full tensors only where
+// its placements replicate them (every uniform sample/spatial grid, as
+// NewDistNet builds); under a channel or filter split they are this rank's
+// shards under the full names, so CaptureState over them builds a
+// checkpoint that LoadState rejects on length. DistInferNet slices a full
+// checkpoint into its shards instead (LoadCheckpoint).
 type Checkpoint struct {
 	Arch    string
 	Params  map[string][]float32

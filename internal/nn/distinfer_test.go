@@ -228,44 +228,46 @@ func TestDistInferChannelSplitDeterministic(t *testing.T) {
 	}
 }
 
-// A warm sharded forward must allocate nothing: all activations are
-// preallocated, collectives stage through the comm pool, and the output
-// gather reuses cached views.
+// A warm sharded forward must allocate nothing under either split: all
+// layers own their outputs, collectives stage through the comm pool, and
+// the output gather reuses cached views.
 func TestDistInferForwardZeroAllocsWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	const size, maxB = 8, 4
 	arch := servingArch(size, size)
-	pls := ShardedPlacements(arch, 2, dist.SplitFilter)
 	x := tensor.New(maxB, 3, size, size)
 	x.FillRandN(17, 1)
-	var got float64
-	var mu sync.Mutex
-	w := comm.NewWorld(2)
-	w.Run(func(c *comm.Comm) {
-		net, err := NewDistInferNet(c, arch, maxB, pls)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		for i := 0; i < 10; i++ {
-			net.Forward(x, maxB)
-		}
-		const runs = 20
-		if c.Rank() == 0 {
-			a := testing.AllocsPerRun(runs, func() { net.Forward(x, maxB) })
-			mu.Lock()
-			got = a
-			mu.Unlock()
-		} else {
-			for i := 0; i < runs+1; i++ {
+	for _, split := range []dist.Split{dist.SplitFilter, dist.SplitChannel} {
+		pls := ShardedPlacements(arch, 2, split)
+		var got float64
+		var mu sync.Mutex
+		w := comm.NewWorld(2)
+		w.Run(func(c *comm.Comm) {
+			net, err := NewDistInferNet(c, arch, maxB, pls)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < 10; i++ {
 				net.Forward(x, maxB)
 			}
+			const runs = 20
+			if c.Rank() == 0 {
+				a := testing.AllocsPerRun(runs, func() { net.Forward(x, maxB) })
+				mu.Lock()
+				got = a
+				mu.Unlock()
+			} else {
+				for i := 0; i < runs+1; i++ {
+					net.Forward(x, maxB)
+				}
+			}
+		})
+		if got != 0 {
+			t.Errorf("%v split: %v allocs per warm sharded forward, want 0", split, got)
 		}
-	})
-	if got != 0 {
-		t.Errorf("%v allocs per warm sharded forward, want 0", got)
 	}
 }
 

@@ -107,13 +107,25 @@ func TestLoadStateRejectsParamsOnlyCheckpoint(t *testing.T) {
 	}
 }
 
+// poolBNArch puts a batchnorm after a max pool and a ReLU after that
+// batchnorm, so InferNet runs both as standalone layers rather than fusing
+// them into a convolution.
+func poolBNArch(h, w int) *Arch {
+	b := NewBuilder("poolbntest", Shape{C: 3, H: h, W: w})
+	c := b.Conv("stem", b.Last(), 8, dist.ConvGeom{K: 3, S: 1, Pad: 1}, false)
+	p := b.MaxPool("pool", c, dist.ConvGeom{K: 2, S: 2, Pad: 0})
+	r := b.ReLU("pool_relu", b.BatchNorm("pool_bn", p))
+	c = b.Conv("cls", r, 4, dist.ConvGeom{K: 1, S: 1, Pad: 0}, true)
+	b.GlobalAvgPool("gap", c)
+	return b.MustBuild()
+}
+
 func TestInferNetMatchesSeqEval(t *testing.T) {
 	const n = 4
 	// 6x10 leaves a 3x5 plane for the global average pool: a non-square
 	// plane must be averaged whole, not over its leftmost square.
-	for _, hw := range [][2]int{{8, 8}, {6, 10}} {
-		h, w := hw[0], hw[1]
-		arch := servingArch(h, w)
+	for _, arch := range []*Arch{servingArch(8, 8), servingArch(6, 10), poolBNArch(8, 8)} {
+		h, w := arch.In.H, arch.In.W
 		seq, err := NewSeqNet(arch, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -140,7 +152,7 @@ func TestInferNetMatchesSeqEval(t *testing.T) {
 		// The engines lower convolutions differently (per-sample vs batched
 		// GEMM), so identity is numerical, not bitwise.
 		if d := got.RelDiff(want); d > 1e-5 {
-			t.Fatalf("%dx%d input: InferNet diverges from eval SeqNet: rel diff %g", h, w, d)
+			t.Fatalf("%s %dx%d input: InferNet diverges from eval SeqNet: rel diff %g", arch.Name, h, w, d)
 		}
 	}
 }

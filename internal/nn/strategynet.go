@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/obs"
 	"repro/internal/tensor"
 )
 
@@ -22,7 +23,9 @@ import (
 // communicator. The uniform case, one grid for every layer, is NewDistNet.
 //
 // Every rank constructs its own StrategyNet (collectively, in the same
-// order) and runs it SPMD-style.
+// order) and runs it SPMD-style. A forward-only StrategyNet (the body of a
+// DistInferNet) builds forward-only convolutions, pooling and inference
+// batch normalization, and holds no parameters or gradients.
 type StrategyNet struct {
 	Arch       *Arch
 	Placements []dist.Placement // per-layer placement (normalized)
@@ -43,6 +46,11 @@ type StrategyNet struct {
 	outs  []core.DistTensor
 	grads []core.DistTensor
 	world *core.Ctx // the caller's context: shuffles and gradient buckets run on world.C
+
+	// trace, when set, receives one span per layer of each Forward,
+	// stamped with traceID.
+	trace   *obs.Ring
+	traceID uint64
 }
 
 // layer is the Forward/Backward signature every core layer but Add shares.
@@ -110,6 +118,12 @@ func NewDistNet(ctx *core.Ctx, arch *Arch, n int, seed int64) (*StrategyNet, err
 // replicated He-initialized weight tensor, so any placement of the same
 // architecture starts from the same global parameters.
 func NewStrategyNet(base *core.Ctx, arch *Arch, n int, seed int64, placements []dist.Placement) (*StrategyNet, error) {
+	return newStrategyNet(base, arch, n, seed, placements, false)
+}
+
+// newStrategyNet is NewStrategyNet, building forward-only layers when
+// forwardOnly is set.
+func newStrategyNet(base *core.Ctx, arch *Arch, n int, seed int64, placements []dist.Placement, forwardOnly bool) (*StrategyNet, error) {
 	if len(placements) != len(arch.Specs) {
 		return nil, fmt.Errorf("nn: %d placements for %d layers", len(placements), len(arch.Specs))
 	}
@@ -173,9 +187,12 @@ func NewStrategyNet(base *core.Ctx, arch *Arch, n int, seed int64, placements []
 		switch s.Kind {
 		case KindInput:
 		case KindConv:
-			l := core.NewPlacedConv(ctx, inD, s.F, s.Geom, s.Bias, pl.Split, false)
+			l := core.NewPlacedConv(ctx, inD, s.F, s.Geom, s.Bias, pl.Split, forwardOnly)
 			initConv(l, seed+int64(i))
 			o.l, o.conv = l, l
+			if forwardOnly {
+				break
+			}
 			o.params = []Param{{Name: s.Name + ".w", W: l.W.Data(), G: l.DW.Data()}}
 			if l.Bias != nil {
 				o.params = append(o.params, Param{Name: s.Name + ".b", W: l.Bias, G: l.DBias})
@@ -191,6 +208,10 @@ func NewStrategyNet(base *core.Ctx, arch *Arch, n int, seed int64, placements []
 				}
 			}
 		case KindBatchNorm:
+			if forwardOnly {
+				o.l = core.NewBatchNormInference(ctx, inD)
+				break
+			}
 			l := core.NewBatchNorm(ctx, inD, core.BatchNormGlobal)
 			o.l = l
 			o.params = []Param{
@@ -200,9 +221,9 @@ func NewStrategyNet(base *core.Ctx, arch *Arch, n int, seed int64, placements []
 		case KindReLU:
 			o.l = core.NewReLU(inD)
 		case KindMaxPool:
-			o.l = core.NewMaxPool(ctx, inD, s.Geom)
+			o.l = core.NewMaxPool(ctx, inD, s.Geom, forwardOnly)
 		case KindGlobalAvgPool:
-			o.l = core.NewGlobalAvgPool(ctx, inD)
+			o.l = core.NewGlobalAvgPool(ctx, inD, forwardOnly)
 		case KindAdd:
 			o.add = core.NewAdd(net.Dists[i])
 		default:
@@ -247,6 +268,67 @@ func loadConv(l *core.Conv, w, b []float32) {
 	l.InvalidatePacked()
 }
 
+// loadShards copies this rank's block of every full tensor in ck into the
+// layers: each convolution's WeightRanges slice of the weights and its
+// filter block of the bias, and each batch normalization's channel block of
+// its parameters and running statistics.
+func (net *StrategyNet) loadShards(ck *Checkpoint) error {
+	if ck.Arch != net.Arch.Name {
+		return fmt.Errorf("nn: checkpoint is for architecture %q, not %q", ck.Arch, net.Arch.Name)
+	}
+	for i, o := range net.ops {
+		name := net.Arch.Specs[i].Name
+		var err error
+		switch l := o.l.(type) {
+		case *core.Conv:
+			f, c, k := l.OutDist.C, l.InDist.C, l.Geom.K
+			var w, b []float32
+			w, err = ckEntry(ck.Params, name+".w", "parameter", f*c*k*k)
+			if err == nil && l.Bias != nil {
+				b, err = ckEntry(ck.Params, name+".b", "parameter", f)
+			}
+			if err == nil {
+				loadConv(l, w, b)
+			}
+		case *core.BatchNorm:
+			cr := l.Dist.RangeC(o.ctx.Rank)
+			for _, e := range []struct {
+				m      map[string][]float32
+				suffix string
+				kind   string
+				dst    []float32
+			}{
+				{ck.Params, ".gamma", "parameter", l.Gamma},
+				{ck.Params, ".beta", "parameter", l.Beta},
+				{ck.Buffers, ".running_mean", "buffer", l.RunMean},
+				{ck.Buffers, ".running_var", "buffer", l.RunVar},
+			} {
+				var v []float32
+				if v, err = ckEntry(e.m, name+e.suffix, e.kind, l.Dist.C); err != nil {
+					break
+				}
+				copy(e.dst, v[cr.Lo:cr.Hi])
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("nn: layer %s: %w", name, err)
+		}
+	}
+	return nil
+}
+
+// ckEntry fetches a checkpoint tensor by name with a length check.
+func ckEntry(m map[string][]float32, name, kind string, want int) ([]float32, error) {
+	v, ok := m[name]
+	if !ok {
+		return nil, fmt.Errorf("checkpoint missing %s %q", kind, name)
+	}
+	if len(v) != want {
+		return nil, fmt.Errorf("%s %q has %d values in checkpoint, want %d", kind, name, len(v), want)
+	}
+	return v, nil
+}
+
 // InputDist returns the distribution the input must arrive in (the first
 // layer's grid).
 func (net *StrategyNet) InputDist() dist.Dist { return net.Dists[0] }
@@ -258,7 +340,8 @@ func (net *StrategyNet) OutputDist() dist.Dist { return net.Dists[len(net.Dists)
 func (net *StrategyNet) OutputCtx() *core.Ctx { return net.ops[len(net.ops)-1].ctx }
 
 // Forward runs the DAG on this rank's shard, shuffling activations whenever
-// a child layer uses a different distribution than its parent produced.
+// a child layer uses a different distribution than its parent produced. The
+// result is the last layer's own output, overwritten by the next Forward.
 func (net *StrategyNet) Forward(x core.DistTensor) core.DistTensor {
 	for i := range net.ops {
 		spec := &net.Arch.Specs[i]
@@ -269,7 +352,12 @@ func (net *StrategyNet) Forward(x core.DistTensor) core.DistTensor {
 		for j, p := range spec.Parents {
 			in[j] = net.shuffleTo(net.outs[p], net.Placements[i].Grid)
 		}
+		var t int64
+		if net.trace != nil && spec.Kind != KindInput {
+			t = obs.Start()
+		}
 		net.outs[i] = net.ops[i].forward(in[0], in[1])
+		net.trace.Record(layerStage(spec.Kind), 0, net.traceID, t, int64(i))
 	}
 	return net.outs[len(net.outs)-1]
 }
@@ -281,6 +369,12 @@ func (net *StrategyNet) Forward(x core.DistTensor) core.DistTensor {
 // non-blocking collectives concurrently with the shallower layers' backward
 // and are drained before returning; a tensor whose update SGD shards is then
 // reduced only on the chunk this rank owns, the only part SGD.Step reads.
+//
+// A parent with several children accumulates the other children's error
+// signals into the tensor returned by the child whose Backward ran first,
+// which is that layer's own buffer. That is safe because each layer's
+// Backward runs once per step; Add returns two distinct buffers for the
+// same reason.
 func (net *StrategyNet) Backward(dLast core.DistTensor) {
 	overlap := net.Grad != GradSync && net.world.C.Size() > 1
 	for _, o := range net.ops {

@@ -30,8 +30,8 @@
 // on dequeuing a backlog, so the router can tell a replica crunching a wide
 // batch from one whose queue is draining). Replica groups of one rank run an
 // nn.InferNet clone (shared weights); groups of k ranks run an
-// nn.DistInferNet whose layers are channel/filter-split k ways on core's
-// forward-only layers — the leader broadcasts each batch to its group,
+// nn.DistInferNet, a forward-only StrategyNet whose layers are
+// channel/filter-split k ways — the leader broadcasts each batch to its group,
 // all ranks execute the collective forward, and the leader sends the
 // assembled answer back through its communicator's proxy engine
 // (comm.Comm.Do), overlapping the result transfer with the next batch.
