@@ -108,8 +108,7 @@ type Conv struct {
 	// split dimension at full extent: [nLoc, F, OH, OW] under SplitChannel
 	// (the forward partial sum, then the gathered dy) or [nLoc, C, H, W]
 	// under SplitFilter (the gathered x, then the partial dx).
-	y, dx DistTensor
-	full  *tensor.Tensor
+	y, dx, full Owned
 
 	xIn Ext // step 1's local input, kept for backward-filter
 }
@@ -213,12 +212,15 @@ func (l *Conv) WeightRanges() (f, c dist.Range) {
 
 // fullDist is the distribution whose channels a split layer holds at full
 // extent in full: the output under SplitChannel, the input under
-// SplitFilter.
+// SplitFilter, on the sample axis alone. A split layer has PH = PW = 1, so
+// this rank's position on that axis is ctx.ChanPeers.Rank().
 func (l *Conv) fullDist() dist.Dist {
+	d := l.OutDist
 	if l.split == dist.SplitFilter {
-		return l.InDist
+		d = l.InDist
 	}
-	return l.OutDist
+	d.Grid = dist.Grid{PN: d.Grid.PN, PH: 1, PW: 1}
+	return d
 }
 
 // InvalidatePacked drops the prepacked weights and bias epilogue of a
@@ -227,44 +229,41 @@ func (l *Conv) fullDist() dist.Dist {
 // transfer) on a layer that may already have served.
 func (l *Conv) InvalidatePacked() { l.wp, l.epi = nil, nil }
 
-// Forward returns this rank's output shard, which the layer owns.
+// Forward returns this rank's output shard, which the layer owns. x may
+// hold n ≤ InDist.N samples (the whole batch on a grid that splits H or
+// W); every step then runs on those n alone, including the split's
+// collective, and the result is the first n samples of the owned output.
 func (l *Conv) Forward(ctx *Ctx, x DistTensor) DistTensor {
-	if !x.Dist.SameLayout(l.InDist) {
-		panic(fmt.Sprintf("core: conv input dist %v, want %v", x.Dist, l.InDist))
-	}
-	if l.y.Local == nil {
-		l.y = NewDistTensor(l.OutDist, ctx.Rank)
-		if l.split != dist.SplitNone {
-			d := l.fullDist()
-			l.full = tensor.New(d.RangeN(ctx.Rank).Len(), d.C, d.H, d.W)
-		}
-	}
+	n := batchOf(x, l.InDist, "conv", l.halo)
+	y := l.y.Rows(l.OutDist, ctx.Rank, n)
 	// A forward-only layer, or a caller timing Forward alone, never reaches
 	// Backward's release; recycle the previous step's input here.
 	l.xIn.Release(convWS)
 	switch {
 	case l.halo:
-		l.forwardHalo(ctx, x)
-		return l.y
+		l.forwardHalo(ctx, x, y.Local)
+		return y
 	case l.split == dist.SplitFilter:
-		gatherDim1(ctx, x.Local, l.full, l.blocks, l.tag, &l.rg)
-		l.xIn = Ext{T: l.full}
+		full := l.full.Rows(l.fullDist(), ctx.ChanPeers.Rank(), n).Local
+		gatherDim1(ctx, x.Local, full, l.blocks, l.tag, &l.rg)
+		l.xIn = Ext{T: full}
 	default:
 		l.xIn = Ext{T: x.Local}
 	}
 	if l.split == dist.SplitChannel {
-		l.convLocal(l.xIn.T, l.full)
-		reduceScatterOwnBlock(ctx, l.full, l.y.Local, l.rsCounts)
+		full := l.full.Rows(l.fullDist(), ctx.ChanPeers.Rank(), n).Local
+		l.convLocal(l.xIn.T, full)
+		reduceScatterOwnBlock(ctx, full, y.Local, l.rsCounts)
 		if l.Bias != nil {
-			addBiasBlock(l.y.Local, l.Bias)
+			addBiasBlock(y.Local, l.Bias)
 		}
 	} else {
-		l.convLocal(l.xIn.T, l.y.Local)
+		l.convLocal(l.xIn.T, y.Local)
 	}
 	if l.forwardOnly {
 		l.xIn = Ext{}
 	}
-	return l.y
+	return y
 }
 
 // convLocal is step 2 on whole spatial dimensions: out = conv(in, W), plus
@@ -317,9 +316,8 @@ func (e *exchangeOp) run(proxy *comm.Comm) {
 // forwardHalo is Forward on a spatially split grid: steps 1 and 2 on the
 // halo-extended input. With Overlap, the halo exchange runs concurrently
 // with the interior convolution and only the boundary waits for it.
-func (l *Conv) forwardHalo(ctx *Ctx, x DistTensor) {
+func (l *Conv) forwardHalo(ctx *Ctx, x DistTensor, y *tensor.Tensor) {
 	plan := l.fwdPlan
-	y := l.y.Local
 	ext := plan.NewExtIn(convWS)
 	plan.fillOwned(ext, x.Local)
 	oh, ow := l.localOutH(ctx), l.localOutW(ctx)
@@ -435,20 +433,18 @@ func (l *Conv) Backward(ctx *Ctx, dy DistTensor) DistTensor {
 	if !dy.Dist.SameLayout(l.OutDist) {
 		panic(fmt.Sprintf("core: conv dy dist %v, want %v", dy.Dist, l.OutDist))
 	}
-	if l.dx.Local == nil {
-		l.dx = NewDistTensor(l.InDist, ctx.Rank)
-	}
+	dx := l.dx.Rows(l.InDist, ctx.Rank, l.InDist.N)
 	if l.halo {
-		l.backwardHalo(ctx, dy)
+		l.backwardHalo(ctx, dy, dx.Local)
 	} else {
-		dyFull, dxFull := dy.Local, l.dx.Local
+		dyFull, dxFull := dy.Local, dx.Local
 		switch l.split {
 		case dist.SplitChannel:
-			gatherDim1(ctx, dy.Local, l.full, l.blocks, l.tag, &l.rg)
-			dyFull = l.full
+			dyFull = l.full.Rows(l.fullDist(), ctx.ChanPeers.Rank(), l.OutDist.N).Local
+			gatherDim1(ctx, dy.Local, dyFull, l.blocks, l.tag, &l.rg)
 		case dist.SplitFilter:
 			// full holds the gathered x until backward-filter has read it.
-			dxFull = l.full
+			dxFull = l.full.Rows(l.fullDist(), ctx.ChanPeers.Rank(), l.InDist.N).Local
 		}
 		kernels.ConvBackwardFilter(l.xIn.T, dyFull, l.DW, l.Geom.S, l.Geom.Pad, false)
 		if l.DBias != nil {
@@ -456,7 +452,7 @@ func (l *Conv) Backward(ctx *Ctx, dy DistTensor) DistTensor {
 		}
 		kernels.ConvBackwardData(dyFull, l.W, dxFull, l.Geom.S, l.Geom.Pad)
 		if l.split == dist.SplitFilter {
-			reduceScatterOwnBlock(ctx, dxFull, l.dx.Local, l.rsCounts)
+			reduceScatterOwnBlock(ctx, dxFull, dx.Local, l.rsCounts)
 		}
 	}
 	l.xIn.Release(convWS)
@@ -467,13 +463,13 @@ func (l *Conv) Backward(ctx *Ctx, dy DistTensor) DistTensor {
 			ctx.ChanPeers.Allreduce(l.DBias, comm.OpSum)
 		}
 	}
-	return l.dx
+	return dx
 }
 
 // backwardHalo is Backward's data and filter gradients on a spatially split
 // grid. With Overlap, the dy halo exchange is hidden under the
 // filter-gradient convolution, which needs no halo (Section IV-A).
-func (l *Conv) backwardHalo(ctx *Ctx, dy DistTensor) {
+func (l *Conv) backwardHalo(ctx *Ctx, dy DistTensor, dx *tensor.Tensor) {
 	plan := l.bwdPlan
 	dyExt := plan.NewExtIn(convWS)
 	plan.fillOwned(dyExt, dy.Local)
@@ -498,7 +494,7 @@ func (l *Conv) backwardHalo(ctx *Ctx, dy DistTensor) {
 	l.xIn.Release(convWS)
 	inH := l.InDist.RangeH(ctx.Rank)
 	inW := l.InDist.RangeW(ctx.Rank)
-	kernels.ConvBackwardDataRegion(dyExt.T, l.W, l.dx.Local, l.Geom.S, l.Geom.Pad,
+	kernels.ConvBackwardDataRegion(dyExt.T, l.W, dx, l.Geom.S, l.Geom.Pad,
 		inH.Lo, inW.Lo, dyExt.HLo, dyExt.WLo)
 	dyExt.Release(convWS)
 }

@@ -34,6 +34,40 @@ func NewDistTensor(d dist.Dist, rank int) DistTensor {
 	return DistTensor{Dist: d, Rank: rank, Local: tensor.New(s[0], s[1], s[2], s[3])}
 }
 
+// Owned is a buffer a layer owns: one rank's shard of a distribution at its
+// capacity batch, allocated on first use and overwritten by the next step.
+// Rows cuts it to a smaller batch without copying.
+type Owned struct{ views []DistTensor }
+
+// Rows returns rank's shard of d cut to its first n ≤ d.N samples: a prefix
+// of the capacity buffer whose Dist.N is n. The first call allocates the
+// buffer and builds the view of every batch, so later calls allocate
+// nothing.
+func (o *Owned) Rows(d dist.Dist, rank, n int) DistTensor {
+	if o.views == nil {
+		all := NewDistTensor(d, rank).Local
+		s := all.Shape()
+		o.views = make([]DistTensor, d.N+1)
+		for m := 1; m <= d.N; m++ {
+			dm := d
+			dm.N = m
+			rows := dm.RangeN(rank).Len()
+			o.views[m] = DistTensor{Dist: dm, Rank: rank, Local: tensor.FromSlice(all.Data()[:rows*s[1]*s[2]*s[3]], rows, s[1], s[2], s[3])}
+		}
+	}
+	return o.views[n]
+}
+
+// batchOf returns x's batch after checking that x is d cut to n ≤ d.N
+// samples; whole also requires n == d.N.
+func batchOf(x DistTensor, d dist.Dist, what string, whole bool) int {
+	n := x.Dist.N
+	if x.Dist.N = d.N; n < 1 || n > d.N || whole && n != d.N || !x.Dist.SameLayout(d) {
+		panic(fmt.Sprintf("core: %s input %v at batch %d does not fit %v", what, x.Dist, n, d))
+	}
+	return n
+}
+
 // ownedRegion returns the global region owned by the shard's rank.
 func (t DistTensor) ownedRegion() (rn, rc, rh, rw dist.Range) {
 	return t.Dist.RangeN(t.Rank), t.Dist.RangeC(t.Rank), t.Dist.RangeH(t.Rank), t.Dist.RangeW(t.Rank)

@@ -172,3 +172,111 @@ func TestInferenceBackwardPanics(t *testing.T) {
 		}
 	})
 }
+
+// Every forward-only layer given n < capacity samples computes only those:
+// the result holds n samples, bitwise the first n of a capacity forward,
+// and every owned buffer's rows past n keep a sentinel written before the
+// call, so no work went to padding. The split none case runs on {PN:2}
+// (a forward-only conv needs whole spatial dimensions and one channel
+// way), the filter and channel cases on {PC:2}.
+func TestInferenceLayersLivePrefix(t *testing.T) {
+	const capN, n, sentinel = 4, 3, float32(-12345.5)
+	geom := dist.ConvGeom{K: 3, S: 1, Pad: 1}
+	x, b := randTensor(61, capN, 4, 6, 6), randTensor(62, capN, 4, 6, 6)
+	prefix := func(t *tensor.Tensor, rows int) *tensor.Tensor {
+		s := t.Shape()
+		return tensor.FromSlice(t.Data()[:rows*s[1]*s[2]*s[3]], rows, s[1], s[2], s[3])
+	}
+	kinds := []string{"Conv", "BatchNorm", "ReLU", "Add", "MaxPool", "GlobalAvgPool"}
+	for _, tc := range []struct {
+		name  string
+		grid  dist.Grid
+		split dist.Split
+	}{
+		{"none", dist.Grid{PN: 2, PC: 1, PH: 1, PW: 1}, dist.SplitNone},
+		{"filter", dist.Grid{PN: 1, PC: 2, PH: 1, PW: 1}, dist.SplitFilter},
+		{"channel", dist.Grid{PN: 1, PC: 2, PH: 1, PW: 1}, dist.SplitChannel},
+	} {
+		d := dist.Dist{Grid: tc.grid, N: capN, C: 4, H: 6, W: 6}
+		dn := d
+		dn.N = n
+		var mu sync.Mutex
+		full := make([][]DistTensor, len(kinds))
+		live := make([][]DistTensor, len(kinds))
+		for k := range kinds {
+			full[k], live[k] = make([]DistTensor, tc.grid.Size()), make([]DistTensor, tc.grid.Size())
+		}
+		runDistributed(tc.grid, func(ctx *Ctx) {
+			cv := NewPlacedConv(ctx, d, 6, geom, true, tc.split, true)
+			cv.W.FillRandN(int64(63+ctx.Rank), 0.5)
+			for i := range cv.Bias {
+				cv.Bias[i] = 0.1 * float32(i+1)
+			}
+			bn := NewBatchNormInference(ctx, d)
+			for i := range bn.RunMean {
+				bn.RunMean[i], bn.RunVar[i], bn.Gamma[i], bn.Beta[i] = 0.1*float32(i), 1+0.5*float32(i), 2, -0.5
+			}
+			relu, add := NewReLU(d), NewAdd(d)
+			pool, gap := NewMaxPool(ctx, d, dist.ConvGeom{K: 3, S: 2, Pad: 1}, true), NewGlobalAvgPool(ctx, d, true)
+			layers := []struct {
+				fwd   func(x, b DistTensor) DistTensor
+				owned []*Owned
+			}{
+				{func(x, _ DistTensor) DistTensor { return cv.Forward(ctx, x) }, []*Owned{&cv.y, &cv.full}},
+				{func(x, _ DistTensor) DistTensor { return bn.Forward(ctx, x) }, []*Owned{&bn.y}},
+				{func(x, _ DistTensor) DistTensor { return relu.Forward(ctx, x) }, []*Owned{&relu.y}},
+				{func(x, b DistTensor) DistTensor { return add.Forward(ctx, x, b) }, []*Owned{&add.out}},
+				{func(x, _ DistTensor) DistTensor { return pool.Forward(ctx, x) }, []*Owned{&pool.y}},
+				{func(x, _ DistTensor) DistTensor { return gap.Forward(ctx, x) }, []*Owned{&gap.y}},
+			}
+			xCap, bCap := Scatter(x, d)[ctx.Rank], Scatter(b, d)[ctx.Rank]
+			xLive, bLive := Scatter(prefix(x, n), dn)[ctx.Rank], Scatter(prefix(b, n), dn)[ctx.Rank]
+			for k, l := range layers {
+				y := l.fwd(xCap, bCap)
+				yFull := DistTensor{Dist: y.Dist, Rank: y.Rank, Local: y.Local.Clone()}
+				for _, o := range l.owned {
+					if o.views == nil {
+						continue
+					}
+					all := o.views[len(o.views)-1].Local.Data()
+					for i := o.views[n].Local.Size(); i < len(all); i++ {
+						all[i] = sentinel
+					}
+				}
+				y = l.fwd(xLive, bLive)
+				if y.Dist.N != n || y.Local.Dim(0) != dn.RangeN(ctx.Rank).Len() {
+					t.Errorf("%s/%s rank %d: result at batch %d has %d local rows, want batch %d with %d",
+						tc.name, kinds[k], ctx.Rank, y.Dist.N, y.Local.Dim(0), n, dn.RangeN(ctx.Rank).Len())
+				}
+				for j, o := range l.owned {
+					if o.views == nil {
+						continue
+					}
+					all := o.views[len(o.views)-1].Local.Data()
+					for i := o.views[n].Local.Size(); i < len(all); i++ {
+						if all[i] != sentinel {
+							t.Errorf("%s/%s rank %d: owned buffer %d written past %d samples (word %d = %v)",
+								tc.name, kinds[k], ctx.Rank, j, n, i, all[i])
+							break
+						}
+					}
+				}
+				mu.Lock()
+				full[k][ctx.Rank], live[k][ctx.Rank] = yFull, DistTensor{Dist: y.Dist, Rank: y.Rank, Local: y.Local.Clone()}
+				mu.Unlock()
+			}
+		})
+		for k, kind := range kinds {
+			if t.Failed() {
+				return
+			}
+			want, got := Gather(full[k]), Gather(live[k])
+			for i, v := range got.Data() {
+				if v != want.Data()[i] {
+					t.Errorf("%s/%s: live word %d = %v, capacity forward has %v (bitwise)", tc.name, kind, i, v, want.Data()[i])
+					break
+				}
+			}
+		}
+	}
+}

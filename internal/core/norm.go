@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/kernels"
@@ -26,7 +24,9 @@ const (
 
 // BatchNorm is a distributed batch normalization layer with learnable scale
 // (gamma) and shift (beta). Its output and error signal are owned by the
-// layer, allocated on first use and overwritten by the next step.
+// layer, allocated on first use and overwritten by the next step. Forward
+// takes n ≤ Dist.N samples, normalizes only those, and returns the first n
+// samples of its output.
 type BatchNorm struct {
 	Dist dist.Dist
 	Mode BatchNormMode
@@ -49,7 +49,7 @@ type BatchNorm struct {
 	// normalizes with the running statistics (no aggregation, no stash) and
 	// Backward panics.
 	inference bool
-	y, dx     DistTensor
+	y, dx     Owned
 
 	// Step-persistent scratch: the stats and backward-sums buffers are owned
 	// by the layer and reused across training steps, so a warm step
@@ -104,18 +104,13 @@ func newBatchNorm(d dist.Dist, mode BatchNormMode, c int) *BatchNorm {
 // Forward normalizes the local shard with (optionally) globally aggregated
 // statistics.
 func (l *BatchNorm) Forward(ctx *Ctx, x DistTensor) DistTensor {
-	if !x.Dist.SameLayout(l.Dist) {
-		panic(fmt.Sprintf("core: batchnorm input dist %v, want %v", x.Dist, l.Dist))
-	}
-	if l.y.Local == nil {
-		l.y = NewDistTensor(l.Dist, ctx.Rank)
-	}
+	y := l.y.Rows(l.Dist, ctx.Rank, batchOf(x, l.Dist, "batchnorm", false))
 	if l.inference {
 		// Running statistics are replicated within the channel block, so no
 		// aggregation is needed and nothing is stashed for a backward pass
 		// that will never come.
-		kernels.BatchNormInference(x.Local, l.RunMean, l.RunVar, l.Gamma, l.Beta, l.Eps, l.y.Local)
-		return l.y
+		kernels.BatchNormInference(x.Local, l.RunMean, l.RunVar, l.Gamma, l.Beta, l.Eps, y.Local)
+		return y
 	}
 	c := l.c
 	stats := l.stats
@@ -134,9 +129,9 @@ func (l *BatchNorm) Forward(ctx *Ctx, x DistTensor) DistTensor {
 		l.RunMean[ci] = l.Momentum*l.RunMean[ci] + (1-l.Momentum)*m
 		l.RunVar[ci] = l.Momentum*l.RunVar[ci] + (1-l.Momentum)*v
 	}
-	kernels.BatchNormForward(x.Local, l.mean, l.invstd, l.Gamma, l.Beta, l.y.Local)
+	kernels.BatchNormForward(x.Local, l.mean, l.invstd, l.Gamma, l.Beta, y.Local)
 	l.x = x.Local
-	return l.y
+	return y
 }
 
 // Backward computes dgamma/dbeta (reduced over the statistics group — they
@@ -162,23 +157,22 @@ func (l *BatchNorm) Backward(ctx *Ctx, dy DistTensor) DistTensor {
 	}
 	copy(l.DGamma, sums[:c])
 	copy(l.DBeta, sums[c:])
-	if l.dx.Local == nil {
-		l.dx = NewDistTensor(l.Dist, ctx.Rank)
-	}
+	dx := l.dx.Rows(l.Dist, ctx.Rank, dy.Dist.N)
 	kernels.BatchNormBackwardData(l.x, dy.Local, l.mean, l.invstd, l.Gamma,
-		l.DGamma, l.DBeta, l.count, l.dx.Local)
+		l.DGamma, l.DBeta, l.count, dx.Local)
 	l.x = nil
-	return l.dx
+	return dx
 }
 
 // ReLU is a distributed rectified linear unit; elementwise, so it
 // parallelizes trivially regardless of distribution (Section III-B). Its
 // output and error signal are owned by the layer, allocated on first use
-// and overwritten by the next step.
+// and overwritten by the next step. Forward takes n ≤ Dist.N samples and
+// returns the first n samples of its output.
 type ReLU struct {
 	Dist  dist.Dist
 	x     *tensor.Tensor
-	y, dx DistTensor
+	y, dx Owned
 }
 
 // NewReLU constructs the layer.
@@ -186,31 +180,28 @@ func NewReLU(d dist.Dist) *ReLU { return &ReLU{Dist: d} }
 
 // Forward applies max(0, x) to the local shard.
 func (l *ReLU) Forward(ctx *Ctx, x DistTensor) DistTensor {
-	if l.y.Local == nil {
-		l.y = NewDistTensor(l.Dist, ctx.Rank)
-	}
-	kernels.ReLUForward(x.Local, l.y.Local)
+	y := l.y.Rows(l.Dist, ctx.Rank, x.Dist.N)
+	kernels.ReLUForward(x.Local, y.Local)
 	l.x = x.Local
-	return l.y
+	return y
 }
 
 // Backward masks the error signal by the forward sign pattern.
 func (l *ReLU) Backward(ctx *Ctx, dy DistTensor) DistTensor {
-	if l.dx.Local == nil {
-		l.dx = NewDistTensor(l.Dist, ctx.Rank)
-	}
-	kernels.ReLUBackward(l.x, dy.Local, l.dx.Local)
+	dx := l.dx.Rows(l.Dist, ctx.Rank, dy.Dist.N)
+	kernels.ReLUBackward(l.x, dy.Local, dx.Local)
 	l.x = nil
-	return l.dx
+	return dx
 }
 
 // Add is the elementwise sum joining residual branches. Its output and the
 // two error signals are owned by the layer, allocated on first use and
 // overwritten by the next step; the error signals are distinct buffers, so
-// a caller may accumulate into either.
+// a caller may accumulate into either. Forward takes n ≤ Dist.N samples and
+// returns the first n samples of its output.
 type Add struct {
 	Dist        dist.Dist
-	out, da, db DistTensor
+	out, da, db Owned
 }
 
 // NewAdd constructs the layer.
@@ -218,20 +209,15 @@ func NewAdd(d dist.Dist) *Add { return &Add{Dist: d} }
 
 // Forward computes a + b on local shards (distributions must match).
 func (l *Add) Forward(ctx *Ctx, a, b DistTensor) DistTensor {
-	if l.out.Local == nil {
-		l.out = NewDistTensor(l.Dist, ctx.Rank)
-	}
-	kernels.Add(a.Local, b.Local, l.out.Local)
-	return l.out
+	out := l.out.Rows(l.Dist, ctx.Rank, a.Dist.N)
+	kernels.Add(a.Local, b.Local, out.Local)
+	return out
 }
 
 // Backward passes dy to both branches unchanged.
 func (l *Add) Backward(ctx *Ctx, dy DistTensor) (DistTensor, DistTensor) {
-	if l.da.Local == nil {
-		l.da = NewDistTensor(l.Dist, ctx.Rank)
-		l.db = NewDistTensor(l.Dist, ctx.Rank)
-	}
-	copy(l.da.Local.Data(), dy.Local.Data())
-	copy(l.db.Local.Data(), dy.Local.Data())
-	return l.da, l.db
+	da, db := l.da.Rows(l.Dist, ctx.Rank, dy.Dist.N), l.db.Rows(l.Dist, ctx.Rank, dy.Dist.N)
+	copy(da.Local.Data(), dy.Local.Data())
+	copy(db.Local.Data(), dy.Local.Data())
+	return da, db
 }

@@ -17,7 +17,9 @@ import (
 // A forward-only layer records no argmax, so it runs the kernel's inference
 // fast path, and needs whole spatial dimensions; its Backward panics. The
 // output, error signal and halo buffer are owned by the layer, allocated on
-// first use and overwritten by the next step.
+// first use and overwritten by the next step. Forward takes n ≤ InDist.N
+// samples (the whole batch on a grid that splits H or W), pools only those,
+// and returns the first n samples of its output.
 type MaxPool struct {
 	Geom    dist.ConvGeom
 	InDist  dist.Dist
@@ -28,7 +30,7 @@ type MaxPool struct {
 	tag         int
 
 	argmax []int32
-	y, dx  DistTensor
+	y, dx  Owned
 	// ext is the halo-extended input in Forward, then Backward's scatter
 	// target.
 	ext Ext
@@ -59,19 +61,14 @@ func NewMaxPool(ctx *Ctx, inDist dist.Dist, geom dist.ConvGeom, forwardOnly bool
 
 // Forward returns the local pooled shard, which the layer owns.
 func (l *MaxPool) Forward(ctx *Ctx, x DistTensor) DistTensor {
-	if !x.Dist.SameLayout(l.InDist) {
-		panic(fmt.Sprintf("core: pool input dist %v, want %v", x.Dist, l.InDist))
-	}
-	if l.y.Local == nil {
-		l.y = NewDistTensor(l.OutDist, ctx.Rank)
-		if !l.forwardOnly {
-			l.argmax = make([]int32, l.y.Local.Size())
-		}
+	y := l.y.Rows(l.OutDist, ctx.Rank, batchOf(x, l.InDist, "pool", l.fwdPlan != nil))
+	if l.argmax == nil && !l.forwardOnly {
+		l.argmax = make([]int32, l.y.Rows(l.OutDist, ctx.Rank, l.OutDist.N).Local.Size())
 	}
 	g := l.Geom
 	if l.fwdPlan == nil {
-		kernels.MaxPoolForward(x.Local, l.y.Local, g.K, g.S, g.Pad, l.argmax)
-		return l.y
+		kernels.MaxPoolForward(x.Local, y.Local, g.K, g.S, g.Pad, l.argmax)
+		return y
 	}
 	if l.ext.T == nil {
 		l.ext = l.fwdPlan.NewExt()
@@ -80,9 +77,9 @@ func (l *MaxPool) Forward(ctx *Ctx, x DistTensor) DistTensor {
 	l.fwdPlan.RunInto(ctx, x.Local, l.ext, l.tag)
 	outH := l.OutDist.RangeH(ctx.Rank)
 	outW := l.OutDist.RangeW(ctx.Rank)
-	kernels.MaxPoolForwardRegion(l.ext.T, l.y.Local, g.K, g.S, g.Pad,
+	kernels.MaxPoolForwardRegion(l.ext.T, y.Local, g.K, g.S, g.Pad,
 		l.ext.HLo, l.ext.WLo, outH.Lo, outW.Lo, l.InDist.H, l.InDist.W, l.argmax)
-	return l.y
+	return y
 }
 
 // Backward scatters dy through the argmax indices, and on a spatially
@@ -92,16 +89,14 @@ func (l *MaxPool) Backward(ctx *Ctx, dy DistTensor) DistTensor {
 	if l.forwardOnly {
 		panic("core: Backward on a forward-only MaxPool")
 	}
-	if l.dx.Local == nil {
-		l.dx = NewDistTensor(l.InDist, ctx.Rank)
-	}
+	dx := l.dx.Rows(l.InDist, ctx.Rank, dy.Dist.N)
 	if l.fwdPlan == nil {
-		kernels.MaxPoolBackward(dy.Local, l.argmax, l.dx.Local)
-		return l.dx
+		kernels.MaxPoolBackward(dy.Local, l.argmax, dx.Local)
+		return dx
 	}
 	kernels.MaxPoolBackward(dy.Local, l.argmax, l.ext.T)
-	l.fwdPlan.RunReverse(ctx, l.ext, l.dx.Local, l.tag+2)
-	return l.dx
+	l.fwdPlan.RunReverse(ctx, l.ext, dx.Local, l.tag+2)
+	return dx
 }
 
 // GlobalAvgPool averages each channel's full spatial plane: x [N,C,H,W] ->
@@ -113,16 +108,16 @@ func (l *MaxPool) Backward(ctx *Ctx, dy DistTensor) DistTensor {
 // Training sums each plane in float64 and scales after the reduction. A
 // forward-only layer runs kernels.GlobalAvgPoolForward, the float32 sum
 // and divide the inference engines share, and needs whole spatial
-// dimensions; its Backward panics. The output, sums and error signal are
-// owned by the layer, allocated on first use and overwritten by the next
-// step.
+// dimensions; its Backward panics. The output and error signal are owned
+// by the layer, allocated on first use and overwritten by the next step.
+// Forward takes n ≤ InDist.N samples, averages only those, and returns the
+// first n samples of its output.
 type GlobalAvgPool struct {
 	InDist  dist.Dist
 	OutDist dist.Dist
 
 	forwardOnly bool
-	sums        []float32
-	y, dx       DistTensor
+	y, dx       Owned
 }
 
 // NewGlobalAvgPool constructs the layer. The output is distributed over a
@@ -140,22 +135,16 @@ func NewGlobalAvgPool(ctx *Ctx, inDist dist.Dist, forwardOnly bool) *GlobalAvgPo
 // output extent equals the grid extents, so every rank owns exactly a 1x1
 // block and holds the replicated mean there.
 func (l *GlobalAvgPool) Forward(ctx *Ctx, x DistTensor) DistTensor {
-	if l.y.Local == nil {
-		l.y = NewDistTensor(l.OutDist, ctx.Rank)
-	}
+	y := l.y.Rows(l.OutDist, ctx.Rank, x.Dist.N)
 	if l.forwardOnly {
-		kernels.GlobalAvgPoolForward(x.Local, l.y.Local)
-		return l.y
+		kernels.GlobalAvgPoolForward(x.Local, y.Local)
+		return y
 	}
-	nLoc := x.Local.Dim(0)
-	c := x.Local.Dim(1)
-	if l.sums == nil {
-		l.sums = make([]float32, nLoc*c)
-	}
-	sums := l.sums
+	// The plane sums, reduced and scaled in place.
+	sums := y.Local.Data()
 	xd := x.Local.Data()
 	plane := x.Local.Dim(2) * x.Local.Dim(3)
-	for i := 0; i < nLoc*c; i++ {
+	for i := range sums {
 		var s float64
 		for _, v := range xd[i*plane : (i+1)*plane] {
 			s += float64(v)
@@ -166,10 +155,10 @@ func (l *GlobalAvgPool) Forward(ctx *Ctx, x DistTensor) DistTensor {
 		ctx.Spatial.Allreduce(sums, comm.OpSum)
 	}
 	scale := 1 / float32(l.InDist.H*l.InDist.W)
-	for i, s := range sums {
-		l.y.Local.Data()[i] = s * scale
+	for i := range sums {
+		sums[i] *= scale
 	}
-	return l.y
+	return y
 }
 
 // Backward spreads dy/(H*W) uniformly over the local spatial shard.
@@ -177,21 +166,16 @@ func (l *GlobalAvgPool) Backward(ctx *Ctx, dy DistTensor) DistTensor {
 	if l.forwardOnly {
 		panic("core: Backward on a forward-only GlobalAvgPool")
 	}
-	if l.dx.Local == nil {
-		l.dx = NewDistTensor(l.InDist, ctx.Rank)
-	}
-	nLoc := l.dx.Local.Dim(0)
-	c := l.dx.Local.Dim(1)
-	plane := l.dx.Local.Dim(2) * l.dx.Local.Dim(3)
+	dx := l.dx.Rows(l.InDist, ctx.Rank, dy.Dist.N)
+	plane := dx.Local.Dim(2) * dx.Local.Dim(3)
 	scale := 1 / float32(l.InDist.H*l.InDist.W)
-	dxd := l.dx.Local.Data()
-	dyd := dy.Local.Data()
-	for i := 0; i < nLoc*c; i++ {
-		g := dyd[i] * scale
+	dxd := dx.Local.Data()
+	for i, v := range dy.Local.Data() {
+		g := v * scale
 		row := dxd[i*plane : (i+1)*plane]
 		for j := range row {
 			row[j] = g
 		}
 	}
-	return l.dx
+	return dx
 }

@@ -30,28 +30,30 @@ import (
 // replicated. SplitChannel reassociates the channel sum across blocks
 // (deterministic, but not bitwise equal across decompositions).
 //
-// Every layer owns its output, allocated on the first Forward, and every
-// forward runs at the fixed capacity batch (per-sample independence of the
-// batched kernels makes live rows bitwise independent of the padding), so
-// a warm Forward performs no heap allocations. Like InferNet, a
+// Every layer owns a capacity buffer for its output, allocated on the
+// first Forward, and a forward computes only the live rows: each layer
+// works on the first live rows of its buffer, and every collective carries
+// only those. The batched kernels are row-stable, so the answers are
+// bitwise those of a full-capacity forward. Once each live count has been
+// seen, a Forward performs no heap allocations. Like InferNet, a
 // DistInferNet is not safe for concurrent Forward calls; it is one replica.
 type DistInferNet struct {
 	net  *StrategyNet
 	ctx  *core.Ctx
 	maxN int
 
-	in      core.DistTensor // input shard, refilled each Forward
-	inRange dist.Range      // this rank's input-channel block
+	in      core.Owned // input shard, refilled each Forward
+	inRange dist.Range // this rank's input-channel block
 
-	// Leader-side output assembly (allocated on every rank; only rank 0's
-	// is filled — the memory is small, one output tensor).
-	outFull   *tensor.Tensor
-	outViews  []*tensor.Tensor
+	// Leader-side output assembly (filled only on rank 0): every channel of
+	// the output, on a one-rank grid.
+	out       core.Owned
+	outDist   dist.Dist
 	outBlocks []dist.Range
 	tag       int
 
 	// Persistent region scratch so warm extracts/inserts allocate nothing.
-	sOff, sSize, dOff, dSize [4]int
+	off, size [4]int
 
 	staging *tensor.Tensor // lazily allocated replicated-input buffer
 }
@@ -66,8 +68,8 @@ func (n *DistInferNet) SetTraceID(id uint64) { n.net.traceID = id }
 
 // StagingInput returns a preallocated [MaxBatch, C, H, W] tensor suitable
 // as the Forward input: callers (the serving replica loop) copy live rows
-// into its prefix and pass it collectively. It starts zeroed, so padding
-// rows are always finite. One buffer per net, reused across batches.
+// into its prefix and pass it collectively. Rows past live are never read.
+// One buffer per net, reused across batches.
 func (n *DistInferNet) StagingInput() *tensor.Tensor {
 	if n.staging == nil {
 		in := n.net.Arch.In
@@ -121,15 +123,12 @@ func NewDistInferNet(c *comm.Comm, arch *Arch, maxBatch int, placements []dist.P
 		return nil, err
 	}
 	n := &DistInferNet{net: net, ctx: ctx, maxN: maxBatch}
-	n.in = core.NewDistTensor(net.InputDist(), ctx.Rank)
 	n.inRange = net.InputDist().RangeC(ctx.Rank)
-	out, outD := n.OutShape(), net.OutputDist()
-	n.outFull = tensor.New(maxBatch, out.C, out.H, out.W)
-	n.outViews = make([]*tensor.Tensor, maxBatch+1)
-	n.outViews[maxBatch] = n.outFull
+	out := n.OutShape()
+	n.outDist = dist.Dist{Grid: dist.Grid{PN: 1, PH: 1, PW: 1}, N: maxBatch, C: out.C, H: out.H, W: out.W}
 	n.outBlocks = make([]dist.Range, p)
 	for q := range n.outBlocks {
-		n.outBlocks[q] = outD.RangeC(q)
+		n.outBlocks[q] = net.OutputDist().RangeC(q)
 	}
 	n.tag = ctx.AllocTags(1)
 	return n, nil
@@ -138,11 +137,10 @@ func NewDistInferNet(c *comm.Comm, arch *Arch, maxBatch int, placements []dist.P
 // OutShape returns the per-sample output shape.
 func (n *DistInferNet) OutShape() Shape { return n.net.ShapeOf[len(n.net.ShapeOf)-1] }
 
-// Forward runs the sharded DAG. It must be called collectively by every
-// rank of the group with a bitwise-identical x of shape
-// [MaxBatch, C, H, W] whose first live rows carry the batch (rows past live
-// may hold anything: every kernel on the path is row-independent, so live
-// outputs never see them). The leader returns the assembled [live, ...]
+// Forward runs the sharded DAG on the live rows alone. It must be called
+// collectively by every rank of the group with a bitwise-identical x of
+// shape [MaxBatch, C, H, W] whose first live rows carry the batch; rows
+// past live are never read. The leader returns the assembled [live, ...]
 // output, valid until the next Forward; other ranks return nil.
 func (n *DistInferNet) Forward(x *tensor.Tensor, live int) *tensor.Tensor {
 	xs := x.Shape()
@@ -153,11 +151,13 @@ func (n *DistInferNet) Forward(x *tensor.Tensor, live int) *tensor.Tensor {
 	if live < 1 || live > n.maxN {
 		panic(fmt.Sprintf("nn: dist infer live rows %d outside [1, %d]", live, n.maxN))
 	}
-	// Slice this rank's input-channel block out of the replicated input.
-	n.sOff = [4]int{0, n.inRange.Lo, 0, 0}
-	n.sSize = [4]int{n.maxN, n.inRange.Len(), in.H, in.W}
-	x.ExtractRegionInto(tensor.Region{Off: n.sOff[:], Size: n.sSize[:]}, n.in.Local.Data())
-	y := n.net.Forward(n.in)
+	// Slice the live rows of this rank's input-channel block out of the
+	// replicated input.
+	shard := n.in.Rows(n.net.InputDist(), n.ctx.Rank, live)
+	n.off = [4]int{0, n.inRange.Lo, 0, 0}
+	n.size = [4]int{live, n.inRange.Len(), in.H, in.W}
+	x.ExtractRegionInto(tensor.Region{Off: n.off[:], Size: n.size[:]}, shard.Local.Data())
+	y := n.net.Forward(shard)
 	var t int64
 	if n.net.trace != nil {
 		t = obs.Start()
@@ -168,43 +168,35 @@ func (n *DistInferNet) Forward(x *tensor.Tensor, live int) *tensor.Tensor {
 }
 
 // gatherOutput assembles the channel-partitioned final shard on the leader:
-// every other rank sends the live rows of its block, the leader inserts
-// them (and its own) into the full output. Payloads stage through the comm
-// pool, so a warm gather allocates nothing.
+// y holds the live rows of this rank's block, every other rank sends them,
+// and the leader inserts them (and its own) into the full output. Payloads
+// stage through the comm pool, so a warm gather allocates nothing.
 func (n *DistInferNet) gatherOutput(y core.DistTensor, live int) *tensor.Tensor {
 	c := n.ctx.C
-	me := c.Rank()
-	out := n.OutShape()
-	myBlk := n.outBlocks[me]
-	n.sOff = [4]int{0, 0, 0, 0}
-	n.sSize = [4]int{live, myBlk.Len(), out.H, out.W}
-	if me != 0 {
-		buf := comm.GetBuf(live * myBlk.Len() * out.H * out.W)
-		y.Local.ExtractRegionInto(tensor.Region{Off: n.sOff[:], Size: n.sSize[:]}, buf)
+	if c.Rank() != 0 {
+		buf := comm.GetBuf(y.Local.Size())
+		copy(buf, y.Local.Data())
 		c.SendNoCopy(0, n.tag, buf)
 		return nil
 	}
-	n.dOff = [4]int{0, myBlk.Lo, 0, 0}
-	n.dSize = n.sSize
-	n.outFull.InsertRegion(tensor.Region{Off: n.dOff[:], Size: n.dSize[:]},
-		y.Local.Data()[:live*myBlk.Len()*out.H*out.W])
-	for q := 1; q < c.Size(); q++ {
-		data := c.Recv(q, n.tag)
+	out := n.out.Rows(n.outDist, 0, live).Local
+	for q := 0; q < c.Size(); q++ {
 		blk := n.outBlocks[q]
-		if want := live * blk.Len() * out.H * out.W; len(data) != want {
+		n.off = [4]int{0, blk.Lo, 0, 0}
+		n.size = [4]int{live, blk.Len(), n.outDist.H, n.outDist.W}
+		r := tensor.Region{Off: n.off[:], Size: n.size[:]}
+		if q == 0 {
+			out.InsertRegion(r, y.Local.Data())
+			continue
+		}
+		data := c.Recv(q, n.tag)
+		if want := r.NumElems(); len(data) != want {
 			panic(fmt.Sprintf("nn: dist infer gather got %d words from rank %d, want %d", len(data), q, want))
 		}
-		n.dOff = [4]int{0, blk.Lo, 0, 0}
-		n.dSize = [4]int{live, blk.Len(), out.H, out.W}
-		n.outFull.InsertRegion(tensor.Region{Off: n.dOff[:], Size: n.dSize[:]}, data)
+		out.InsertRegion(r, data)
 		c.Release(data)
 	}
-	if v := n.outViews[live]; v != nil {
-		return v
-	}
-	v := tensor.FromSlice(n.outFull.Data()[:live*out.C*out.H*out.W], live, out.C, out.H, out.W)
-	n.outViews[live] = v
-	return v
+	return out
 }
 
 // LoadCheckpoint restores an in-memory checkpoint into this rank's shards:

@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"io"
+	"math"
 	"sync"
 	"testing"
 
@@ -13,11 +14,21 @@ import (
 
 // runDistInfer executes fn SPMD on p ranks, each holding a DistInferNet of
 // arch with the given split, and returns the leader's outputs for each
-// requested live-row count (forwarding the same capacity-sized input).
+// requested live-row count. Each forward gets the capacity-sized x with
+// every row past live set to NaN, so an answer that read padding would
+// not be finite.
 func runDistInfer(t *testing.T, arch *Arch, p, maxB int, split dist.Split,
 	setup func(net *DistInferNet) error, x *tensor.Tensor, lives []int) [][]float32 {
 	t.Helper()
 	pls := ShardedPlacements(arch, p, split)
+	padded := make([]*tensor.Tensor, len(lives))
+	for i, live := range lives {
+		padded[i] = x.Clone()
+		d := padded[i].Data()
+		for j := live * len(d) / maxB; j < len(d); j++ {
+			d[j] = float32(math.NaN())
+		}
+	}
 	outs := make([][]float32, len(lives))
 	var mu sync.Mutex
 	var firstErr error
@@ -36,7 +47,7 @@ func runDistInfer(t *testing.T, arch *Arch, p, maxB int, split dist.Split,
 			return
 		}
 		for i, live := range lives {
-			y := net.Forward(x, live)
+			y := net.Forward(padded[i], live)
 			if net.IsLeader() {
 				cp := make([]float32, y.Size())
 				copy(cp, y.Data())
@@ -228,9 +239,10 @@ func TestDistInferChannelSplitDeterministic(t *testing.T) {
 	}
 }
 
-// A warm sharded forward must allocate nothing under either split: all
-// layers own their outputs, collectives stage through the comm pool, and
-// the output gather reuses cached views.
+// A warm sharded forward must allocate nothing under either split, at any
+// live count: all layers own their outputs and their prefix views,
+// collectives stage through the comm pool, and the output gather reuses
+// cached views. Each live count is warmed once, then a mixed cycle runs.
 func TestDistInferForwardZeroAllocsWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -250,23 +262,28 @@ func TestDistInferForwardZeroAllocsWarm(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			for i := 0; i < 10; i++ {
-				net.Forward(x, maxB)
+			cycle := func() {
+				for _, live := range []int{1, 2, 3, maxB, 2, 1, maxB, 3} {
+					net.Forward(x, live)
+				}
 			}
-			const runs = 20
+			for _, live := range []int{1, 2, 3, maxB} {
+				net.Forward(x, live)
+			}
+			const runs = 10
 			if c.Rank() == 0 {
-				a := testing.AllocsPerRun(runs, func() { net.Forward(x, maxB) })
+				a := testing.AllocsPerRun(runs, cycle)
 				mu.Lock()
 				got = a
 				mu.Unlock()
 			} else {
 				for i := 0; i < runs+1; i++ {
-					net.Forward(x, maxB)
+					cycle()
 				}
 			}
 		})
 		if got != 0 {
-			t.Errorf("%v split: %v allocs per warm sharded forward, want 0", split, got)
+			t.Errorf("%v split: %v allocs per warm cycle of sharded forwards, want 0", split, got)
 		}
 	}
 }

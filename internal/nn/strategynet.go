@@ -342,6 +342,8 @@ func (net *StrategyNet) OutputCtx() *core.Ctx { return net.ops[len(net.ops)-1].c
 // Forward runs the DAG on this rank's shard, shuffling activations whenever
 // a child layer uses a different distribution than its parent produced. The
 // result is the last layer's own output, overwritten by the next Forward.
+// A forward-only net also takes x cut to fewer samples than it was built
+// for; every layer then computes only those.
 func (net *StrategyNet) Forward(x core.DistTensor) core.DistTensor {
 	for i := range net.ops {
 		spec := &net.Arch.Specs[i]

@@ -31,9 +31,10 @@
 // batch from one whose queue is draining). Replica groups of one rank run an
 // nn.InferNet clone (shared weights); groups of k ranks run an
 // nn.DistInferNet, a forward-only StrategyNet whose layers are
-// channel/filter-split k ways — the leader broadcasts each batch to its group,
-// all ranks execute the collective forward, and the leader sends the
-// assembled answer back through its communicator's proxy engine
+// channel/filter-split k ways — the leader broadcasts the live rows of each
+// batch to its group, all ranks execute the collective forward on those rows
+// alone (padding up to MaxBatch is never computed or sent), and the leader
+// sends the assembled answer back through its communicator's proxy engine
 // (comm.Comm.Do), overlapping the result transfer with the next batch.
 //
 // # Admission control

@@ -989,8 +989,9 @@ func (s *Server) leaderLoop(c *comm.Comm, ex executor) {
 }
 
 // followerLoop drives a non-leader member of a sharded replica: every
-// iteration mirrors the leader's broadcasts and joins the collective
-// forward. When the leader is killed, the broadcast receive panics with
+// iteration mirrors the leader's broadcasts (the live count, then only the
+// live rows, into the staging prefix) and joins the collective forward on
+// those rows. When the leader is killed, the broadcast receive panics with
 // the kill sentinel and replicaMain's RecoverKilled unwinds the follower —
 // the whole group fails together, which keeps its collective state
 // consistent for the rejoin drain.
@@ -1049,9 +1050,9 @@ func (e *localExec) trace(id uint64) { e.net.SetTraceID(id) }
 
 func (e *localExec) stop() {}
 
-// shardExec serves a multi-rank replica: the leader broadcasts the batch to
-// its group and every member runs the collective DistInferNet forward; the
-// leader gets the assembled output back.
+// shardExec serves a multi-rank replica: the leader broadcasts the batch's
+// live rows to its group and every member runs the collective DistInferNet
+// forward on them; the leader gets the assembled output back.
 type shardExec struct {
 	net           *nn.DistInferNet
 	group         *comm.Comm
@@ -1065,9 +1066,8 @@ func newShardExec(net *nn.DistInferNet, group *comm.Comm, inLen, outLen int) *sh
 	return &shardExec{
 		net:   net,
 		group: group,
-		// Zeroed capacity staging: rows past the live count hold stale (but
-		// finite) data; every kernel on the path is row-independent, so live
-		// answers never see them.
+		// Capacity staging: rows past the live count hold a previous
+		// batch's data, which the forward never reads.
 		staging: net.StagingInput(),
 		inLen:   inLen, outLen: outLen,
 	}

@@ -17,9 +17,10 @@ type Curve struct {
 
 // CurveFromModel tabulates ServeStages for batch sizes 1..maxBatch.
 // flops/bytes/kernels give the forward cost of a batch of n samples;
-// sharded groups (ranks > 1) run every batch at capacity-batch compute
-// cost — the distributed executor pads to its planned batch — plus the
-// group's input scatter and output gather collectives.
+// sharded groups (ranks > 1) are priced at capacity-batch compute cost for
+// every batch — an upper bound, since the distributed executor computes
+// only live rows — plus the group's input scatter and output gather
+// collectives.
 func CurveFromModel(m perfmodel.Machine, maxBatch, inLen, outLen, ranks int,
 	cost func(batch int) (flops, bytes float64, kernels int)) *Curve {
 	c := &Curve{

@@ -30,8 +30,9 @@
 // calibrated against the measured `cmd/bench -exp obs` decomposition (see
 // CurveFromModel and Curve.Scale; the calibration golden test in
 // internal/bench pins the simulator's predictions to the measured fleet
-// within a tolerance band). Multi-rank (sharded) replica groups run at
-// capacity batch and pay the group collective, like nn.DistInferNet.
+// within a tolerance band). Multi-rank (sharded) replica groups are priced
+// at capacity batch plus the group collective: an upper bound, since
+// nn.DistInferNet computes only a batch's live rows.
 //
 // Traffic is open-loop and seeded: Poisson or 2-state MMPP (bursty)
 // arrivals, optional diurnal rate modulation, per-request work factors
