@@ -13,15 +13,17 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/kernels"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
 // goldenHashes pins the bits of every loss and of the final global
-// parameters of short p = 2 training runs, and of 2-rank sharded serving
-// answers, so a refactor of the distributed layers cannot move a single
-// bit unnoticed. Regenerate only for a change meant to alter numerics.
+// parameters of short p = 2 training runs, of 2-rank sharded serving
+// answers and of 1-rank InferNet answers, so a refactor of the
+// distributed layers or of the serving path cannot move a single bit
+// unnoticed. Regenerate only for a change meant to alter numerics.
 var goldenHashes = map[string]uint64{
 	"mesh {PH:2} sync":            0x96a4635f1bef540f,
 	"mesh {PH:2} overlap":         0x96a4635f1bef540f,
@@ -33,6 +35,8 @@ var goldenHashes = map[string]uint64{
 	"fcheavy+bias placed overlap": 0x1605557d84531957,
 	"distinfer smallcnn filter":   0x385f63d299bdd244,
 	"distinfer smallcnn chan":     0xdcd505427792af62,
+	"infer servingArch":           0x05df64254b2ccdc9,
+	"infer resnet50tiny":          0x6c66dddea66f061e,
 }
 
 func TestGoldenTrainingAndServingHashes(t *testing.T) {
@@ -61,6 +65,8 @@ func TestGoldenTrainingAndServingHashes(t *testing.T) {
 	cnn := models.SmallCNN(8, 3, 4)
 	got["distinfer smallcnn filter"] = goldenServeHash(t, cnn, dist.SplitFilter)
 	got["distinfer smallcnn chan"] = goldenServeHash(t, cnn, dist.SplitChannel)
+	got["infer servingArch"] = goldenInferHash(t, nn.ServingArch(8, 8), 5)
+	got["infer resnet50tiny"] = goldenInferHash(t, resnet, 4)
 
 	names := make([]string, 0, len(got))
 	for name := range got {
@@ -281,5 +287,57 @@ func goldenServeHash(t *testing.T, arch *nn.Arch, split dist.Split) uint64 {
 			mu.Unlock()
 		}
 	})
+	return h.Sum64()
+}
+
+// goldenInferHash hashes a 1-rank InferNet's answers at batch 1, 3 and
+// maxB. The net is restored from a SeqNet trained for three SGD steps, so
+// weights and batchnorm statistics have left their initialization.
+func goldenInferHash(t *testing.T, arch *nn.Arch, maxB int) uint64 {
+	t.Helper()
+	in := arch.In
+	out, err := arch.Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := nn.NewSeqNet(arch, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq.SetTrain(true)
+	opt := nn.NewSGD(0.05, 0.9, 0)
+	x := tensor.New(maxB, in.C, in.H, in.W)
+	labels := make([]int, maxB)
+	for step := 0; step < 3; step++ {
+		x.FillRandN(int64(100+step), 1)
+		for i := range labels {
+			labels[i] = (i + step) % out.C
+		}
+		y := seq.Forward(x)
+		dl := tensor.New(maxB, out.C)
+		kernels.SoftmaxCrossEntropy(y.Reshape(maxB, out.C), labels, dl)
+		seq.Backward(dl.Reshape(y.Shape()...))
+		opt.Step(seq.Params())
+	}
+	ck, err := nn.CaptureState(arch.Name, seq.Params(), seq.Buffers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf, err := nn.NewInferNet(arch, maxB)
+	if err == nil {
+		err = ck.Restore(arch.Name, inf.Params(), inf.Buffers())
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, b := range []int{1, 3, maxB} {
+		x := tensor.New(b, in.C, in.H, in.W)
+		x.FillRandN(int64(20+b), 1)
+		for _, v := range inf.Forward(x).Data() {
+			u := math.Float32bits(v)
+			h.Write([]byte{byte(u), byte(u >> 8), byte(u >> 16), byte(u >> 24)})
+		}
+	}
 	return h.Sum64()
 }

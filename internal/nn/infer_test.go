@@ -25,6 +25,9 @@ func servingArch(h, w int) *Arch {
 	return b.MustBuild()
 }
 
+// ServingArch is servingArch for the external golden test.
+var ServingArch = servingArch
+
 // trainBriefly runs a few SGD steps so weights and BN running statistics
 // move away from their initialization (making missing-buffer bugs visible).
 func trainBriefly(t *testing.T, net *SeqNet, n, h, w int) {
