@@ -2,7 +2,8 @@
 // service: it loads a model (fresh weights, or a checkpoint written with
 // nn.SaveState), stands up a replica fleet over comm ranks behind the
 // dynamic micro-batcher — single-rank InferNet replicas and/or multi-rank
-// placement-sharded DistInferNet replica groups — and exposes
+// placement-sharded DistInferNet replica groups, both the forward-only
+// StrategyNet with its fused epilogues — and exposes
 //
 //	POST /v1/predict   {"input": [C*H*W floats]} -> {"output": [...], "argmax": k}
 //	GET  /healthz      liveness

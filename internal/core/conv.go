@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/kernels"
+	"repro/internal/obs"
 	"repro/internal/tensor"
 )
 
@@ -33,7 +36,9 @@ import (
 //     the allgather of every channel block over ctx.Chan. Otherwise it is
 //     x itself, convolved with the geometry's padding.
 //  2. Run the local kernel: kernels.ConvForward, or the prepacked
-//     row-stable kernel on a forward-only layer.
+//     row-stable kernel on a forward-only layer, whose store epilogue
+//     adds the bias and any batch normalization and ReLU folded in by
+//     Fuse.
 //  3. Complete partial sums. Under SplitChannel every rank holds a partial
 //     sum over all F filters, and a rank-ordered stable reduce-scatter over
 //     ctx.Chan leaves this rank its filter block, to which the bias is
@@ -99,10 +104,12 @@ type Conv struct {
 	rsCounts []int
 	rg       regionScratch
 
-	// wp caches W prepacked for the forward-only kernel and epi the bias
-	// folded into its store; InvalidatePacked drops both.
-	wp  *kernels.PackedB
-	epi *kernels.Epilogue
+	// pack is a forward-only layer's prepack slot, shared by every layer
+	// that ShareWeights pointed at the same weights; fuseBN and fuseReLU
+	// are what Fuse folded into its epilogue.
+	pack     *convPack
+	fuseBN   *BatchNorm
+	fuseReLU bool
 
 	// y and dx are the layer-owned output and error signal. full is the
 	// split dimension at full extent: [nLoc, F, OH, OW] under SplitChannel
@@ -166,6 +173,7 @@ func NewPlacedConv(ctx *Ctx, inDist dist.Dist, f int, geom dist.ConvGeom, bias b
 		forwardOnly: forwardOnly,
 		halo:        g.SpatialWays() > 1,
 		tag:         ctx.AllocTags(4),
+		pack:        &convPack{},
 	}
 	if split != dist.SplitNone {
 		full := l.fullDist()
@@ -223,17 +231,88 @@ func (l *Conv) fullDist() dist.Dist {
 	return d
 }
 
-// InvalidatePacked drops the prepacked weights and bias epilogue of a
-// forward-only layer; the next Forward repacks from the current W and Bias.
-// Call after writing new values into them (checkpoint restore, rejoin state
-// transfer) on a layer that may already have served.
-func (l *Conv) InvalidatePacked() { l.wp, l.epi = nil, nil }
+// convPack is the prepack slot of a forward-only conv, shared by the
+// layers sharing its weights: one immutable packedConv behind an atomic
+// pointer, so a warm Forward costs one load, and a mutex that serializes
+// the rare build.
+type convPack struct {
+	mu sync.Mutex
+	p  atomic.Pointer[packedConv]
+}
+
+// packedConv holds the panel-blocked weights and the store epilogue built
+// from the bias and the fused batchnorm's values.
+type packedConv struct {
+	pb  *kernels.PackedB
+	epi *kernels.Epilogue
+}
+
+// InvalidatePacked drops the prepacked weights and epilogue of a
+// forward-only layer, and of every layer sharing them; the next Forward
+// repacks from the current W, Bias and fused batchnorm. Call after writing
+// new values into any of them (checkpoint restore, rejoin state transfer)
+// on a layer that may already have served.
+func (l *Conv) InvalidatePacked() { l.pack.p.Store(nil) }
+
+// Fuse folds bn, then (when relu) a ReLU, into the store epilogue of this
+// forward-only layer; bn may be nil to fold the ReLU alone. The caller
+// guarantees they are the sole consumers of the output and skips them: the
+// fused output is bitwise theirs. Under SplitChannel the bias is added
+// after the reduce-scatter, so nothing can follow it into the epilogue.
+// Call it at construction: a prepack shared through ShareWeights was built
+// under the same fusion.
+func (l *Conv) Fuse(bn *BatchNorm, relu bool) {
+	if !l.forwardOnly || l.split == dist.SplitChannel || bn != nil && !bn.inference {
+		panic(fmt.Sprintf("core: cannot fuse into a %v-split conv (forward-only %v)", l.split, l.forwardOnly))
+	}
+	l.fuseBN, l.fuseReLU = bn, relu
+}
+
+// ShareWeights makes l read src's weights, bias and prepack slot, so a
+// replica of a forward-only network aliases one copy of them.
+func (l *Conv) ShareWeights(src *Conv) {
+	l.W, l.Bias, l.pack = src.W, src.Bias, src.pack
+}
+
+// packed returns the current prepack generation, building it on first use
+// or after InvalidatePacked, at most once across the layers sharing it.
+func (l *Conv) packed() *packedConv {
+	if pc := l.pack.p.Load(); pc != nil {
+		return pc
+	}
+	l.pack.mu.Lock()
+	defer l.pack.mu.Unlock()
+	if pc := l.pack.p.Load(); pc != nil {
+		return pc
+	}
+	// The prepacked kernel's per-element accumulation order is
+	// ConvForwardBatched's, with the bias and the fused layers applied in
+	// the GEMM store.
+	pc := &packedConv{pb: kernels.PackConvWeights(l.W)}
+	bias := l.Bias
+	if l.split == dist.SplitChannel {
+		bias = nil
+	}
+	if bn := l.fuseBN; bn != nil {
+		pc.epi = kernels.NewBNEpilogue(bias, bn.Gamma, bn.Beta, bn.RunMean, bn.RunVar, bn.Eps, l.fuseReLU)
+	} else if bias != nil || l.fuseReLU {
+		pc.epi = &kernels.Epilogue{Bias: bias, ReLU: l.fuseReLU}
+	}
+	l.pack.p.Store(pc)
+	return pc
+}
 
 // Forward returns this rank's output shard, which the layer owns. x may
 // hold n ≤ InDist.N samples (the whole batch on a grid that splits H or
 // W); every step then runs on those n alone, including the split's
 // collective, and the result is the first n samples of the owned output.
 func (l *Conv) Forward(ctx *Ctx, x DistTensor) DistTensor {
+	return l.ForwardTraced(ctx, x, nil, 0)
+}
+
+// ForwardTraced is Forward, with a forward-only layer's kernel phases
+// recorded on tr under id.
+func (l *Conv) ForwardTraced(ctx *Ctx, x DistTensor, tr *obs.Ring, id uint64) DistTensor {
 	n := batchOf(x, l.InDist, "conv", l.halo)
 	y := l.y.Rows(l.OutDist, ctx.Rank, n)
 	// A forward-only layer, or a caller timing Forward alone, never reaches
@@ -252,13 +331,13 @@ func (l *Conv) Forward(ctx *Ctx, x DistTensor) DistTensor {
 	}
 	if l.split == dist.SplitChannel {
 		full := l.full.Rows(l.fullDist(), ctx.ChanPeers.Rank(), n).Local
-		l.convLocal(l.xIn.T, full)
+		l.convLocal(l.xIn.T, full, tr, id)
 		reduceScatterOwnBlock(ctx, full, y.Local, l.rsCounts)
 		if l.Bias != nil {
 			addBiasBlock(y.Local, l.Bias)
 		}
 	} else {
-		l.convLocal(l.xIn.T, y.Local)
+		l.convLocal(l.xIn.T, y.Local, tr, id)
 	}
 	if l.forwardOnly {
 		l.xIn = Ext{}
@@ -268,24 +347,17 @@ func (l *Conv) Forward(ctx *Ctx, x DistTensor) DistTensor {
 
 // convLocal is step 2 on whole spatial dimensions: out = conv(in, W), plus
 // the bias unless it belongs after step 3.
-func (l *Conv) convLocal(in, out *tensor.Tensor) {
+func (l *Conv) convLocal(in, out *tensor.Tensor, tr *obs.Ring, id uint64) {
+	if l.forwardOnly {
+		pc := l.packed()
+		kernels.ConvForwardBatchedPrepacked(in, pc.pb, l.Geom.K, pc.epi, out, l.Geom.S, l.Geom.Pad, tr, id)
+		return
+	}
 	bias := l.Bias
 	if l.split == dist.SplitChannel {
 		bias = nil
 	}
-	if !l.forwardOnly {
-		kernels.ConvForward(in, l.W, bias, out, l.Geom.S, l.Geom.Pad, l.Algo)
-		return
-	}
-	if l.wp == nil {
-		// The prepacked kernel's per-element accumulation order is
-		// ConvForwardBatched's, with the bias folded into the GEMM store.
-		l.wp = kernels.PackConvWeights(l.W)
-		if bias != nil {
-			l.epi = &kernels.Epilogue{Bias: bias}
-		}
-	}
-	kernels.ConvForwardBatchedPrepacked(in, l.wp, l.Geom.K, l.epi, out, l.Geom.S, l.Geom.Pad, nil, 0)
+	kernels.ConvForward(in, l.W, bias, out, l.Geom.S, l.Geom.Pad, l.Algo)
 }
 
 // exchangeOp carries one halo exchange onto the communication proxy: fn is

@@ -280,3 +280,38 @@ func TestInferenceLayersLivePrefix(t *testing.T) {
 		}
 	}
 }
+
+// Convs that share weights share one prepack: it is built once, by
+// whichever Forward comes first, and invalidating it through either layer
+// drops it for both. Nothing folds into a channel-split conv.
+func TestShareWeightsSharesPrepack(t *testing.T) {
+	g := dist.Grid{PN: 1, PC: 1, PH: 1, PW: 1}
+	d := dist.Dist{Grid: g, N: 2, C: 3, H: 4, W: 4}
+	geom := dist.ConvGeom{K: 3, S: 1, Pad: 1}
+	runDistributed(g, func(ctx *Ctx) {
+		a := NewPlacedConv(ctx, d, 4, geom, true, dist.SplitNone, true)
+		b := NewPlacedConv(ctx, d, 4, geom, true, dist.SplitNone, true)
+		a.W.FillRandN(3, 1)
+		b.ShareWeights(a)
+		x := Scatter(randTensor(4, 2, 3, 4, 4), d)[ctx.Rank]
+		ya := a.Forward(ctx, x).Local.Clone()
+		pc := a.pack.p.Load()
+		if yb := b.Forward(ctx, x).Local; pc == nil || b.pack.p.Load() != pc || yb.MaxAbsDiff(ya) != 0 {
+			t.Error("convs sharing weights did not share one prepack and its answers")
+		}
+		b.InvalidatePacked()
+		if a.pack.p.Load() != nil {
+			t.Error("invalidating one sharer left the other's prepack in place")
+		}
+	})
+	runDistributed(dist.Grid{PN: 1, PC: 2, PH: 1, PW: 1}, func(ctx *Ctx) {
+		dc := dist.Dist{Grid: ctx.Grid, N: 2, C: 4, H: 4, W: 4}
+		cv := NewPlacedConv(ctx, dc, 4, geom, false, dist.SplitChannel, true)
+		defer func() {
+			if recover() == nil {
+				t.Error("Fuse into a channel-split conv did not panic")
+			}
+		}()
+		cv.Fuse(nil, true)
+	})
+}

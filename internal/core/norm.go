@@ -201,21 +201,34 @@ func (l *ReLU) Backward(ctx *Ctx, dy DistTensor) DistTensor {
 // returns the first n samples of its output.
 type Add struct {
 	Dist        dist.Dist
+	relu        bool // FuseReLU: Forward is max(0, a + b), Backward panics
 	out, da, db Owned
 }
 
 // NewAdd constructs the layer.
 func NewAdd(d dist.Dist) *Add { return &Add{Dist: d} }
 
+// FuseReLU folds a ReLU that is the sum's sole consumer into Forward, in
+// the same elementwise pass (kernels.AddReLU, bitwise the two passes). The
+// caller skips that ReLU; the layer is forward-only from then on.
+func (l *Add) FuseReLU() { l.relu = true }
+
 // Forward computes a + b on local shards (distributions must match).
 func (l *Add) Forward(ctx *Ctx, a, b DistTensor) DistTensor {
 	out := l.out.Rows(l.Dist, ctx.Rank, a.Dist.N)
-	kernels.Add(a.Local, b.Local, out.Local)
+	if l.relu {
+		kernels.AddReLU(a.Local, b.Local, out.Local)
+	} else {
+		kernels.Add(a.Local, b.Local, out.Local)
+	}
 	return out
 }
 
 // Backward passes dy to both branches unchanged.
 func (l *Add) Backward(ctx *Ctx, dy DistTensor) (DistTensor, DistTensor) {
+	if l.relu {
+		panic("core: Backward on an Add with a fused ReLU")
+	}
 	da, db := l.da.Rows(l.Dist, ctx.Rank, dy.Dist.N), l.db.Rows(l.Dist, ctx.Rank, dy.Dist.N)
 	copy(da.Local.Data(), dy.Local.Data())
 	copy(db.Local.Data(), dy.Local.Data())

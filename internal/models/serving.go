@@ -3,7 +3,8 @@ package models
 import "repro/internal/nn"
 
 // ForServing constructors: each model factory paired with a forward-only
-// nn.InferNet builder sized for the serving subsystem's micro-batcher.
+// nn.InferNet (the forward-only StrategyNet on one rank) sized for the
+// serving subsystem's micro-batcher.
 // maxBatch is the largest batch the replica's preallocated activation
 // buffers accept — internal/serve flushes at or below it. Weights start
 // initialized; restore a trained checkpoint with nn.LoadState into

@@ -11,7 +11,8 @@ import (
 // inference nevertheless depends on (batch-normalization running statistics).
 // Gradients are transient and never travel. Checkpoints hold full tensors
 // under their layer names, so one written from a SeqNet or an InferNet
-// restores into either. A StrategyNet's Params are full tensors only where
+// restores into either: an InferNet is a StrategyNet on one rank, whose
+// tensors are all whole. A StrategyNet's Params are full tensors only where
 // its placements replicate them (every uniform sample/spatial grid, as
 // NewDistNet builds); under a channel or filter split they are this rank's
 // shards under the full names, so CaptureState over them builds a
@@ -54,15 +55,8 @@ func unpackNamed(src map[string][]float32, dst []Param, kind string) error {
 // batch-normalization running statistics an eval-mode forward pass would
 // normalize with the initialization values.
 func SaveState(w io.Writer, archName string, params, buffers []Param) error {
-	ck := Checkpoint{
-		Arch:    archName,
-		Params:  make(map[string][]float32, len(params)),
-		Buffers: make(map[string][]float32, len(buffers)),
-	}
-	if err := packNamed(ck.Params, params, "parameter"); err != nil {
-		return err
-	}
-	if err := packNamed(ck.Buffers, buffers, "buffer"); err != nil {
+	ck, err := CaptureState(archName, params, buffers)
+	if err != nil {
 		return err
 	}
 	return gob.NewEncoder(w).Encode(ck)

@@ -10,37 +10,27 @@ import (
 	"repro/internal/tensor"
 )
 
-// DistInferNet is the distributed counterpart of InferNet: one replica
-// group's forward-only StrategyNet, the "model too big for one device"
-// serving path. Every layer runs on the grid {PN:1, PC:p, PH:1, PW:1}, so
-// each rank of the group holds one channel/filter shard of it; each
-// convolution is a forward-only core.Conv whose Split (Section III-D) comes
-// from its Placement, batch normalization uses the running statistics, and
-// activation collectives are rank-order stable, so answers are bitwise
-// deterministic under dynamic batching. What DistInferNet adds is specific
-// to a replica group: slicing this rank's channel block out of the
-// replicated input, the leader's output gather, the staging buffer, and
-// the trace hooks.
+// DistInferNet is one replica group's serving engine, the "model too big
+// for one device" path: the forward-only StrategyNet that InferNet runs on
+// one rank, here on the grid {PN:1, PC:p, PH:1, PW:1}, each rank holding
+// the channel/filter shard of every layer that its Placement names
+// (Section III-D). It adds what is specific to a group: slicing this
+// rank's channel block out of the replicated input, the leader's output
+// gather and the staging buffer.
 //
-// Under SplitFilter every rank gathers the complete input channels and
-// computes complete weight rows with the batched row-stable kernel, so the
-// assembled output is bitwise identical to an unsharded InferNet on the
-// same weights — the property the serving fleet's mixed sharded/unsharded
-// replica sets rely on; so is a 1-rank group, whose convolutions are
-// replicated. SplitChannel reassociates the channel sum across blocks
-// (deterministic, but not bitwise equal across decompositions).
-//
-// Every layer owns a capacity buffer for its output, allocated on the
-// first Forward, and a forward computes only the live rows: each layer
-// works on the first live rows of its buffer, and every collective carries
-// only those. The batched kernels are row-stable, so the answers are
-// bitwise those of a full-capacity forward. Once each live count has been
-// seen, a Forward performs no heap allocations. Like InferNet, a
-// DistInferNet is not safe for concurrent Forward calls; it is one replica.
+// A forward computes only the live rows, with rank-order stable
+// collectives and row-stable kernels, so answers are bitwise deterministic
+// under dynamic batching. Under SplitFilter every rank gathers the whole
+// input and computes whole weight rows, with batchnorm and ReLU folded
+// into its filter block's epilogue, so the assembled output is bitwise an
+// InferNet's on the same weights, which lets the serving fleet mix sharded
+// and unsharded replicas. SplitChannel reassociates the channel sum across
+// blocks (deterministic, not bitwise equal across decompositions) and
+// folds nothing into its convolutions. Once each live count has been seen,
+// a Forward allocates nothing. Like InferNet, it is one replica, not safe
+// for concurrent Forward calls.
 type DistInferNet struct {
-	net  *StrategyNet
-	ctx  *core.Ctx
-	maxN int
+	engine // net runs on the group's context, net.world
 
 	in      core.Owned // input shard, refilled each Forward
 	inRange dist.Range // this rank's input-channel block
@@ -55,28 +45,14 @@ type DistInferNet struct {
 	// Persistent region scratch so warm extracts/inserts allocate nothing.
 	off, size [4]int
 
-	staging *tensor.Tensor // lazily allocated replicated-input buffer
+	staging *tensor.Tensor // the replicated-input buffer StagingInput returns
 }
-
-// SetTrace attaches this rank's flight-recorder ring: Forward then emits
-// per-layer and gather spans on it when tracing is enabled. Nil detaches.
-func (n *DistInferNet) SetTrace(r *obs.Ring) { n.net.trace = r }
-
-// SetTraceID sets the correlation id stamped on subsequent spans; the
-// serving leader broadcasts the batch seq so every shard rank tags alike.
-func (n *DistInferNet) SetTraceID(id uint64) { n.net.traceID = id }
 
 // StagingInput returns a preallocated [MaxBatch, C, H, W] tensor suitable
 // as the Forward input: callers (the serving replica loop) copy live rows
 // into its prefix and pass it collectively. Rows past live are never read.
 // One buffer per net, reused across batches.
-func (n *DistInferNet) StagingInput() *tensor.Tensor {
-	if n.staging == nil {
-		in := n.net.Arch.In
-		n.staging = tensor.New(n.maxN, in.C, in.H, in.W)
-	}
-	return n.staging
-}
+func (n *DistInferNet) StagingInput() *tensor.Tensor { return n.staging }
 
 // ShardedPlacements builds the uniform per-layer placement list a serving
 // replica group uses: every layer on the {PN:1, PC:p, PH:1, PW:1} grid,
@@ -103,9 +79,6 @@ func ShardedPlacements(arch *Arch, p int, split dist.Split) []dist.Placement {
 // uses (each rank holding its slice of the identical full tensor); restore
 // real ones collectively with LoadState/LoadCheckpoint.
 func NewDistInferNet(c *comm.Comm, arch *Arch, maxBatch int, placements []dist.Placement) (*DistInferNet, error) {
-	if maxBatch < 1 {
-		return nil, fmt.Errorf("nn: dist infer net needs maxBatch >= 1, got %d", maxBatch)
-	}
 	if len(placements) != len(arch.Specs) {
 		return nil, fmt.Errorf("nn: %d placements for %d layers", len(placements), len(arch.Specs))
 	}
@@ -118,11 +91,12 @@ func NewDistInferNet(c *comm.Comm, arch *Arch, maxBatch int, placements []dist.P
 		}
 	}
 	ctx := core.NewCtx(c, grid)
-	net, err := newStrategyNet(ctx, arch, maxBatch, 0, placements, true)
+	net, err := newStrategyNet(ctx, arch, maxBatch, 0, placements, true, nil)
 	if err != nil {
 		return nil, err
 	}
-	n := &DistInferNet{net: net, ctx: ctx, maxN: maxBatch}
+	in := arch.In
+	n := &DistInferNet{engine: engine{net: net, maxN: maxBatch}, staging: tensor.New(maxBatch, in.C, in.H, in.W)}
 	n.inRange = net.InputDist().RangeC(ctx.Rank)
 	out := n.OutShape()
 	n.outDist = dist.Dist{Grid: dist.Grid{PN: 1, PH: 1, PW: 1}, N: maxBatch, C: out.C, H: out.H, W: out.W}
@@ -133,9 +107,6 @@ func NewDistInferNet(c *comm.Comm, arch *Arch, maxBatch int, placements []dist.P
 	n.tag = ctx.AllocTags(1)
 	return n, nil
 }
-
-// OutShape returns the per-sample output shape.
-func (n *DistInferNet) OutShape() Shape { return n.net.ShapeOf[len(n.net.ShapeOf)-1] }
 
 // Forward runs the sharded DAG on the live rows alone. It must be called
 // collectively by every rank of the group with a bitwise-identical x of
@@ -153,7 +124,7 @@ func (n *DistInferNet) Forward(x *tensor.Tensor, live int) *tensor.Tensor {
 	}
 	// Slice the live rows of this rank's input-channel block out of the
 	// replicated input.
-	shard := n.in.Rows(n.net.InputDist(), n.ctx.Rank, live)
+	shard := n.in.Rows(n.net.InputDist(), n.net.world.Rank, live)
 	n.off = [4]int{0, n.inRange.Lo, 0, 0}
 	n.size = [4]int{live, n.inRange.Len(), in.H, in.W}
 	x.ExtractRegionInto(tensor.Region{Off: n.off[:], Size: n.size[:]}, shard.Local.Data())
@@ -172,7 +143,7 @@ func (n *DistInferNet) Forward(x *tensor.Tensor, live int) *tensor.Tensor {
 // and the leader inserts them (and its own) into the full output. Payloads
 // stage through the comm pool, so a warm gather allocates nothing.
 func (n *DistInferNet) gatherOutput(y core.DistTensor, live int) *tensor.Tensor {
-	c := n.ctx.C
+	c := n.net.world.C
 	if c.Rank() != 0 {
 		buf := comm.GetBuf(y.Local.Size())
 		copy(buf, y.Local.Data())

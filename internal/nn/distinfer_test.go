@@ -289,7 +289,7 @@ func TestDistInferForwardZeroAllocsWarm(t *testing.T) {
 }
 
 // IsLeader reports whether this rank assembles (and returns) the output.
-func (n *DistInferNet) IsLeader() bool { return n.ctx.Rank == 0 }
+func (n *DistInferNet) IsLeader() bool { return n.net.world.Rank == 0 }
 
 // LoadState restores a full-state checkpoint (written by nn.SaveState from
 // any executor of the same architecture) into this rank's shards. Each rank

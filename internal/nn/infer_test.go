@@ -2,6 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"sync"
 	"testing"
 
 	"repro/internal/dist"
@@ -238,29 +241,44 @@ func TestInferNetForwardZeroAllocs(t *testing.T) {
 }
 
 // unfusedForward is the oracle for the fused serving path: a plain walk
-// over net's layers with a fresh buffer per layer, every conv through the
-// pack-on-the-fly kernels.ConvForwardBatched and every batchnorm, ReLU and
-// residual add as its own full pass.
-func unfusedForward(net *InferNet, x *tensor.Tensor) *tensor.Tensor {
-	b := x.Shape()[0]
-	outs := make([]*tensor.Tensor, len(net.layers))
+// over arch with a fresh buffer per layer and the weights taken by name
+// from params and buffers, every conv through the pack-on-the-fly
+// kernels.ConvForwardBatched and every batchnorm, ReLU and residual add as
+// its own full pass.
+func unfusedForward(arch *Arch, params, buffers []Param, x *tensor.Tensor) *tensor.Tensor {
+	w := map[string][]float32{}
+	for _, ps := range [][]Param{params, buffers} {
+		for _, p := range ps {
+			w[p.Name] = p.W
+		}
+	}
+	shapes, err := arch.Shapes()
+	if err != nil {
+		panic(err)
+	}
+	outs := make([]*tensor.Tensor, len(arch.Specs))
 	outs[0] = x
-	for i := 1; i < len(net.layers); i++ {
-		spec := net.Arch.Specs[i]
-		sh := net.ShapeOf[i]
-		in := outs[spec.Parents[0]]
-		out := tensor.New(b, sh.C, sh.H, sh.W)
-		switch l := net.layers[i].(type) {
-		case *inferConv:
-			kernels.ConvForwardBatched(in, l.w, l.b, out, spec.Geom.S, spec.Geom.Pad)
-		case *inferBN:
-			kernels.BatchNormInference(in, l.runMean, l.runVar, l.gamma, l.beta, l.eps, out)
-		case *inferReLU:
+	for i := 1; i < len(arch.Specs); i++ {
+		s, sh := arch.Specs[i], shapes[i]
+		in := outs[s.Parents[0]]
+		out := tensor.New(x.Dim(0), sh.C, sh.H, sh.W)
+		switch g := s.Geom; s.Kind {
+		case KindConv:
+			wt := tensor.FromSlice(w[s.Name+".w"], s.F, shapes[s.Parents[0]].C, g.K, g.K)
+			kernels.ConvForwardBatched(in, wt, w[s.Name+".b"], out, g.S, g.Pad)
+		case KindBatchNorm:
+			kernels.BatchNormInference(in, w[s.Name+".running_mean"], w[s.Name+".running_var"],
+				w[s.Name+".gamma"], w[s.Name+".beta"], 1e-5, out)
+		case KindReLU:
 			kernels.ReLUForward(in, out)
-		case *inferAdd:
-			kernels.Add(in, outs[spec.Parents[1]], out)
-		default: // pooling: no fusion involved
-			l.forward([2]*tensor.Tensor{in}, out)
+		case KindAdd:
+			kernels.Add(in, outs[s.Parents[1]], out)
+		case KindMaxPool:
+			kernels.MaxPoolForward(in, out, g.K, g.S, g.Pad, nil)
+		case KindGlobalAvgPool:
+			kernels.GlobalAvgPoolForward(in, out)
+		default:
+			panic(fmt.Sprintf("unfusedForward: kind %v", s.Kind))
 		}
 		outs[i] = out
 	}
@@ -268,13 +286,14 @@ func unfusedForward(net *InferNet, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // TestInferNetFusionBitwiseMatchesLegacy is the acceptance test for the
-// prepacked/fused serving path: an InferNet (prepacked weights, conv+BN+ReLU
-// folded into the GEMM store epilogue, add+ReLU in one pass) must produce
-// bit-for-bit the output of the unfused layer walk (pack-on-the-fly
-// ConvForwardBatched, batchnorm and ReLU as separate full passes), for every
-// batch size. The arch covers all three fusion shapes: conv+BN+ReLU (stem),
-// conv+BN whose batchnorm feeds an Add (b2a), and an unfused biased conv
-// (cls).
+// prepacked/fused serving path: the 1-rank InferNet and a 2-rank
+// filter-split DistInferNet (prepacked weights, conv+BN+ReLU folded into
+// the GEMM store epilogue, add+ReLU in one pass) must produce bit-for-bit
+// the output of the unfused layer walk (pack-on-the-fly
+// ConvForwardBatched, batchnorm and ReLU as separate full passes), for
+// every batch size. The arch covers all three fusion shapes: conv+BN+ReLU
+// (stem), conv+BN whose batchnorm feeds an Add (b2a), and an unfused
+// biased conv (cls).
 func TestInferNetFusionBitwiseMatchesLegacy(t *testing.T) {
 	const size, maxN = 8, 5
 	arch := servingArch(size, size)
@@ -283,25 +302,95 @@ func TestInferNetFusionBitwiseMatchesLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	trainBriefly(t, seq, maxN, size, size)
-	var buf bytes.Buffer
-	if err := SaveState(&buf, arch.Name, seq.Params(), seq.Buffers()); err != nil {
+	ck, err := CaptureState(arch.Name, seq.Params(), seq.Buffers())
+	if err != nil {
 		t.Fatal(err)
 	}
 	fused, err := NewInferNet(arch, maxN)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadState(bytes.NewReader(buf.Bytes()), arch.Name, fused.Params(), fused.Buffers()); err != nil {
+	if err := ck.Restore(arch.Name, fused.Params(), fused.Buffers()); err != nil {
 		t.Fatal(err)
 	}
 
-	for _, b := range []int{1, 3, maxN} {
-		x := tensor.New(b, 3, size, size)
-		x.FillRandN(int64(b), 1)
-		if d := fused.Forward(x).MaxAbsDiff(unfusedForward(fused, x)); d != 0 {
-			t.Fatalf("batch %d: fused forward differs from the unfused walk: max abs diff %g, want bitwise identity", b, d)
+	x := tensor.New(maxN, 3, size, size)
+	x.FillRandN(5, 1)
+	lives := []int{1, 3, maxN}
+	want := make([]*tensor.Tensor, len(lives))
+	for i, b := range lives {
+		v := tensor.FromSlice(x.Data()[:b*3*size*size], b, 3, size, size)
+		want[i] = unfusedForward(arch, fused.Params(), fused.Buffers(), v)
+	}
+	for _, e := range []struct {
+		name string
+		got  [][]float32
+	}{
+		{"InferNet", refOutputs(fused, x, lives)},
+		{"2-rank filter-split DistInferNet", runDistInfer(t, arch, 2, maxN, dist.SplitFilter,
+			func(net *DistInferNet) error { return net.LoadCheckpoint(ck) }, x, lives)},
+	} {
+		for i, b := range lives {
+			if d := tensor.FromSlice(e.got[i], want[i].Shape()...).MaxAbsDiff(want[i]); d != 0 {
+				t.Fatalf("%s batch %d: fused forward differs from the unfused walk: max abs diff %g, want bitwise identity", e.name, b, d)
+			}
 		}
 	}
+}
+
+// Clones that never ran race on their first Forward to build the prepacks
+// they share; every clone must still answer bitwise like the unfused walk.
+func TestInferNetClonesConcurrentColdForward(t *testing.T) {
+	const size, maxN, replicas = 8, 4, 4
+	arch := servingArch(size, size)
+	seq, err := NewSeqNet(arch, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainBriefly(t, seq, maxN, size, size)
+	nets := make([]*InferNet, replicas)
+	if nets[0], err = NewInferNet(arch, maxN); err != nil {
+		t.Fatal(err)
+	}
+	if err := LoadState(stateOf(t, seq), arch.Name, nets[0].Params(), nets[0].Buffers()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < replicas; i++ {
+		if nets[i], err = nets[0].Clone(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x := tensor.New(maxN, 3, size, size)
+	x.FillRandN(23, 1)
+	outs := make([]*tensor.Tensor, replicas)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i, net := range nets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			outs[i] = net.Forward(x).Clone()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	want := unfusedForward(arch, nets[0].Params(), nets[0].Buffers(), x)
+	for i, y := range outs {
+		if d := y.MaxAbsDiff(want); d != 0 {
+			t.Fatalf("clone %d: cold concurrent forward differs from the unfused walk: %g, want bitwise identity", i, d)
+		}
+	}
+}
+
+// stateOf serializes net's full state, as a checkpoint file would hold it.
+func stateOf(t *testing.T, net *SeqNet) io.Reader {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := SaveState(&buf, net.Arch.Name, net.Params(), net.Buffers()); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
 }
 
 // TestInferNetRepack: restoring a checkpoint into a net that has already
@@ -353,9 +442,9 @@ func TestInferNetRepack(t *testing.T) {
 // run a Forward — the serving startup flow (LoadState before the first
 // Forward) does not need it, because packing is lazy.
 func (n *InferNet) Repack() {
-	for _, l := range n.layers {
-		if cv, ok := l.(*inferConv); ok {
-			cv.pack.p.Store((*packedConv)(nil))
+	for _, o := range n.net.ops {
+		if o.conv != nil {
+			o.conv.InvalidatePacked()
 		}
 	}
 }

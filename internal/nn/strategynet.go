@@ -23,9 +23,12 @@ import (
 // communicator. The uniform case, one grid for every layer, is NewDistNet.
 //
 // Every rank constructs its own StrategyNet (collectively, in the same
-// order) and runs it SPMD-style. A forward-only StrategyNet (the body of a
-// DistInferNet) builds forward-only convolutions, pooling and inference
-// batch normalization, and holds no parameters or gradients.
+// order) and runs it SPMD-style. A forward-only StrategyNet (the body of
+// both serving engines: DistInferNet on a replica group, InferNet on one
+// rank) builds forward-only convolutions, pooling and inference batch
+// normalization. It holds parameters, so checkpoints restore into it, but
+// no gradients, and it folds each batch normalization, ReLU and residual
+// add it can into the layer producing its input (fuse).
 type StrategyNet struct {
 	Arch       *Arch
 	Placements []dist.Placement // per-layer placement (normalized)
@@ -60,13 +63,16 @@ type layer interface {
 }
 
 // op is one layer of a StrategyNet: the core layer under the context of
-// its grid (l is nil for the input, and Add is the one two-input kind),
-// plus the parameters it holds. conv is set for a convolution.
+// its grid (l is nil for the input and for a layer fuse folded into its
+// parent, and Add is the one two-input kind), plus the parameters it
+// holds. conv is set for a convolution, bn for a batch normalization,
+// folded or not.
 type op struct {
 	ctx    *core.Ctx
 	l      layer
 	add    *core.Add
 	conv   *core.Conv
+	bn     *core.BatchNorm
 	params []Param
 }
 
@@ -76,14 +82,16 @@ type op struct {
 // the deferred slices.
 func (o *op) defers() bool { return o.conv != nil && o.conv.Split() == dist.SplitNone }
 
-func (o *op) forward(a, b core.DistTensor) core.DistTensor {
+// forward runs the op on its inputs; a convolution records its kernel
+// phases on tr.
+func (o *op) forward(in *[2]core.DistTensor, tr *obs.Ring, id uint64) core.DistTensor {
 	switch {
 	case o.add != nil:
-		return o.add.Forward(o.ctx, a, b)
-	case o.l == nil:
-		return a
+		return o.add.Forward(o.ctx, in[0], in[1])
+	case o.conv != nil:
+		return o.conv.ForwardTraced(o.ctx, in[0], tr, id)
 	}
-	return o.l.Forward(o.ctx, a)
+	return o.l.Forward(o.ctx, in[0])
 }
 
 // backward returns the error signals for the op's (at most two) parents.
@@ -118,12 +126,14 @@ func NewDistNet(ctx *core.Ctx, arch *Arch, n int, seed int64) (*StrategyNet, err
 // replicated He-initialized weight tensor, so any placement of the same
 // architecture starts from the same global parameters.
 func NewStrategyNet(base *core.Ctx, arch *Arch, n int, seed int64, placements []dist.Placement) (*StrategyNet, error) {
-	return newStrategyNet(base, arch, n, seed, placements, false)
+	return newStrategyNet(base, arch, n, seed, placements, false, nil)
 }
 
 // newStrategyNet is NewStrategyNet, building forward-only layers when
-// forwardOnly is set.
-func newStrategyNet(base *core.Ctx, arch *Arch, n int, seed int64, placements []dist.Placement, forwardOnly bool) (*StrategyNet, error) {
+// forwardOnly is set. A forward-only net given src (one of the same
+// architecture and placements) aliases src's weights, batchnorm tensors and
+// prepacks instead of drawing its own.
+func newStrategyNet(base *core.Ctx, arch *Arch, n int, seed int64, placements []dist.Placement, forwardOnly bool, src *StrategyNet) (*StrategyNet, error) {
 	if len(placements) != len(arch.Specs) {
 		return nil, fmt.Errorf("nn: %d placements for %d layers", len(placements), len(arch.Specs))
 	}
@@ -188,15 +198,20 @@ func newStrategyNet(base *core.Ctx, arch *Arch, n int, seed int64, placements []
 		case KindInput:
 		case KindConv:
 			l := core.NewPlacedConv(ctx, inD, s.F, s.Geom, s.Bias, pl.Split, forwardOnly)
-			initConv(l, seed+int64(i))
-			o.l, o.conv = l, l
-			if forwardOnly {
-				break
+			if src != nil {
+				l.ShareWeights(src.ops[i].conv)
+			} else {
+				initConv(l, seed+int64(i))
 			}
-			o.params = []Param{{Name: s.Name + ".w", W: l.W.Data(), G: l.DW.Data()}}
+			o.l, o.conv = l, l
+			o.params = []Param{{Name: s.Name + ".w", W: l.W.Data()}}
 			if l.Bias != nil {
 				o.params = append(o.params, Param{Name: s.Name + ".b", W: l.Bias, G: l.DBias})
 			}
+			if forwardOnly {
+				break
+			}
+			o.params[0].G = l.DW.Data()
 			if o.defers() && base.C.Size() > 1 {
 				// Replicated over every rank: shard the update of each
 				// tensor the overlap engine reduces in place.
@@ -208,12 +223,17 @@ func newStrategyNet(base *core.Ctx, arch *Arch, n int, seed int64, placements []
 				}
 			}
 		case KindBatchNorm:
+			var l *core.BatchNorm
 			if forwardOnly {
-				o.l = core.NewBatchNormInference(ctx, inD)
-				break
+				l = core.NewBatchNormInference(ctx, inD)
+			} else {
+				l = core.NewBatchNorm(ctx, inD, core.BatchNormGlobal)
 			}
-			l := core.NewBatchNorm(ctx, inD, core.BatchNormGlobal)
-			o.l = l
+			if src != nil {
+				b := src.ops[i].bn
+				l.Gamma, l.Beta, l.RunMean, l.RunVar = b.Gamma, b.Beta, b.RunMean, b.RunVar
+			}
+			o.l, o.bn = l, l
 			o.params = []Param{
 				{Name: s.Name + ".gamma", W: l.Gamma, G: l.DGamma},
 				{Name: s.Name + ".beta", W: l.Beta, G: l.DBeta},
@@ -230,7 +250,55 @@ func newStrategyNet(base *core.Ctx, arch *Arch, n int, seed int64, placements []
 			return nil, fmt.Errorf("nn: unsupported kind %v", s.Kind)
 		}
 	}
+	if forwardOnly {
+		net.fuse()
+	}
 	return net, nil
+}
+
+// fuse is the forward-only fusion pass over the op table. A conv folds
+// its sole consumer if that is a batchnorm, then the batchnorm's sole
+// consumer if that is a ReLU, into its store epilogue, or else a sole
+// ReLU consumer; an add applies a sole ReLU consumer in the same pass. Each
+// fold is bitwise the separate passes. A folded op keeps its parameters
+// but passes its input, the fused output, through. Nothing folds into a
+// channel-split conv, which adds its bias after the reduce-scatter, or
+// across a change of grid.
+func (net *StrategyNet) fuse() {
+	specs := net.Arch.Specs
+	uses, last := make([]int, len(specs)), make([]int, len(specs))
+	for i, s := range specs {
+		for _, p := range s.Parents {
+			uses[p]++
+			last[p] = i
+		}
+	}
+	// next returns i's sole consumer if it is a kind-k layer on i's grid,
+	// else -1.
+	next := func(i int, k Kind) int {
+		if j := last[i]; uses[i] == 1 && specs[j].Kind == k && net.Placements[j].Grid == net.Placements[i].Grid {
+			return j
+		}
+		return -1
+	}
+	for i := range net.ops {
+		o, r := &net.ops[i], next(i, KindReLU)
+		switch b := next(i, KindBatchNorm); {
+		case o.add != nil && r >= 0:
+			o.add.FuseReLU()
+		case o.conv == nil || o.conv.Split() == dist.SplitChannel:
+			continue
+		case b >= 0:
+			r = next(b, KindReLU)
+			o.conv.Fuse(net.ops[b].bn, r >= 0)
+			net.ops[b].l = nil
+		default:
+			o.conv.Fuse(nil, r >= 0)
+		}
+		if r >= 0 {
+			net.ops[r].l = nil
+		}
+	}
 }
 
 // heStd is the He-initialization standard deviation sqrt(2/fanIn); it must
@@ -264,7 +332,9 @@ func loadConv(l *core.Conv, w, b []float32) {
 	if b != nil {
 		copy(l.Bias, b[l.FRange.Lo:l.FRange.Hi])
 	}
-	// A forward-only layer may have served, and prepacked, the old weights.
+	// A forward-only layer may have served, and prepacked, the old weights
+	// and fused batchnorm values; loadShards restores both before the next
+	// Forward repacks.
 	l.InvalidatePacked()
 }
 
@@ -279,8 +349,7 @@ func (net *StrategyNet) loadShards(ck *Checkpoint) error {
 	for i, o := range net.ops {
 		name := net.Arch.Specs[i].Name
 		var err error
-		switch l := o.l.(type) {
-		case *core.Conv:
+		if l := o.conv; l != nil {
 			f, c, k := l.OutDist.C, l.InDist.C, l.Geom.K
 			var w, b []float32
 			w, err = ckEntry(ck.Params, name+".w", "parameter", f*c*k*k)
@@ -290,7 +359,8 @@ func (net *StrategyNet) loadShards(ck *Checkpoint) error {
 			if err == nil {
 				loadConv(l, w, b)
 			}
-		case *core.BatchNorm:
+		}
+		if l := o.bn; l != nil {
 			cr := l.Dist.RangeC(o.ctx.Rank)
 			for _, e := range []struct {
 				m      map[string][]float32
@@ -346,19 +416,26 @@ func (net *StrategyNet) OutputCtx() *core.Ctx { return net.ops[len(net.ops)-1].c
 // for; every layer then computes only those.
 func (net *StrategyNet) Forward(x core.DistTensor) core.DistTensor {
 	for i := range net.ops {
-		spec := &net.Arch.Specs[i]
-		var in [2]core.DistTensor
-		if spec.Kind == KindInput {
-			in[0] = x
+		o, spec := &net.ops[i], &net.Arch.Specs[i]
+		if o.l == nil && o.add == nil {
+			// The input, or a layer fuse folded into its parent (on its grid).
+			net.outs[i] = x
+			if spec.Kind != KindInput {
+				net.outs[i] = net.outs[spec.Parents[0]]
+			}
+			continue
 		}
+		var in [2]core.DistTensor
 		for j, p := range spec.Parents {
-			in[j] = net.shuffleTo(net.outs[p], net.Placements[i].Grid)
+			if in[j] = net.outs[p]; in[j].Dist.Grid != net.Placements[i].Grid {
+				in[j] = net.shuffleTo(in[j], net.Placements[i].Grid)
+			}
 		}
 		var t int64
-		if net.trace != nil && spec.Kind != KindInput {
+		if net.trace != nil {
 			t = obs.Start()
 		}
-		net.outs[i] = net.ops[i].forward(in[0], in[1])
+		net.outs[i] = o.forward(&in, net.trace, net.traceID)
 		net.trace.Record(layerStage(spec.Kind), 0, net.traceID, t, int64(i))
 	}
 	return net.outs[len(net.outs)-1]
@@ -438,4 +515,18 @@ func (net *StrategyNet) Params() []Param {
 		ps = append(ps, o.params...)
 	}
 	return ps
+}
+
+// layerStage maps a layer kind to its flight-recorder stage so traces
+// separate conv time (which nests the gemm phases) from batchnorm and the
+// cheap elementwise layers.
+func layerStage(k Kind) obs.Stage {
+	switch k {
+	case KindConv:
+		return obs.StageLayerConv
+	case KindBatchNorm:
+		return obs.StageLayerBN
+	default:
+		return obs.StageLayerOther
+	}
 }

@@ -1,8 +1,9 @@
 // Package serve is the distributed inference-serving runtime: it turns the
-// repo's forward-only execution engines (nn.InferNet, and the
-// placement-sharded nn.DistInferNet for models too big for one device) into
-// an online service that answers concurrent Predict requests with dynamic
-// micro-batching, routed over the communication substrate.
+// repo's forward-only executor, the forward-only StrategyNet (nn.InferNet
+// on one rank, the placement-sharded nn.DistInferNet for models too big
+// for one device), into an online service that answers concurrent Predict
+// requests with dynamic micro-batching, routed over the communication
+// substrate.
 //
 // # Architecture
 //
@@ -29,12 +30,13 @@
 // leaders report their queue depth in every result header and immediately
 // on dequeuing a backlog, so the router can tell a replica crunching a wide
 // batch from one whose queue is draining). Replica groups of one rank run an
-// nn.InferNet clone (shared weights); groups of k ranks run an
-// nn.DistInferNet, a forward-only StrategyNet whose layers are
-// channel/filter-split k ways — the leader broadcasts the live rows of each
-// batch to its group, all ranks execute the collective forward on those rows
-// alone (padding up to MaxBatch is never computed or sent), and the leader
-// sends the assembled answer back through its communicator's proxy engine
+// nn.InferNet clone (shared weights and prepacks), the forward-only
+// StrategyNet on a one-rank context; groups of k ranks run an
+// nn.DistInferNet, the same net with its layers channel/filter-split k
+// ways — the leader broadcasts the live rows of each batch to its group,
+// all ranks execute the collective forward on those rows alone (padding up
+// to MaxBatch is never computed or sent), and the leader sends the
+// assembled answer back through its communicator's proxy engine
 // (comm.Comm.Do), overlapping the result transfer with the next batch.
 //
 // # Admission control
