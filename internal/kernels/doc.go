@@ -115,11 +115,20 @@
 // (parallel.go): workers are spawned lazily up to the high-water mark of
 // requested parallelism, park on a shared queue, and never exit, replacing
 // the per-call goroutine fan-out the kernels started with. SetMaxWorkers
-// bounds the chunks any single call fans out (the multi-rank-in-one-process
-// tests set it to 1 per rank to avoid oversubscription); submitters never
-// block on the queue (a full queue runs the chunk inline) and help drain it
-// while waiting, which makes nested dispatch deadlock-free — every waiter
-// is also an executor. Hot kernels describe their work with pooled job
+// sets the core budget that all running dispatches share, not a per-call
+// fan-out: a process-wide counter (coresHeld) holds one core per running
+// submitter plus the pool workers each borrowed, and a dispatch claims
+// (compare-and-swap, allocation-free) only the cores the budget leaves
+// free. A lone call — one rank, one replica — still splits across every
+// core; ranks or replicas of one process that compute at once split the
+// cores between them, and a call that finds every core held runs inline
+// rather than queueing behind another rank's chunks. Every kernel is
+// chunk-count-independent, so the split never changes the bits.
+// SetMaxWorkers(1) runs every kernel inline, as training under the
+// multi-rank-in-one-process drivers does. Submitters never block on the
+// queue (a full queue runs the chunk inline) and help drain it while
+// waiting, which makes nested dispatch deadlock-free — every waiter is
+// also an executor. Hot kernels describe their work with pooled job
 // structs (parallelJob) instead of closures, keeping dispatch
 // allocation-free.
 package kernels

@@ -239,6 +239,40 @@ func TestGemmPrepackedParallelWorkers(t *testing.T) {
 	bitsEqual(t, "prepacked-workers", pooled, serial)
 }
 
+// TestParallelContendedBitwise checks that core sharing cannot change the
+// produced bits: a prepacked conv forward and a GemmNN split across every
+// core alone give the same answer run inline while another dispatch holds
+// every core.
+func TestParallelContendedBitwise(t *testing.T) {
+	const k = 4
+	old := SetMaxWorkers(k)
+	defer SetMaxWorkers(old)
+
+	x := tensor.New(4, 16, 12, 12)
+	x.FillRandN(31, 1)
+	w := tensor.New(24, 16, 3, 3)
+	w.FillRandN(32, 0.5)
+	wp := PackConvWeights(w)
+	epi := &Epilogue{Bias: randSlice(24, 33)}
+	m, n, kk := 128, 512, 300
+	a := randSlice(m*kk, 34)
+	b := randSlice(kk*n, 35)
+
+	run := func() (conv, gemm []float32) {
+		y := tensor.New(4, 24, 12, 12)
+		ConvForwardBatchedPrepacked(x, wp, 3, epi, y, 1, 1, nil, 0)
+		c := make([]float32, m*n)
+		GemmNN(m, n, kk, 1, a, b, 0, c)
+		return y.Data(), c
+	}
+	aloneConv, aloneGemm := run()
+	release := holdAllCores(t, k)
+	heldConv, heldGemm := run()
+	release()
+	bitsEqual(t, "conv-contended", heldConv, aloneConv)
+	bitsEqual(t, "gemm-contended", heldGemm, aloneGemm)
+}
+
 // TestGemmPrepackedZeroAllocs: the warm prepacked serving path — GEMM and
 // full conv with a fused epilogue — performs no heap allocations.
 func TestGemmPrepackedZeroAllocs(t *testing.T) {

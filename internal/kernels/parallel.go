@@ -6,15 +6,23 @@ import (
 	"sync/atomic"
 )
 
-// maxWorkers bounds kernel parallelism. Distributed tests run many ranks in
-// one process; capping workers per kernel keeps them from oversubscribing.
+// maxWorkers is the core budget that all running dispatches share. Ranks
+// of one process dispatch into one pool, so a per-call fan-out would have
+// every rank split each kernel across every core.
 var maxWorkers = runtime.GOMAXPROCS(0)
 
-// SetMaxWorkers sets the kernel-level parallelism (minimum 1) and returns
-// the previous value. Not safe to call concurrently with running kernels.
-// Pool workers already spawned for a higher setting stay parked (idle
-// workers block on the queue and cost nothing); lowering the value only
-// limits how many chunks each kernel call fans out.
+// coresHeld counts the cores running dispatches hold: one per submitter
+// plus the pool workers each borrowed. A dispatch borrows only what the
+// budget leaves free, so ranks that compute at once split the cores.
+var coresHeld atomic.Int32
+
+// SetMaxWorkers sets the core budget (minimum 1) that all running kernel
+// dispatches share, and returns the previous value. A lone call splits
+// across the whole budget; concurrent calls borrow only the cores nobody
+// holds, and a call that finds none runs inline. 1 runs every kernel
+// inline. Not safe to call concurrently with running kernels. Pool
+// workers already spawned for a higher setting stay parked (idle workers
+// block on the queue and cost nothing).
 func SetMaxWorkers(n int) int {
 	old := maxWorkers
 	if n < 1 {
@@ -101,24 +109,47 @@ func poolWorker() {
 	}
 }
 
-// parallelChunks splits [0, n) into at most `workers` contiguous chunks and
-// runs them on the persistent pool. The submitting goroutine runs the first
-// chunk itself and then helps drain the queue while waiting, so nested
-// dispatch (a kernel inside a kernel, or many in-process ranks sharing the
-// pool) cannot deadlock: every waiter is also an executor.
+// claimCores takes the submitter's own core plus up to want idle ones from
+// the budget, and returns how many idle ones it got. The caller releases
+// extra+1 when its dispatch returns.
+func claimCores(want int) (extra int) {
+	held := coresHeld.Add(1)
+	for {
+		extra = min(want, maxWorkers-int(held))
+		if extra <= 0 {
+			return 0
+		}
+		if coresHeld.CompareAndSwap(held, held+int32(extra)) {
+			return extra
+		}
+		held = coresHeld.Load()
+	}
+}
+
+// parallelChunks splits [0, n) into contiguous chunks, one for the
+// submitter and one for each idle core claimCores hands it, and runs them
+// on the persistent pool; a call that finds every core held runs inline.
+// The submitting goroutine runs the first chunk itself and then
+// helps drain the queue while waiting, so nested dispatch (a kernel inside
+// a kernel, or many in-process ranks sharing the pool) cannot deadlock:
+// every waiter is also an executor.
 func parallelChunks(n int, job parallelJob) {
 	if n <= 0 {
 		return
 	}
-	workers := maxWorkers
-	if workers > n {
-		workers = n
-	}
+	workers := min(maxWorkers, n)
 	if workers <= 1 || n <= serialGrain {
 		job.RunChunk(0, n)
 		return
 	}
-	ensurePool(workers - 1)
+	extra := claimCores(workers - 1)
+	defer coresHeld.Add(-int32(extra + 1))
+	if extra == 0 {
+		job.RunChunk(0, n)
+		return
+	}
+	workers = extra + 1
+	ensurePool(extra)
 	chunk := (n + workers - 1) / workers
 
 	d := doneGroupPool.Get().(*doneGroup)

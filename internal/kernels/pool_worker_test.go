@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestParallelForNested exercises nested dispatch on the persistent pool:
@@ -110,6 +111,121 @@ func TestParallelChunksJobChunking(t *testing.T) {
 		if !v {
 			t.Fatalf("index %d not covered", i)
 		}
+	}
+}
+
+// peakJob counts its chunks and records how many ran at once, split into
+// all chunks and the borrowed ones (lo > 0: queued for another core).
+type peakJob struct {
+	calls, running, peak, borrowed, peakBorrowed atomic.Int32
+}
+
+func (j *peakJob) RunChunk(lo, hi int) {
+	j.calls.Add(1)
+	raisePeak(&j.peak, j.running.Add(1))
+	if lo > 0 {
+		raisePeak(&j.peakBorrowed, j.borrowed.Add(1))
+		defer j.borrowed.Add(-1)
+	}
+	time.Sleep(200 * time.Microsecond)
+	j.running.Add(-1)
+}
+
+func raisePeak(peak *atomic.Int32, v int32) {
+	for p := peak.Load(); v > p && !peak.CompareAndSwap(p, v); p = peak.Load() {
+	}
+}
+
+// holdAllCores starts a dispatch whose k chunks block until release is
+// called, and returns once all of them run: the dispatch then holds the
+// whole budget of k cores.
+func holdAllCores(t *testing.T, k int) (release func()) {
+	t.Helper()
+	entered := make(chan struct{}, k) // one send per chunk
+	gate := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ParallelFor(64, func(lo, hi int) {
+			entered <- struct{}{}
+			<-gate
+		})
+	}()
+	timeout := time.After(10 * time.Second)
+	for i := range k {
+		select {
+		case <-entered:
+		case <-timeout:
+			t.Fatalf("holder: %d of %d chunks running after 10s", i, k)
+		}
+	}
+	if h := coresHeld.Load(); h != int32(k) {
+		t.Fatalf("holder holds %d cores, want %d", h, k)
+	}
+	return func() { close(gate); <-done }
+}
+
+// TestParallelChunksSharesCores pins the core-sharing dispatch: a lone
+// submitter splits across the whole budget, a submitter that finds every
+// core held runs inline, concurrent submitters never borrow more than the
+// k-1 cores beyond their own, and every core is returned.
+func TestParallelChunksSharesCores(t *testing.T) {
+	const k, g, n = 4, 3, 100
+	old := SetMaxWorkers(k)
+	defer SetMaxWorkers(old)
+
+	var lone peakJob
+	parallelChunks(n, &lone)
+	if c := lone.calls.Load(); c != k {
+		t.Fatalf("lone submitter ran %d chunks, want %d", c, k)
+	}
+	if h := coresHeld.Load(); h != 0 {
+		t.Fatalf("%d cores held after a lone dispatch, want 0", h)
+	}
+
+	// Every core held: each concurrent submitter borrows none.
+	release := holdAllCores(t, k)
+	var starved [g]peakJob
+	var wg sync.WaitGroup
+	for i := range starved {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parallelChunks(n, &starved[i])
+		}()
+	}
+	wg.Wait()
+	release()
+	for i := range starved {
+		if c := starved[i].calls.Load(); c != 1 {
+			t.Errorf("submitter %d ran %d chunks while every core was held, want 1 (inline)", i, c)
+		}
+	}
+
+	// Free for all: each running submitter is on its own core, and the
+	// cores they borrow never exceed the budget's k-1 others. Claims are
+	// taken at dispatch start, so a submitter that arrives after another
+	// claimed every core runs beside it: the bound is g+k-1 chunks at
+	// once, not max(k, g).
+	var shared peakJob
+	for range g {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				parallelChunks(n, &shared)
+			}
+		}()
+	}
+	wg.Wait()
+	if p := shared.peakBorrowed.Load(); p > k-1 {
+		t.Errorf("%d borrowed chunks ran at once, want <= %d", p, k-1)
+	}
+	if p := shared.peak.Load(); p > g+k-1 {
+		t.Errorf("%d chunks ran at once for %d submitters, want <= %d", p, g, g+k-1)
+	}
+	if h := coresHeld.Load(); h != 0 {
+		t.Fatalf("%d cores held after every caller returned, want 0", h)
 	}
 }
 

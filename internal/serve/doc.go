@@ -38,6 +38,10 @@
 // to MaxBatch is never computed or sent), and the leader sends the
 // assembled answer back through its communicator's proxy engine
 // (comm.Comm.Do), overlapping the result transfer with the next batch.
+// Replicas and group ranks on one box split its cores while they compute:
+// every kernel call borrows only the cores no other running call holds
+// (kernels.SetMaxWorkers), so a lone replica spreads across the box and
+// two busy ones each keep to their own share.
 //
 // # Admission control
 //

@@ -16,11 +16,10 @@ type Curve struct {
 }
 
 // CurveFromModel tabulates ServeStages for batch sizes 1..maxBatch.
-// flops/bytes/kernels give the forward cost of a batch of n samples;
-// sharded groups (ranks > 1) are priced at capacity-batch compute cost for
-// every batch — an upper bound, since the distributed executor computes
-// only live rows — plus the group's input scatter and output gather
-// collectives.
+// flops/bytes/kernels give the forward cost of a batch of n samples. A
+// sharded group (ranks > 1) is priced at its live batch: each rank
+// computes cost(n)/ranks, as the distributed executor computes only live
+// rows, plus the group's input scatter and output gather collectives.
 func CurveFromModel(m perfmodel.Machine, maxBatch, inLen, outLen, ranks int,
 	cost func(batch int) (flops, bytes float64, kernels int)) *Curve {
 	c := &Curve{
@@ -30,24 +29,16 @@ func CurveFromModel(m perfmodel.Machine, maxBatch, inLen, outLen, ranks int,
 		Compute:  make([]int64, maxBatch),
 		Gather:   make([]int64, maxBatch),
 	}
-	var groupComp float64
-	if ranks > 1 {
-		f, b, k := cost(maxBatch)
-		st := m.ServeStages(maxBatch, inLen, outLen, f/float64(ranks), b/float64(ranks), k, 0)
-		groupComp = st.Compute
-	}
 	for n := 1; n <= maxBatch; n++ {
 		f, b, k := cost(n)
-		st := m.ServeStages(n, inLen, outLen, f, b, k, 0)
+		st := m.ServeStages(n, inLen, outLen, f/float64(ranks), b/float64(ranks), k, 0)
 		c.Route = secToNs(st.Route)
 		c.Wire[n-1] = secToNs(st.Wire)
 		c.Gather[n-1] = secToNs(st.Gather)
 		comp := st.Compute
 		if ranks > 1 {
-			// Capacity-batch executor plus the intra-group collectives:
-			// scatter the inputs to the shard ranks, allgather the outputs.
-			comp = groupComp +
-				m.SendRecv(4*float64(n*inLen), true) +
+			// Scatter the inputs to the shard ranks, allgather the outputs.
+			comp += m.SendRecv(4*float64(n*inLen), true) +
 				m.Allgather(n*outLen, ranks, false)
 		}
 		c.Compute[n-1] = secToNs(comp)

@@ -31,9 +31,9 @@
 // CurveFromModel and Curve.Scale; the calibration golden test in
 // internal/bench pins the simulator's predictions to the measured fleet
 // within a tolerance band). Multi-rank (sharded) replica groups are priced
-// at capacity batch plus the group collective: an upper bound, since
-// nn.DistInferNet, like the 1-rank nn.InferNet, is the forward-only
-// StrategyNet and computes only a batch's live rows.
+// at their live batch split across the group's ranks plus the group
+// collective, since nn.DistInferNet, like the 1-rank nn.InferNet, is the
+// forward-only StrategyNet and computes only a batch's live rows.
 //
 // Traffic is open-loop and seeded: Poisson or 2-state MMPP (bursty)
 // arrivals, optional diurnal rate modulation, per-request work factors

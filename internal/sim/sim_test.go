@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/perfmodel"
 	"repro/internal/sched"
 )
 
@@ -372,5 +373,31 @@ func TestWorstRatio(t *testing.T) {
 	}}
 	if r := res.WorstRatio("a", "ideal"); math.Abs(r-3.0) > 1e-9 {
 		t.Fatalf("WorstRatio = %v, want 3.0", r)
+	}
+}
+
+// TestCurveShardedLiveBatch pins how a sharded group is priced: at each
+// batch size n, a k-rank group's compute is one rank computing cost(n)/k
+// plus the input scatter and output allgather, so small batches cost
+// less than full ones.
+func TestCurveShardedLiveBatch(t *testing.T) {
+	m := perfmodel.Lassen()
+	const maxBatch, inLen, outLen, ranks = 8, 192, 10, 2
+	cost := func(n int) (float64, float64, int) { return 4e8 * float64(n), 1e6 * float64(n), 12 }
+	share := func(n int) (float64, float64, int) {
+		f, b, k := cost(n)
+		return f / ranks, b / ranks, k
+	}
+	sharded := CurveFromModel(m, maxBatch, inLen, outLen, ranks, cost)
+	oneRank := CurveFromModel(m, maxBatch, inLen, outLen, 1, share)
+	for n := 1; n <= maxBatch; n++ {
+		coll := m.SendRecv(4*float64(n*inLen), true) + m.Allgather(n*outLen, ranks, false)
+		want := float64(oneRank.Compute[n-1]) + coll*1e9
+		if got := float64(sharded.Compute[n-1]); math.Abs(got-want) > 2 {
+			t.Errorf("batch %d: sharded compute %.0f ns, want %.0f (cost(n)/%d plus collectives)", n, got, want, ranks)
+		}
+	}
+	if sharded.Compute[0] >= sharded.Compute[maxBatch-1] {
+		t.Errorf("batch 1 priced at %d ns, not below batch %d's %d ns", sharded.Compute[0], maxBatch, sharded.Compute[maxBatch-1])
 	}
 }
