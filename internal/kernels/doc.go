@@ -47,12 +47,31 @@
 // unpacked loops instead. Transpose variants differ only in their pack
 // routines, so NT and TN run at NN speed.
 //
+// # Tile geometries
+//
 // On AVX-512F machines the default register tile widens to MR x NR = 16x32
-// (sgemmKernel16x32); detection picks the widest supported kernel and
-// REPRO_GEMM_KERNEL=generic|avx2|avx512 overrides it. Every kernel updates
+// (sgemmKernel16x32, two column-half sweeps of 16 ZMM accumulators).
+// Detection picks the widest supported kernel, and REPRO_GEMM_KERNEL names
+// a geometry to force instead: avx512_16x32, avx2_6x16, or the portable
+// go_16x32 (the AVX-512 layout) and go_6x16. Every assembly kernel updates
 // each accumulator element exactly once per k step, in ascending k order,
-// with single-rounding FMAs, so all geometries produce bitwise-identical
-// results on identically packed panels.
+// with single-rounding FMAs, so the assembly geometries produce
+// bitwise-identical results on identically packed panels; the portable
+// kernels round the multiply and the add separately, so they agree with
+// the assembly kernels only on integer-exact data (TestGemmGeometriesAgree).
+//
+// The 16x32 geometries carry a row-short twin, MR x NR = 4x32
+// (sgemmKernel4x32, one sweep of 8 accumulators, 2 B vectors and 1
+// broadcast; goKernel4x32 portably). A GEMM whose own row count m is below
+// 16 runs the twin: the rule is the operand's shape, not a knob. Without
+// it such a GEMM pads every A panel to 16 rows and costs what 16 rows cost
+// — the prepacked serving conv puts n*OH*OW in M, so a live batch of two
+// fills 1-9 rows of the tile on late layers. The twin reads the same
+// 32-interleaved B strips, so every PackedB and prepacked weight serves
+// both tiles, and its per-element update sequence is the full tile's, so
+// the switch never moves a bit (TestGemmShortTileMatchesFullTileBitwise).
+// m >= 16 keeps the 16x32 tile, which is faster there; 6x16 geometries
+// have no twin. GemmKernelName names the full geometry only.
 //
 // # Prepacked B and the packed-B memory layout
 //

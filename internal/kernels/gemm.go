@@ -215,6 +215,11 @@ func gemmPacked(transA, transB bool, m, n, k int, alpha float32, a, b []float32,
 	s.alpha, s.beta = alpha, beta
 	s.a, s.b, s.c = a, b, c
 	s.transA, s.transB = transA, transB
+	// A GEMM with fewer rows than the full tile runs its row-short twin:
+	// same B strips, no padding rows swept.
+	if m < g.mr && g.short != nil {
+		g = *g.short
+	}
 	s.mr, s.nr, s.kern = g.mr, g.nr, g.kern
 	s.pb, s.epi = pb, epi
 	if aIm != nil {
@@ -497,6 +502,28 @@ func goKernel6x16(kc int, a, b, c []float32, ldc int, accum bool) {
 // when the assembly kernel is unavailable or disabled in tests.
 func goKernel16x32(kc int, a, b, c []float32, ldc int, accum bool) {
 	const mr, nr = 16, 32
+	var acc [mr * nr]float32
+	ai, bi := 0, 0
+	for p := 0; p < kc; p++ {
+		bb := b[bi : bi+nr]
+		for r := 0; r < mr; r++ {
+			av := a[ai+r]
+			row := acc[r*nr : r*nr+nr]
+			for q, bv := range bb {
+				row[q] += av * bv
+			}
+		}
+		ai += mr
+		bi += nr
+	}
+	storeAcc(acc[:], mr, nr, c, ldc, accum)
+}
+
+// goKernel4x32 is the portable row-short twin of goKernel16x32 (4-interleaved
+// A panels, the same 32-interleaved B strips) for GEMMs with fewer than 16
+// rows; each element takes the same update sequence as in the 16-row tile.
+func goKernel4x32(kc int, a, b, c []float32, ldc int, accum bool) {
+	const mr, nr = 4, 32
 	var acc [mr * nr]float32
 	ai, bi := 0, 0
 	for p := 0; p < kc; p++ {

@@ -17,14 +17,22 @@ type microGeom struct {
 	mr, nr int
 	kern   microKernelFunc
 	name   string
+
+	// short is the row-short twin: a tile with fewer rows on the same
+	// NR-interleaved B layout, which a GEMM with fewer than mr rows runs
+	// instead (nil = none). It shares every packed B strip and prepacked
+	// weight with the full tile and is not separately selectable.
+	short *microGeom
 }
 
 // The portable geometries. go6x16 is the historical fallback tile; go16x32
 // runs on the AVX-512 panel layout so the forced-fallback tests can check
-// the wide-tile pack/compute machinery without the assembly kernel.
+// the wide-tile pack/compute machinery without the assembly kernel, and
+// its go_4x32 twin does the same for the row-short tile.
 var (
 	geomGo6x16  = microGeom{mr: 6, nr: 16, kern: goKernel6x16, name: "go_6x16"}
-	geomGo16x32 = microGeom{mr: 16, nr: 32, kern: goKernel16x32, name: "go_16x32"}
+	geomGo16x32 = microGeom{mr: 16, nr: 32, kern: goKernel16x32, name: "go_16x32", short: &geomGo4x32}
+	geomGo4x32  = microGeom{mr: 4, nr: 32, kern: goKernel4x32, name: "go_4x32"}
 )
 
 // activeGeom is the microkernel geometry every packed GEMM (and every
@@ -47,7 +55,9 @@ func pickGeom() microGeom {
 }
 
 // GemmKernelName reports which microkernel geometry is active
-// (avx512_16x32, avx2_6x16, go_6x16), for benchmark labels and /statz.
+// (avx512_16x32, avx2_6x16, go_6x16), for benchmark labels and /statz. It
+// names the full tile; GEMMs with fewer rows than that tile run its
+// row-short twin, which is not reported separately.
 func GemmKernelName() string { return activeGeom.name }
 
 // portableGeoms are the geometries available on every platform; the

@@ -24,6 +24,16 @@ func sgemmKernel6x16(kc int, a, b, c *float32, ldc int, accum int)
 //go:noescape
 func sgemmKernel16x32(kc int, a, b, c *float32, ldc int, accum int)
 
+// sgemmKernel4x32 is the row-short AVX-512F twin of sgemmKernel16x32: a
+// 4x32 tile over 4-interleaved A panels and the same 32-interleaved B
+// strips, in one sweep (eight accumulators, two B vectors, one broadcast).
+// A GEMM with fewer than 16 rows runs it instead of padding every A panel
+// to 16 rows; the per-element FMA sequence is the 16x32 kernel's, so the
+// bits do not depend on which of the two ran.
+//
+//go:noescape
+func sgemmKernel4x32(kc int, a, b, c *float32, ldc int, accum int)
+
 // sbnEpilogueRow applies the BN(+ReLU) epilogue to one row of n channels:
 // c[i] = g[i]*(c[i]-mn[i])*is[i] + bt[i], clamped at zero when relu != 0.
 // AVX-512 single-rounding VSUBPS/VMULPS/VADDPS match the scalar Go
@@ -125,9 +135,19 @@ func asmKernel16x32(kc int, a, b, c []float32, ldc int, accum bool) {
 	sgemmKernel16x32(kc, &a[0], &b[0], &c[0], ldc, mode)
 }
 
+// asmKernel4x32 adapts the AVX-512 short-tile kernel to microKernelFunc.
+func asmKernel4x32(kc int, a, b, c []float32, ldc int, accum bool) {
+	mode := 0
+	if accum {
+		mode = 1
+	}
+	sgemmKernel4x32(kc, &a[0], &b[0], &c[0], ldc, mode)
+}
+
 var (
-	geomAVX2   = microGeom{mr: 6, nr: 16, kern: asmKernel6x16, name: "avx2_6x16"}
-	geomAVX512 = microGeom{mr: 16, nr: 32, kern: asmKernel16x32, name: "avx512_16x32"}
+	geomAVX2        = microGeom{mr: 6, nr: 16, kern: asmKernel6x16, name: "avx2_6x16"}
+	geomAVX512      = microGeom{mr: 16, nr: 32, kern: asmKernel16x32, name: "avx512_16x32", short: &geomAVX512Short}
+	geomAVX512Short = microGeom{mr: 4, nr: 32, kern: asmKernel4x32, name: "avx512_4x32"}
 )
 
 // detectGeom picks the widest microkernel the CPU supports.

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -181,22 +182,27 @@ func TestConvFusedEpilogueBitwise(t *testing.T) {
 // exact, and demands bitwise agreement with the retained reference. This is
 // the forced-fallback test: with the AVX-512 (and AVX2) kernels disabled,
 // the portable paths must produce the same answers the assembly paths do.
+// The row counts below 16 run the 16x32 geometries' row-short 4x32 twin
+// (go_4x32 on every runner), full and edge tiles both.
 func TestGemmGeometriesAgree(t *testing.T) {
-	m, n, k := 37, 65, 300
-	a := intSlice(m*k, 1)
+	n, k := 65, 300
 	b := intSlice(k*n, 2)
-	want := make([]float32, m*n)
-	gemmRef(m, n, k, 1, a, b, 0, want)
-	for _, g := range platformGeoms() {
-		restore := setGeomForTest(g)
-		pb := PackB(k, n, b, false)
-		got := make([]float32, m*n)
-		GemmNNStable(m, n, k, 1, a, b, 0, got)
-		bitsEqual(t, g.name+"/stable", got, want)
-		clear(got)
-		GemmNNPrepacked(m, n, k, 1, a, pb, 0, got)
-		restore()
-		bitsEqual(t, g.name+"/prepacked", got, want)
+	for _, m := range []int{37, 1, 4, 5, 15} {
+		a := intSlice(m*k, 1)
+		want := make([]float32, m*n)
+		gemmRef(m, n, k, 1, a, b, 0, want)
+		for _, g := range platformGeoms() {
+			name := fmt.Sprintf("%s/m=%d", g.name, m)
+			restore := setGeomForTest(g)
+			pb := PackB(k, n, b, false)
+			got := make([]float32, m*n)
+			GemmNNStable(m, n, k, 1, a, b, 0, got)
+			bitsEqual(t, name+"/stable", got, want)
+			clear(got)
+			GemmNNPrepacked(m, n, k, 1, a, pb, 0, got)
+			restore()
+			bitsEqual(t, name+"/prepacked", got, want)
+		}
 	}
 }
 
@@ -282,6 +288,8 @@ func TestGemmPrepackedZeroAllocs(t *testing.T) {
 	c := make([]float32, m*n)
 	pb := PackB(k, n, b, false)
 	assertZeroAllocs(t, "GemmNNPrepacked", func() { GemmNNPrepacked(m, n, k, 1, a, pb, 0, c) })
+	// Two rows: the row-short tile of a sharded serving layer's live batch.
+	assertZeroAllocs(t, "GemmNNPrepacked/short", func() { GemmNNPrepacked(2, n, k, 1, a, pb, 0, c) })
 
 	old := SetMaxWorkers(4)
 	defer SetMaxWorkers(old)
@@ -299,6 +307,14 @@ func TestConvPrepackedZeroAllocs(t *testing.T) {
 		[]float32{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 1e-5, true)
 	assertZeroAllocs(t, "ConvForwardBatchedPrepacked/fused", func() {
 		ConvForwardBatchedPrepacked(x, wp, 3, epi, y, 1, 1, nil, 0)
+	})
+
+	// A 3x3 input, unpadded: one output position per sample, so a live
+	// batch of two is a 2-row GEMM on the row-short tile.
+	xs := tensor.New(2, 8, 3, 3)
+	ys := tensor.New(2, 16, 1, 1)
+	assertZeroAllocs(t, "ConvForwardBatchedPrepacked/short", func() {
+		ConvForwardBatchedPrepacked(xs, wp, 3, epi, ys, 1, 0, nil, 0)
 	})
 }
 

@@ -223,10 +223,16 @@
 // route, wire, compute, and gather from timing fields the wire protocol
 // carries in its headers — the dispatch timestamp rides out with each
 // batch, and the leader reports wire and compute microseconds back in the
-// result header, so the decomposition costs no extra messages. Each stage
-// gets its own always-on histogram (recording is two atomic adds);
-// /statz reports per-stage p50/p90/p99 and GET /metrics exports
-// everything in Prometheus text format (serve_*_total counters,
+// result header, so the decomposition costs no extra messages. Wire and
+// gather are wall-clock intervals between two goroutines: besides the
+// transfer they hold the time the receiving goroutine (replica leader,
+// front-end collector) waits for a core, so on a box with fewer cores than
+// busy goroutines they grow with scheduling contention that no stage
+// names. Wire also holds the time a batch sits in the leader's mailbox
+// behind earlier in-flight batches; on a saturated replica it reads close
+// to compute. Each stage gets its own always-on histogram (recording is
+// two atomic adds); /statz reports per-stage p50/p90/p99 and GET /metrics
+// exports everything in Prometheus text format (serve_*_total counters,
 // serve_request_latency_seconds and serve_stage_latency_seconds{stage=...}
 // histograms at octave resolution, go_* process gauges).
 //

@@ -77,9 +77,9 @@ const (
 	stgQueueWait stage = iota // admission -> picked into a batch
 	stgBatchWait              // batch opened -> flushed
 	stgRoute                  // router submit -> batch on the wire
-	stgWire                   // batch sent -> dequeued by the replica leader
+	stgWire                   // batch sent -> dequeued by the replica leader, incl. its wait for a core and mailbox queueing
 	stgCompute                // replica executor forward pass
-	stgGather                 // result sent by the leader -> claimed
+	stgGather                 // result sent by the leader -> claimed, incl. the collector's wait for a core
 	nStages
 )
 
