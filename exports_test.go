@@ -24,7 +24,7 @@ var unusedExportAllowlist = map[string]string{
 	"core.BatchNormLocal":          "value of the exported core.BatchNormMode enum",
 	"kernels.ConvForwardBatched":   "pack-on-the-fly batched conv: the oracle the prepacked, fused serving convs are tested bitwise against",
 	"nn.SaveState":                 "writes the checkpoint file that cmd/serve -checkpoint loads",
-	"nn.SegMicroBatchStep":         "baseline of the micro-batch memory/time trade-off (ROADMAP item 6(c))",
+	"nn.SegMicroBatchStep":         "baseline of the micro-batch memory/time trade-off (ROADMAP item 24(c))",
 	"obs.ClassNone":                "value of the exported obs.Class enum",
 	"serve.PredictResponse":        "HTTP wire type of /v1/predict, for clients decoding the response",
 	"serve.PriorityNormal":         "value of the exported serve.Priority enum",
@@ -55,24 +55,7 @@ var unusedExportAllowlist = map[string]string{
 // standard ones in stdInterfaces. Struct fields are not checked.
 func TestNoUnusedExports(t *testing.T) {
 	fset := token.NewFileSet()
-	pkgs := map[string][]*ast.File{} // import path -> non-test files
-	for _, root := range []string{"internal", "cmd", "examples", "benchmark"} {
-		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-				return err
-			}
-			f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			dir := "repro/" + filepath.ToSlash(filepath.Dir(p))
-			pkgs[dir] = append(pkgs[dir], f)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	pkgs := parseNonTest(t, fset)
 	declared := map[export]string{} // -> "file:line"
 	used := map[export]bool{}
 	packageLevelExports(fset, pkgs, declared, used)
@@ -103,6 +86,55 @@ func TestNoUnusedExports(t *testing.T) {
 	}
 	if len(stale) > 0 {
 		t.Errorf("stale allowlist entries:\n\t%s", strings.Join(stale, "\n\t"))
+	}
+}
+
+// parseNonTest parses the non-test Go files under internal/, cmd/,
+// examples/ and benchmark/, keyed by import path.
+func parseNonTest(t *testing.T, fset *token.FileSet) map[string][]*ast.File {
+	pkgs := map[string][]*ast.File{}
+	for _, root := range []string{"internal", "cmd", "examples", "benchmark"} {
+		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			dir := "repro/" + filepath.ToSlash(filepath.Dir(p))
+			pkgs[dir] = append(pkgs[dir], f)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pkgs
+}
+
+// TestLayering fails when non-test code crosses a layer boundary:
+// internal/dist is pure index algebra and imports no package of this
+// module, and internal/perfmodel prices redistributions with dist's
+// arithmetic rather than importing the executor, internal/core.
+func TestLayering(t *testing.T) {
+	forbidden := map[string]func(ip string) bool{
+		"repro/internal/dist":      func(ip string) bool { return strings.HasPrefix(ip, "repro/") },
+		"repro/internal/perfmodel": func(ip string) bool { return ip == "repro/internal/core" },
+	}
+	fset := token.NewFileSet()
+	pkgs := parseNonTest(t, fset)
+	for pkg, bad := range forbidden {
+		if len(pkgs[pkg]) == 0 {
+			t.Errorf("%s has no non-test files", pkg)
+		}
+		for _, f := range pkgs[pkg] {
+			for _, im := range f.Imports {
+				if ip, _ := strconv.Unquote(im.Path.Value); bad(ip) {
+					t.Errorf("%s imports %s", fset.Position(im.Pos()), ip)
+				}
+			}
+		}
 	}
 }
 

@@ -430,10 +430,8 @@ func (l *Conv) localOutW(ctx *Ctx) int { return l.OutDist.RangeW(ctx.Rank).Len()
 // interiorRange returns the local output rows/cols whose convolution windows
 // read only owned input (computable before the halo exchange completes).
 func (l *Conv) interiorRange(ctx *Ctx) (h, w dist.Range) {
-	outH := l.OutDist.RangeH(ctx.Rank)
-	outW := l.OutDist.RangeW(ctx.Rank)
-	inH := l.InDist.RangeH(ctx.Rank)
-	inW := l.InDist.RangeW(ctx.Rank)
+	_, _, outH, outW := l.OutDist.Block(ctx.Rank)
+	_, _, inH, inW := l.InDist.Block(ctx.Rank)
 	h = interior1D(outH, inH, l.Geom, l.InDist.H)
 	w = interior1D(outW, inW, l.Geom, l.InDist.W)
 	return
@@ -564,8 +562,7 @@ func (l *Conv) backwardHalo(ctx *Ctx, dy DistTensor, dx *tensor.Tensor) {
 	}
 	convWS.Put(xBuf)
 	l.xIn.Release(convWS)
-	inH := l.InDist.RangeH(ctx.Rank)
-	inW := l.InDist.RangeW(ctx.Rank)
+	_, _, inH, inW := l.InDist.Block(ctx.Rank)
 	kernels.ConvBackwardDataRegion(dyExt.T, l.W, dx, l.Geom.S, l.Geom.Pad,
 		inH.Lo, inW.Lo, dyExt.HLo, dyExt.WLo)
 	dyExt.Release(convWS)

@@ -533,7 +533,7 @@ func Gather(shards []DistTensor) *tensor.Tensor {
 	d := shards[0].Dist
 	global := tensor.New(d.N, d.C, d.H, d.W)
 	for _, sh := range shards {
-		rn, rc, rh, rw := sh.ownedRegion()
+		rn, rc, rh, rw := sh.Dist.Block(sh.Rank)
 		global.InsertRegion(
 			tensor.Region{Off: []int{rn.Lo, rc.Lo, rh.Lo, rw.Lo}, Size: []int{rn.Len(), rc.Len(), rh.Len(), rw.Len()}},
 			sh.Local.ExtractRegion(tensor.Region{

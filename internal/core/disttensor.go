@@ -68,11 +68,6 @@ func batchOf(x DistTensor, d dist.Dist, what string, whole bool) int {
 	return n
 }
 
-// ownedRegion returns the global region owned by the shard's rank.
-func (t DistTensor) ownedRegion() (rn, rc, rh, rw dist.Range) {
-	return t.Dist.RangeN(t.Rank), t.Dist.RangeC(t.Rank), t.Dist.RangeH(t.Rank), t.Dist.RangeW(t.Rank)
-}
-
 // Scatter splits a global tensor into per-rank shards under d. It is the
 // test/IO entry point (the data reader provides input "in the appropriate
 // distribution for the first layer", Section III-B).
@@ -84,7 +79,7 @@ func Scatter(global *tensor.Tensor, d dist.Dist) []DistTensor {
 	shards := make([]DistTensor, d.Grid.Size())
 	for r := range shards {
 		sh := NewDistTensor(d, r)
-		rn, rc, rh, rw := sh.ownedRegion()
+		rn, rc, rh, rw := d.Block(r)
 		sh.Local.InsertRegion(
 			tensor.Region{Off: []int{0, 0, 0, 0}, Size: []int{rn.Len(), rc.Len(), rh.Len(), rw.Len()}},
 			global.ExtractRegion(tensor.Region{

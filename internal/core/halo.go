@@ -250,30 +250,26 @@ func (p *HaloPlan) RunReverse(ctx *Ctx, ext Ext, local *tensor.Tensor, tag int) 
 // geom.RequiredIn(outBlock(j)) of the input (unclipped; out-of-range
 // positions are materialized padding).
 func forwardPlan(inDist dist.Dist, rank int, geom dist.ConvGeom, outH, outW int) *HaloPlan {
-	nLoc := inDist.RangeN(rank).Len()
-	cLoc := inDist.RangeC(rank).Len()
+	rn, rc, rh, rw := inDist.Block(rank)
 	reqHof := func(j int) dist.Range {
 		return geom.RequiredIn(dist.BlockPartition(outH, inDist.Grid.PH, j))
 	}
 	reqWof := func(j int) dist.Range {
 		return geom.RequiredIn(dist.BlockPartition(outW, inDist.Grid.PW, j))
 	}
-	return planExchange(inDist.Grid, rank, nLoc, cLoc, inDist.H, inDist.W,
-		inDist.RangeH(rank), inDist.RangeW(rank), reqHof, reqWof)
+	return planExchange(inDist.Grid, rank, rn.Len(), rc.Len(), inDist.H, inDist.W, rh, rw, reqHof, reqWof)
 }
 
 // backwardPlan builds the halo plan for the output gradient dy: dy is
 // blocked over outDist, and computing dx on input block j requires
 // geom.RequiredBwd(inBlock(j)) of dy (clipped to the output extent).
 func backwardPlan(outDist dist.Dist, rank int, geom dist.ConvGeom, inH, inW int) *HaloPlan {
-	nLoc := outDist.RangeN(rank).Len()
-	cLoc := outDist.RangeC(rank).Len()
+	rn, rc, rh, rw := outDist.Block(rank)
 	reqHof := func(j int) dist.Range {
 		return geom.RequiredBwd(dist.BlockPartition(inH, outDist.Grid.PH, j), outDist.H)
 	}
 	reqWof := func(j int) dist.Range {
 		return geom.RequiredBwd(dist.BlockPartition(inW, outDist.Grid.PW, j), outDist.W)
 	}
-	return planExchange(outDist.Grid, rank, nLoc, cLoc, outDist.H, outDist.W,
-		outDist.RangeH(rank), outDist.RangeW(rank), reqHof, reqWof)
+	return planExchange(outDist.Grid, rank, rn.Len(), rc.Len(), outDist.H, outDist.W, rh, rw, reqHof, reqWof)
 }

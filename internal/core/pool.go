@@ -75,8 +75,7 @@ func (l *MaxPool) Forward(ctx *Ctx, x DistTensor) DistTensor {
 	}
 	l.fwdPlan.fillOwned(l.ext, x.Local)
 	l.fwdPlan.RunInto(ctx, x.Local, l.ext, l.tag)
-	outH := l.OutDist.RangeH(ctx.Rank)
-	outW := l.OutDist.RangeW(ctx.Rank)
+	_, _, outH, outW := l.OutDist.Block(ctx.Rank)
 	kernels.MaxPoolForwardRegion(l.ext.T, y.Local, g.K, g.S, g.Pad,
 		l.ext.HLo, l.ext.WLo, outH.Lo, outW.Lo, l.InDist.H, l.InDist.W, l.argmax)
 	return y

@@ -28,13 +28,10 @@ func Redistribute(ctx *Ctx, x DistTensor, dst dist.Dist) DistTensor {
 	}
 	me := ctx.Rank
 
-	myN, myC, myH, myW := src.RangeN(me), src.RangeC(me), src.RangeH(me), src.RangeW(me)
+	myN, myC, myH, myW := src.Block(me)
 	send := make([][]float32, p)
 	for q := 0; q < p; q++ {
-		on := myN.Intersect(dst.RangeN(q))
-		oc := myC.Intersect(dst.RangeC(q))
-		oh := myH.Intersect(dst.RangeH(q))
-		ow := myW.Intersect(dst.RangeW(q))
+		on, oc, oh, ow := src.Overlap(me, dst, q)
 		if on.Empty() || oc.Empty() || oh.Empty() || ow.Empty() {
 			continue
 		}
@@ -46,12 +43,9 @@ func Redistribute(ctx *Ctx, x DistTensor, dst dist.Dist) DistTensor {
 	recv := ctx.C.AlltoAllV(send)
 
 	out := NewDistTensor(dst, me)
-	newN, newC, newH, newW := dst.RangeN(me), dst.RangeC(me), dst.RangeH(me), dst.RangeW(me)
+	newN, newC, newH, newW := dst.Block(me)
 	for q := 0; q < p; q++ {
-		on := newN.Intersect(src.RangeN(q))
-		oc := newC.Intersect(src.RangeC(q))
-		oh := newH.Intersect(src.RangeH(q))
-		ow := newW.Intersect(src.RangeW(q))
+		on, oc, oh, ow := dst.Overlap(me, src, q)
 		if on.Empty() || oc.Empty() || oh.Empty() || ow.Empty() {
 			continue
 		}
@@ -70,20 +64,5 @@ func Redistribute(ctx *Ctx, x DistTensor, dst dist.Dist) DistTensor {
 
 // ShuffleVolume returns the number of words rank would send in a
 // redistribution from src to dst — the Shuffle(Di, Dj) cost input of the
-// performance model (Section V-B).
-func ShuffleVolume(src, dst dist.Dist, rank int) int {
-	p := src.Grid.Size()
-	myN, myC, myH, myW := src.RangeN(rank), src.RangeC(rank), src.RangeH(rank), src.RangeW(rank)
-	words := 0
-	for q := 0; q < p; q++ {
-		if q == rank {
-			continue
-		}
-		on := myN.Intersect(dst.RangeN(q))
-		oc := myC.Intersect(dst.RangeC(q))
-		oh := myH.Intersect(dst.RangeH(q))
-		ow := myW.Intersect(dst.RangeW(q))
-		words += on.Len() * oc.Len() * oh.Len() * ow.Len()
-	}
-	return words
-}
+// performance model (Section V-B). The arithmetic is dist.SendWords.
+func ShuffleVolume(src, dst dist.Dist, rank int) int { return dist.SendWords(src, dst, rank) }

@@ -42,31 +42,45 @@ func (d Dist) SameLayout(o Dist) bool {
 	return d.Grid.Norm() == o.Grid.Norm() && d.N == o.N && d.C == o.C && d.H == o.H && d.W == o.W
 }
 
-// RangeN returns the samples owned by rank.
-func (d Dist) RangeN(rank int) Range {
-	pn, _, _, _ := d.Grid.Coords(rank)
-	return BlockPartition(d.N, d.Grid.PN, pn)
+// Block returns rank's block: its samples and global channels, rows and
+// columns.
+func (d Dist) Block(rank int) (n, c, h, w Range) {
+	pn, pc, ph, pw := d.Grid.Coords(rank)
+	return BlockPartition(d.N, d.Grid.PN, pn), BlockPartition(d.C, d.Grid.ChannelWays(), pc),
+		BlockPartition(d.H, d.Grid.PH, ph), BlockPartition(d.W, d.Grid.PW, pw)
 }
 
-// RangeC returns the global channels owned by rank.
-func (d Dist) RangeC(rank int) Range {
-	_, pc, _, _ := d.Grid.Coords(rank)
-	return BlockPartition(d.C, d.Grid.ChannelWays(), pc)
+// RangeN, RangeC, RangeH and RangeW return one dimension of rank's Block.
+func (d Dist) RangeN(rank int) Range { n, _, _, _ := d.Block(rank); return n }
+func (d Dist) RangeC(rank int) Range { _, c, _, _ := d.Block(rank); return c }
+func (d Dist) RangeH(rank int) Range { _, _, h, _ := d.Block(rank); return h }
+func (d Dist) RangeW(rank int) Range { _, _, _, w := d.Block(rank); return w }
+
+// Overlap returns the intersection of d's block for rank r with o's block
+// for rank q. d and o describe the same global tensor, possibly over
+// different grids.
+func (d Dist) Overlap(r int, o Dist, q int) (n, c, h, w Range) {
+	dn, dc, dh, dw := d.Block(r)
+	on, oc, oh, ow := o.Block(q)
+	return dn.Intersect(on), dc.Intersect(oc), dh.Intersect(oh), dw.Intersect(ow)
 }
 
-// RangeH returns the global rows owned by rank.
-func (d Dist) RangeH(rank int) Range {
-	_, _, ph, _ := d.Grid.Coords(rank)
-	return BlockPartition(d.H, d.Grid.PH, ph)
+// SendWords returns the number of words rank sends to other ranks in a
+// redistribution from src to dst: the Shuffle(Di, Dj) volume of Section
+// V-B. dst's blocks tile the tensor, so rank sends its whole src block but
+// the part its own dst block keeps: O(1), not a loop over the p peers.
+// Both grids must have the same size.
+func SendWords(src, dst Dist, rank int) int {
+	if src.Grid.Size() != dst.Grid.Size() {
+		panic(fmt.Sprintf("dist: send words between grids of %d and %d ranks", src.Grid.Size(), dst.Grid.Size()))
+	}
+	return volume(src.Block(rank)) - volume(src.Overlap(rank, dst, rank))
 }
 
-// RangeW returns the global columns owned by rank.
-func (d Dist) RangeW(rank int) Range {
-	_, _, _, pw := d.Grid.Coords(rank)
-	return BlockPartition(d.W, d.Grid.PW, pw)
-}
+func volume(n, c, h, w Range) int { return n.Len() * c.Len() * h.Len() * w.Len() }
 
 // LocalShape returns rank's shard shape [nLoc, cLoc, hLoc, wLoc].
 func (d Dist) LocalShape(rank int) []int {
-	return []int{d.RangeN(rank).Len(), d.RangeC(rank).Len(), d.RangeH(rank).Len(), d.RangeW(rank).Len()}
+	n, c, h, w := d.Block(rank)
+	return []int{n.Len(), c.Len(), h.Len(), w.Len()}
 }

@@ -304,3 +304,80 @@ func (p Placement) Validate() error {
 func (r Range) Contains(o Range) bool {
 	return o.Empty() || (r.Lo <= o.Lo && o.Hi <= r.Hi)
 }
+
+// sendWordsLoop is the brute-force Shuffle(Di, Dj) volume: the words of
+// rank's src block that fall in every other rank's dst block.
+func sendWordsLoop(src, dst Dist, rank int) int {
+	myN, myC, myH, myW := src.RangeN(rank), src.RangeC(rank), src.RangeH(rank), src.RangeW(rank)
+	words := 0
+	for q := 0; q < dst.Grid.Size(); q++ {
+		if q == rank {
+			continue
+		}
+		on := myN.Intersect(dst.RangeN(q))
+		oc := myC.Intersect(dst.RangeC(q))
+		oh := myH.Intersect(dst.RangeH(q))
+		ow := myW.Intersect(dst.RangeW(q))
+		words += on.Len() * oc.Len() * oh.Len() * ow.Len()
+	}
+	return words
+}
+
+// gridsOfSize returns every PN x PC x PH x PW grid with p ranks.
+func gridsOfSize(p int) []Grid {
+	var gs []Grid
+	for pn := 1; pn <= p; pn++ {
+		for pc := 1; pn*pc <= p; pc++ {
+			for ph := 1; pn*pc*ph <= p; ph++ {
+				if p%(pn*pc*ph) == 0 {
+					gs = append(gs, Grid{PN: pn, PC: pc, PH: ph, PW: p / (pn * pc * ph)})
+				}
+			}
+		}
+	}
+	return gs
+}
+
+// TestSendWordsMatchesLoop: the closed form equals the per-peer loop for
+// every rank of every ordered pair of same-size grids with at most 16
+// ranks, the channel axis included, on shapes with odd extents.
+func TestSendWordsMatchesLoop(t *testing.T) {
+	shapes := [][4]int{{16, 16, 16, 16}, {17, 5, 19, 7}, {32, 16, 33, 31}}
+	pairs := 0
+	for p := 1; p <= 16; p++ {
+		grids := gridsOfSize(p)
+		for _, sh := range shapes {
+			for _, ga := range grids {
+				src := Dist{Grid: ga, N: sh[0], C: sh[1], H: sh[2], W: sh[3]}
+				if src.Validate() != nil {
+					continue
+				}
+				for _, gb := range grids {
+					dst := Dist{Grid: gb, N: sh[0], C: sh[1], H: sh[2], W: sh[3]}
+					if dst.Validate() != nil {
+						continue
+					}
+					pairs++
+					for r := 0; r < p; r++ {
+						if got, want := SendWords(src, dst, r), sendWordsLoop(src, dst, r); got != want {
+							t.Fatalf("%v %v -> %v rank %d: SendWords = %d, loop = %d", sh, ga, gb, r, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if pairs < 10000 {
+		t.Fatalf("only %d grid pairs checked", pairs)
+	}
+}
+
+func TestSendWordsRejectsMixedSizes(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("SendWords between a 4-rank and a 2-rank grid did not panic")
+		}
+	}()
+	SendWords(Dist{Grid: Grid{PN: 4, PH: 1, PW: 1}, N: 4, C: 1, H: 4, W: 4},
+		Dist{Grid: Grid{PN: 2, PH: 1, PW: 1}, N: 4, C: 1, H: 4, W: 4}, 0)
+}

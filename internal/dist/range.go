@@ -1,9 +1,11 @@
 // Package dist describes how global tensors are partitioned over processor
-// grids: half-open index ranges, balanced block partitions, 2-D process
-// grids (sample x spatial), per-layer data distributions, and the
-// convolution geometry arithmetic (required input/output intervals) that
-// drives halo-exchange planning in internal/core. It is pure index algebra
-// with no communication or storage of its own.
+// grids: half-open index ranges, balanced block partitions, 4-D process
+// grids (sample x channel x spatial), per-layer data distributions, the
+// block overlaps and per-rank send volume of a redistribution between two
+// distributions (executed by internal/core, priced by internal/perfmodel),
+// and the convolution geometry arithmetic (required input/output
+// intervals) that drives halo-exchange planning in internal/core. It is
+// pure index algebra with no communication or storage of its own.
 package dist
 
 import "fmt"

@@ -40,7 +40,7 @@ func ScatterLabels(labels []int32, d dist.Dist) [][]int32 {
 	}
 	out := make([][]int32, d.Grid.Size())
 	for r := range out {
-		rn, rh, rw := d.RangeN(r), d.RangeH(r), d.RangeW(r)
+		rn, _, rh, rw := d.Block(r)
 		shard := make([]int32, rn.Len()*rh.Len()*rw.Len())
 		k := 0
 		for n := rn.Lo; n < rn.Hi; n++ {

@@ -3,7 +3,6 @@ package perfmodel
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/nn"
 )
@@ -96,10 +95,16 @@ func (m Machine) PlacedLayerCost(spec nn.Spec, in nn.Shape, n int, pl dist.Place
 // same tensor on adjacent layers (Section III-C / V-B): zero when layouts
 // coincide, otherwise an all-to-all moving the largest rank's share, twice
 // (forward activations and backward error signals). Only the grids matter —
-// the weight split does not change the activation layout.
+// the weight split does not change the activation layout. Both grids must
+// have the same size (a redistribution stays on one processor set); a pair
+// that does not is infeasible. A pair costs O(p): dist.SendWords is O(1)
+// per rank.
 func (m Machine) ShuffleCost(sh nn.Shape, n int, from, to dist.Grid) float64 {
 	if from.Norm() == to.Norm() {
 		return 0
+	}
+	if from.Size() != to.Size() {
+		return infeasible
 	}
 	src := dist.Dist{Grid: from, N: n, C: sh.C, H: sh.H, W: sh.W}
 	dst := dist.Dist{Grid: to, N: n, C: sh.C, H: sh.H, W: sh.W}
@@ -108,7 +113,7 @@ func (m Machine) ShuffleCost(sh nn.Shape, n int, from, to dist.Grid) float64 {
 	}
 	maxWords := 0
 	for r := 0; r < from.Size(); r++ {
-		if w := core.ShuffleVolume(src, dst, r); w > maxWords {
+		if w := dist.SendWords(src, dst, r); w > maxWords {
 			maxWords = w
 		}
 	}
@@ -125,8 +130,10 @@ const infeasible = 1e30
 // size. Each layer is priced by PlacedLayerCost, plus the redistributions
 // from its parents' layouts, charged half to forward and half to backward
 // propagation. Weight-gradient allreduces then hide greedily behind the
-// backward compute of earlier layers. MemoryBytes is left zero: the memory
-// estimate needs one grid for the whole network (see CNNCost).
+// backward compute of earlier layers. Every placement's grid must have the
+// same size: the network runs on one processor set. MemoryBytes is left
+// zero: the memory estimate needs one grid for the whole network (see
+// CNNCost).
 func Evaluate(m Machine, arch *nn.Arch, pls []dist.Placement, n int, opt Options) (NetCost, error) {
 	shapes, err := arch.Shapes()
 	if err != nil {
@@ -134,6 +141,11 @@ func Evaluate(m Machine, arch *nn.Arch, pls []dist.Placement, n int, opt Options
 	}
 	if len(pls) != len(arch.Specs) {
 		return NetCost{}, fmt.Errorf("perfmodel: %d placements for %d layers", len(pls), len(arch.Specs))
+	}
+	for i, pl := range pls {
+		if pl.Grid.Size() != pls[0].Grid.Size() {
+			return NetCost{}, fmt.Errorf("perfmodel: layer %d's grid %v is not on layer 0's %d ranks", i, pl.Grid, pls[0].Grid.Size())
+		}
 	}
 	var out NetCost
 	out.PerLayer = make([]LayerBreakdown, 0, len(arch.Specs))

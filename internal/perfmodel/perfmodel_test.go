@@ -390,3 +390,26 @@ func TestPlacedLayerCostChannelGridCollectives(t *testing.T) {
 		t.Errorf("GAP on %v costs %g, not less than %g on %v", chSp.Grid, total(gcs), total(gsp), sp.Grid)
 	}
 }
+
+// TestMixedGridSizesRejected: a redistribution stays on one processor set,
+// so a shuffle between grids of different sizes is infeasible in both
+// directions, and Evaluate refuses placements whose grids differ in size.
+func TestMixedGridSizesRejected(t *testing.T) {
+	m := Lassen()
+	sh := nn.Shape{C: 8, H: 16, W: 16}
+	four, two := dist.Grid{PN: 4, PH: 1, PW: 1}, dist.Grid{PN: 2, PH: 1, PW: 1}
+	for _, pair := range [][2]dist.Grid{{four, two}, {two, four}} {
+		if c := m.ShuffleCost(sh, 4, pair[0], pair[1]); c != infeasible {
+			t.Errorf("ShuffleCost %v -> %v = %g, want infeasible", pair[0], pair[1], c)
+		}
+	}
+	arch := models.SmallCNN(8, 4, 4)
+	pls := make([]dist.Placement, len(arch.Specs))
+	for i := range pls {
+		pls[i] = dist.P(four)
+	}
+	pls[len(pls)-1] = dist.P(two)
+	if _, err := Evaluate(m, arch, pls, 4, DefaultOptions()); err == nil {
+		t.Error("Evaluate accepted placements on 4-rank and 2-rank grids")
+	}
+}

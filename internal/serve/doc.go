@@ -219,11 +219,14 @@
 // and POST /v1/predict.
 //
 // Request time is decomposed by pipeline stage: queue wait (admission to
-// batch membership) and batch wait (batch open to flush) on the front end;
-// route, wire, compute, and gather from timing fields the wire protocol
-// carries in its headers — the dispatch timestamp rides out with each
-// batch, and the leader reports wire and compute microseconds back in the
-// result header, so the decomposition costs no extra messages. Wire and
+// batch membership) and batch wait (batch open to dispatch) on the front
+// end. Batch wait ends when the batch hits the wire, after the router has
+// waited for an in-flight slot, so it contains the route stage: a sum of
+// the stages counts the route wait twice. Route, wire, compute, and gather
+// come from timing fields the wire protocol carries in its headers — the
+// dispatch timestamp rides out with each batch, and the leader reports
+// wire and compute microseconds back in the result header, so the
+// decomposition costs no extra messages. Wire and
 // gather are wall-clock intervals between two goroutines: besides the
 // transfer they hold the time the receiving goroutine (replica leader,
 // front-end collector) waits for a core, so on a box with fewer cores than

@@ -75,7 +75,7 @@ type stage int
 // Pipeline stages, in request-lifecycle order.
 const (
 	stgQueueWait stage = iota // admission -> picked into a batch
-	stgBatchWait              // batch opened -> flushed
+	stgBatchWait              // batch opened -> dispatched; contains stgRoute
 	stgRoute                  // router submit -> batch on the wire
 	stgWire                   // batch sent -> dequeued by the replica leader, incl. its wait for a core and mailbox queueing
 	stgCompute                // replica executor forward pass
