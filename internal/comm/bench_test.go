@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 	"testing"
+	"time"
 )
 
 // BenchmarkMailboxMatch measures matching cost with a growing backlog of
@@ -66,4 +67,38 @@ func BenchmarkReduceScatterWarm(b *testing.B) {
 	benchWarmAllreduce(b, 4, 1<<16, func(c *Comm, buf []float32) {
 		c.Release(c.ReduceScatterStableSlabs(buf, 1, counts, OpSum))
 	})
+}
+
+// BenchmarkAllreducePaths times the two Allreduce paths at p = 2 across
+// per-rank chunk sizes, bypassing the cutover: the crossover it shows is
+// where viewMinChunk belongs. In the skewed runs the ranks take turns
+// arriving 20 us late, so the in-place path's rendezvous cannot hide
+// behind lockstep arrival.
+func BenchmarkAllreducePaths(b *testing.B) {
+	paths := []struct {
+		name string
+		run  func(c *Comm, buf []float32)
+	}{
+		{"eager", func(c *Comm, buf []float32) {
+			c.reduceScatterEager(buf, OpSum)
+			c.allgatherRing(buf, tagStable+1)
+		}},
+		{"views", func(c *Comm, buf []float32) { c.allreduceViews(buf, OpSum) }},
+	}
+	for _, skew := range []time.Duration{0, 20 * time.Microsecond} {
+		for _, chunk := range []int{16, 64, 256, 1 << 10, 1 << 11, 1 << 12, 1 << 14, 1 << 16, 1 << 20} {
+			for _, path := range paths {
+				b.Run(fmt.Sprintf("skew-%v/chunk-%d/%s", skew, chunk, path.name), func(b *testing.B) {
+					var calls [2]int
+					benchWarmAllreduce(b, 2, 2*chunk, func(c *Comm, buf []float32) {
+						if calls[c.Rank()]++; skew > 0 && (calls[c.Rank()]+c.Rank())%2 == 0 {
+							for t := time.Now(); time.Since(t) < skew; {
+							}
+						}
+						path.run(c, buf)
+					})
+				})
+			}
+		}
+	}
 }

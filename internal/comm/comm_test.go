@@ -112,7 +112,13 @@ func TestSendRecvExchange(t *testing.T) {
 
 // rankOrderFold is the serial reference every reduction must equal bitwise:
 // ((x0 op x1) op x2) ... op x_{p-1}, element by element, written
-// independently of Op.apply.
+// independently of Op.apply. Under OpMax (OpMin) the running value is
+// replaced only by a strictly greater (less) next value, so a NaN or a -0
+// held first stays, and swapping a fold's operands changes those bits.
+// Under OpSum only a NaN's payload could tell the operands apart, and Go
+// leaves it to the compiler which operand's payload an addition keeps
+// (it differs between call sites of this very function), so sameFoldBits
+// compares OpSum NaNs as NaNs.
 func rankOrderFold(inputs [][]float32, op Op) []float32 {
 	out := append([]float32(nil), inputs[0]...)
 	for _, x := range inputs[1:] {
@@ -121,33 +127,99 @@ func rankOrderFold(inputs [][]float32, op Op) []float32 {
 			case OpSum:
 				out[i] += v
 			case OpMax:
-				out[i] = max(out[i], v)
+				if v > out[i] {
+					out[i] = v
+				}
 			case OpMin:
-				out[i] = min(out[i], v)
+				if v < out[i] {
+					out[i] = v
+				}
 			}
 		}
 	}
 	return out
 }
 
-// checkAllreduceMatchesRankOrderFold: whatever the length or rank count, the
-// blocking, non-blocking and pinned-alias allreduces leave on every rank the
-// serial left fold in rank order, bit for bit, for OpSum, OpMax and OpMin on
-// the inputs gen produces.
+// sameFoldBits reports whether got is the fold result want bit for bit,
+// except that under OpSum any NaN matches any NaN (see rankOrderFold).
+func sameFoldBits(op Op, got, want float32) bool {
+	if op == OpSum && got != got && want != want {
+		return true
+	}
+	return math.Float32bits(got) == math.Float32bits(want)
+}
+
+// foldCall is one way to run a whole reduction: on return buf must hold
+// the rank-order fold on every rank. ok filters the (p, n) it applies to.
+type foldCall struct {
+	name string
+	ok   func(p, n int) bool
+	run  func(c *Comm, buf []float32, op Op)
+}
+
+// foldSlabs is the slab count of the ReduceScatterStableSlabs call.
+const foldSlabs = 3
+
+var foldCalls = []foldCall{
+	{"Allreduce", nil, func(c *Comm, buf []float32, op Op) { c.Allreduce(buf, op) }},
+	{"IAllreduce", nil, func(c *Comm, buf []float32, op Op) { c.IAllreduce(buf, op).Wait() }},
+	{"AllreduceAlgo", nil, func(c *Comm, buf []float32, op Op) { c.AllreduceAlgo(buf, op, AllreduceStableRing) }},
+	{"ReduceScatterInPlace+AllgatherInPlace", nil, func(c *Comm, buf []float32, op Op) {
+		c.ReduceScatterInPlace(buf, op)
+		c.AllgatherInPlace(buf)
+	}},
+	{"IReduceScatterInPlace+AllgatherInPlace", nil, func(c *Comm, buf []float32, op Op) {
+		c.IReduceScatterInPlace(buf, op).Wait()
+		c.AllgatherInPlace(buf)
+	}},
+	{"ReduceScatterInPlace+Allgather", func(p, n int) bool { return n%p == 0 }, func(c *Comm, buf []float32, op Op) {
+		c.ReduceScatterInPlace(buf, op)
+		c.Allgather(buf, len(buf)/c.Size(), 0)
+	}},
+	// buf as foldSlabs rows, each split by OwnedChunk: the reduce-scatter
+	// hands back this rank's chunk of every row, and a per-row allgather
+	// completes the rows.
+	{"ReduceScatterStableSlabs+AllgatherInPlace", func(_, n int) bool { return n%foldSlabs == 0 }, func(c *Comm, buf []float32, op Op) {
+		rowLen := len(buf) / foldSlabs
+		counts := make([]int, c.Size())
+		for q := range counts {
+			lo, hi := ringChunk(rowLen, c.Size(), q)
+			counts[q] = hi - lo
+		}
+		mine := c.ReduceScatterStableSlabs(buf, foldSlabs, counts, op)
+		lo, hi := c.OwnedChunk(rowLen)
+		for s := 0; s < foldSlabs; s++ {
+			row := buf[s*rowLen : (s+1)*rowLen]
+			copy(row[lo:hi], mine[s*(hi-lo):(s+1)*(hi-lo)])
+			c.AllgatherInPlace(row)
+		}
+		c.Release(mine)
+	}},
+}
+
+// foldLengths are the buffer lengths the rank-order fold check runs at p
+// ranks. For 2 <= p <= 5 they straddle the in-place cutover: per-rank
+// chunks just below and at viewMinChunk, chunks one short of and one past
+// a multiple of foldBlock above it, and a length the slab and Allgather
+// calls can split.
+func foldLengths(p int) []int {
+	ns := []int{0, 1, 3, p - 1, p, 5, 64, 1000, 4095, 4096, 5000}
+	if p >= 2 && p <= 5 {
+		cut, blk := p*viewMinChunk, p*foldBlock*(1+viewMinChunk/foldBlock)
+		ns = append(ns, cut-1, cut, blk-1, blk+1, foldSlabs*p*(viewMinChunk/foldSlabs+1))
+	}
+	return ns
+}
+
+// checkAllreduceMatchesRankOrderFold: whatever the length or rank count,
+// every foldCall leaves on every rank the serial left fold in rank order,
+// bit for bit, for OpSum, OpMax and OpMin on the inputs gen produces.
 func checkAllreduceMatchesRankOrderFold(t *testing.T, gen func(rng *rand.Rand, rank, i int) float32) {
 	t.Helper()
-	calls := []struct {
-		name string
-		run  func(c *Comm, buf []float32, op Op)
-	}{
-		{"Allreduce", func(c *Comm, buf []float32, op Op) { c.Allreduce(buf, op) }},
-		{"IAllreduce", func(c *Comm, buf []float32, op Op) { c.IAllreduce(buf, op).Wait() }},
-		{"AllreduceAlgo", func(c *Comm, buf []float32, op Op) { c.AllreduceAlgo(buf, op, AllreduceStableRing) }},
-	}
 	for p := 1; p <= 9; p++ {
 		rng := rand.New(rand.NewSource(int64(p)))
 		w := NewWorld(p)
-		for _, n := range []int{0, 1, 3, p - 1, p, 5, 64, 1000, 4095, 4096, 5000} {
+		for _, n := range foldLengths(p) {
 			inputs := make([][]float32, p)
 			for r := range inputs {
 				inputs[r] = make([]float32, n)
@@ -158,13 +230,17 @@ func checkAllreduceMatchesRankOrderFold(t *testing.T, gen func(rng *rand.Rand, r
 			for _, op := range []Op{OpSum, OpMax, OpMin} {
 				want := rankOrderFold(inputs, op)
 				w.Run(func(c *Comm) {
-					for _, call := range calls {
-						buf := append([]float32(nil), inputs[c.Rank()]...)
+					buf := make([]float32, n)
+					for _, call := range foldCalls {
+						if call.ok != nil && !call.ok(p, n) {
+							continue
+						}
+						copy(buf, inputs[c.Rank()])
 						call.run(c, buf, op)
 						for i := range buf {
-							if math.Float32bits(buf[i]) != math.Float32bits(want[i]) {
-								t.Errorf("p=%d n=%d op=%d %s rank %d elem %d = %v, want rank-order fold %v",
-									p, n, op, call.name, c.Rank(), i, buf[i], want[i])
+							if !sameFoldBits(op, buf[i], want[i]) {
+								t.Errorf("p=%d n=%d op=%d %s rank %d elem %d = %#x, want rank-order fold %#x",
+									p, n, op, call.name, c.Rank(), i, math.Float32bits(buf[i]), math.Float32bits(want[i]))
 								return
 							}
 						}
@@ -198,6 +274,31 @@ func TestAllreduceMaxMin(t *testing.T) {
 			return -float32(rank)
 		}
 		return float32(rank)
+	})
+}
+
+// TestRankOrderFoldKeepsOperandOrder runs the rank-order fold check on
+// values whose OpMax and OpMin folds depend on the operands' order: quiet
+// NaNs whose payload names the rank and element, -0 against +0, and NaN
+// against a number. A max or min fold that computed x1 op x0 anywhere, or
+// started from any rank but 0, leaves a different NaN payload or zero
+// sign; OpSum must still yield a NaN wherever one went in.
+func TestRankOrderFoldKeepsOperandOrder(t *testing.T) {
+	checkAllreduceMatchesRankOrderFold(t, func(rng *rand.Rand, rank, i int) float32 {
+		switch i % 5 {
+		case 0: // every rank a NaN, with its own payload
+			return math.Float32frombits(0x7fc00000 | uint32(rank+1)<<12 | uint32(i)&0xfff)
+		case 1: // -0 on even ranks, +0 on odd ones
+			if rank%2 == 0 {
+				return float32(math.Copysign(0, -1))
+			}
+			return 0
+		case 2: // NaN on odd ranks only
+			if rank%2 == 1 {
+				return math.Float32frombits(0x7fc00000 | uint32(rank+1)<<12 | uint32(i)&0xfff)
+			}
+		}
+		return rng.Float32()*2 - 1
 	})
 }
 

@@ -31,27 +31,37 @@ const proxyCommBit int64 = 1 << 40
 // is single-use: Wait consumes it and recycles the handle, after which the
 // caller must drop it.
 type Request struct {
-	mu   sync.Mutex
-	cond sync.Cond
-	done bool
-	eng  *engine
+	mu     sync.Mutex
+	cond   sync.Cond
+	done   bool
+	killed *killedPanic // the kill that aborted the operation, if one did
+	eng    *engine
 }
 
 // Wait blocks until the operation completes. On return the operation's
 // buffer holds the result on every rank that has also completed its Wait,
-// and the request handle is consumed.
+// and the request handle is consumed. If a kill aborted the operation (this
+// rank died, or the collective lost a peer), Wait panics with the kill
+// sentinel that RecoverKilled unwinds, as the blocking call would have.
 func (r *Request) Wait() {
 	r.mu.Lock()
 	for !r.done {
 		r.cond.Wait()
 	}
+	killed := r.killed
 	r.mu.Unlock()
 	r.eng.putReq(r)
+	if killed != nil {
+		panic(*killed)
+	}
 }
 
-func (r *Request) complete() {
+// complete marks the request done; killed is the kill that aborted it, or
+// nil.
+func (r *Request) complete(killed *killedPanic) {
 	r.mu.Lock()
 	r.done = true
+	r.killed = killed
 	r.cond.Broadcast()
 	r.mu.Unlock()
 }
@@ -148,6 +158,7 @@ func (e *engine) submit(op collOp) *Request {
 // putReq recycles a consumed request handle.
 func (e *engine) putReq(r *Request) {
 	r.done = false
+	r.killed = nil
 	e.mu.Lock()
 	e.free = append(e.free, r)
 	e.mu.Unlock()
@@ -156,18 +167,20 @@ func (e *engine) putReq(r *Request) {
 // run is the proxy goroutine: pop, execute, complete, until shutdown. The
 // queue is drained before exit so outstanding requests always complete.
 //
-// If the rank is hard-killed while the proxy executes (fault injection: the
-// kill panic can surface on whichever of the rank's goroutines sends the
-// fatal message), the panic is absorbed here: the in-flight and queued
-// requests are completed so waiters wake — their next communication
-// operation observes the dead rank and unwinds — and the engine retires.
+// If a kill surfaces while the proxy executes (fault injection: the kill
+// panic can surface on whichever of the rank's goroutines sends the fatal
+// message, and a collective that loses a peer fails its survivors too),
+// the panic is absorbed here: the in-flight and queued requests complete
+// as aborted, so their Waits re-raise the kill on the compute goroutine,
+// and the engine retires.
 func (e *engine) run() {
 	defer func() {
 		r := recover()
 		if r == nil {
 			return
 		}
-		if _, ok := r.(killedPanic); !ok {
+		killed, ok := r.(killedPanic)
+		if !ok {
 			panic(r)
 		}
 		e.mu.Lock()
@@ -185,7 +198,7 @@ func (e *engine) run() {
 		e.gone = true
 		e.mu.Unlock()
 		for _, req := range reqs {
-			req.complete()
+			req.complete(&killed)
 		}
 		e.cond.Broadcast() // wake shutdown
 	}()
@@ -227,7 +240,7 @@ func (e *engine) run() {
 		e.mu.Lock()
 		e.cur = nil
 		e.mu.Unlock()
-		op.req.complete()
+		op.req.complete(nil)
 
 		e.mu.Lock()
 	}

@@ -255,10 +255,10 @@ func assertZeroAllocsSPMD(t *testing.T, name string, p, warm, runs int, body fun
 	}
 }
 
-// Small buffers take the same stable path as large ones, so both must be
-// allocation-free warm.
+// Small buffers take the eager path and large ones the in-place path;
+// both must be allocation-free warm.
 func TestWarmRingAllreduceZeroAllocs(t *testing.T) {
-	for _, n := range []int{16, 8192} {
+	for _, n := range []int{16, 8192, inPlaceLen(4)} {
 		bufs := make([][]float32, 4)
 		for i := range bufs {
 			bufs[i] = make([]float32, n)
@@ -270,13 +270,12 @@ func TestWarmRingAllreduceZeroAllocs(t *testing.T) {
 }
 
 func TestWarmIAllreduceZeroAllocs(t *testing.T) {
-	bufs := make([][]float32, 4)
-	for i := range bufs {
-		bufs[i] = make([]float32, 8192)
+	for _, n := range []int{8192, inPlaceLen(4)} {
+		bufs := warmBufs(4, n)
+		assertZeroAllocsSPMD(t, fmt.Sprintf("IAllreduce/%d", n), 4, 10, 20, func(c *Comm) {
+			c.IAllreduce(bufs[c.Rank()], OpSum).Wait()
+		})
 	}
-	assertZeroAllocsSPMD(t, "IAllreduce/stable", 4, 10, 20, func(c *Comm) {
-		c.IAllreduce(bufs[c.Rank()], OpSum).Wait()
-	})
 }
 
 func TestWarmHaloStyleSendRecvZeroAllocs(t *testing.T) {

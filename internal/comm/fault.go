@@ -196,7 +196,7 @@ func (f *faultState) inject(self int, mb *mailbox, src, tag int, data []float32)
 	if k := f.kill[self]; k > 0 && f.sent[self] >= k {
 		f.mu.Unlock()
 		f.markDead(self)
-		putBuf(data)
+		recycle(tag, data)
 		panic(killedPanic{self})
 	}
 	if !f.chaos || tag&(1<<20-1) >= tagCollBase {

@@ -234,7 +234,8 @@ func TestCollectivesSurviveChaos(t *testing.T) {
 
 // TestEngineSurvivesKill: a kill that surfaces on the proxy goroutine (the
 // fatal send happens inside an engine-submitted op) completes the queued
-// requests so waiters wake, instead of crashing the process.
+// requests so waiters wake, instead of crashing the process; the wait on
+// the aborted one re-raises the kill.
 func TestEngineSurvivesKill(t *testing.T) {
 	w := NewWorld(2)
 	w.SetFaultPlan(&FaultPlan{Kill: map[int]int{1: 2}})
@@ -245,13 +246,13 @@ func TestEngineSurvivesKill(t *testing.T) {
 		defer close(done)
 		defer RecoverKilled()
 		// Two proxy sends: the second trips the kill inside the proxy
-		// goroutine. Both requests must still complete.
+		// goroutine. Both requests must still complete: the first
+		// normally, the second with the kill, which unwinds this goroutine.
 		r1 := c1.Do(func(p *Comm) { p.Send(0, 1, []float32{1}) })
 		r2 := c1.Do(func(p *Comm) { p.Send(0, 1, []float32{2}) })
 		r1.Wait()
 		r2.Wait()
-		// The rank is dead now; its next direct op must unwind it.
-		c1.Send(0, 1, []float32{3})
+		t.Error("Wait returned for an operation the kill aborted")
 	}()
 	select {
 	case <-done:

@@ -21,6 +21,12 @@ import (
 // by the caller, who should pass it to Comm.Release once the data has been
 // consumed. Releasing is optional — an unreleased buffer is ordinary garbage
 // — but steady-state zero-alloc operation depends on it.
+//
+// One kind of payload is not pooled storage: the views the in-place
+// collectives post on their handshake lines are the senders' own buffers,
+// borrowed read-only until the receiver acknowledges them. They never reach
+// user code, and every path that recycles an unconsumed payload — DrainAll,
+// a send cut short by a kill — goes through recycle, which drops them.
 type bufPool struct {
 	classes [33]bufClass
 }
@@ -92,6 +98,20 @@ func Prefill(n, count int) {
 	for _, b := range bufs {
 		putBuf(b)
 	}
+}
+
+// recycle returns a payload that leaves a mailbox unconsumed (a drained
+// message, or a send cut short by a kill) to the pool, unless it travels
+// on a view-handshake line: a view is a peer's live buffer, and pooling it
+// would hand that memory to the next getBuf while its owner still uses it.
+// putBuf's capacity check cannot tell, so the line decides. tag may be
+// bare or folded with a communicator id.
+func recycle(tag int, data []float32) {
+	switch tag & (1<<20 - 1) {
+	case tagView, tagViewFinal, tagViewAck:
+		return
+	}
+	putBuf(data)
 }
 
 // GetBuf borrows a pooled payload buffer of len n. It is the allocation-free

@@ -12,10 +12,25 @@
 // algorithm: the owner of each chunk folds every rank's contribution in
 // rank order, so every reduction is bitwise equal to the serial fold
 // ((x0 op x1) op x2) ... op x_{p-1}, whatever the buffer length, fusion or
-// rank count. Allreduce is that reduce-scatter followed by the ring
-// allgather, and one partition (OwnedChunk) decides which rank owns what.
+// rank count. Allreduce is that reduce-scatter followed by an allgather of
+// the finished chunks, and one partition (OwnedChunk) decides which rank
+// owns what.
 //
-// Two properties matter for training-step performance:
+// The stable collectives (Allreduce, both reduce-scatters, both
+// allgathers) move their data one of two ways, chosen by the per-rank
+// chunk size alone, so every rank agrees (viewMinChunk):
+//
+//   - Eager, for small chunks: every chunk is copied into a pooled message
+//     and out of it on the far side, and the allgather passes chunks
+//     around a ring.
+//   - In place, for large chunks, as shared-memory MPI does: each rank
+//     posts a read-only view of its whole buffer to every peer, owners
+//     fold straight from the views, and gatherers copy finished chunks
+//     straight out of them. A rank leaves the collective (or completes its
+//     Request) only after every peer has acknowledged its view, so the
+//     caller may reuse the buffer at once. Views are never pooled.
+//
+// Three properties matter for training-step performance:
 //
 //   - Non-blocking collectives (the Aluminum model): IAllreduce enqueues the
 //     operation on a per-communicator proxy goroutine and returns a Request
@@ -32,6 +47,16 @@
 //     of scanning one linear queue, so warm exchanges and collectives run at
 //     zero heap allocations per operation with O(1) matching regardless of
 //     how many unrelated messages are queued.
+//
+//   - Large collectives copy once: the in-place path reads each peer's
+//     buffer where it lies instead of copying it into a message and out
+//     again, so on a box whose cores also run the compute, half the
+//     collective's copying leaves the critical path.
+//
+// A kill (FaultPlan, World.Fail) aborts a collective instead of hanging it:
+// a rank waiting in the in-place handshake fails as soon as any rank of the
+// communicator is dead, and Request.Wait re-raises a kill that aborted the
+// proxy's operation.
 package comm
 
 import (
@@ -238,6 +263,7 @@ type Comm struct {
 	timers     map[msgKey]*time.Timer // cached RecvTimeout timers, one per line
 	mtimer     *time.Timer            // cached RecvMultiTimeout wakeup timer
 	multiRR    int                    // multi-receive fairness rotation cursor
+	views      [][]float32            // peers' buffers during an in-place collective
 
 	// traceID tags flight-recorder spans emitted by this handle with a
 	// request correlation id (the serving layer's batch seq). Atomic
@@ -304,7 +330,7 @@ func (c *Comm) SendNoCopy(dst, tag int, data []float32) {
 	f := c.world.fault
 	self := c.group[c.rank]
 	if f.dead[self].Load() {
-		putBuf(data)
+		recycle(tag, data)
 		panic(killedPanic{self})
 	}
 	t := obs.Start()
@@ -329,7 +355,19 @@ func (c *Comm) SendNoCopy(dst, tag int, data []float32) {
 // kill sentinel that RecoverKilled unwinds. Collectors that must survive
 // peer death use RecvTimeout, which returns ErrPeerDead instead.
 func (c *Comm) Recv(src, tag int) []float32 {
-	data, err := c.recvWait(src, tag, false, 0)
+	data, err := c.recvWait(src, tag, false, 0, false)
+	if err != nil {
+		panic(killedPanic{c.group[c.rank]})
+	}
+	return data
+}
+
+// recvView is Recv for the in-place collectives' handshake. It fails the
+// caller as soon as ANY rank of the communicator is dead, not only src: a
+// peer that waits on the dead rank never sends this rank its final or
+// ack, so a wait on that live peer alone would hang.
+func (c *Comm) recvView(src, tag int) []float32 {
+	data, err := c.recvWait(src, tag, false, 0, true)
 	if err != nil {
 		panic(killedPanic{c.group[c.rank]})
 	}
@@ -341,7 +379,7 @@ func (c *Comm) Recv(src, tag int) []float32 {
 // per-line timer is cached on the handle, so warm timed receives allocate
 // nothing.
 func (c *Comm) RecvTimeout(src, tag int, d time.Duration) ([]float32, error) {
-	return c.recvWait(src, tag, true, d)
+	return c.recvWait(src, tag, true, d, false)
 }
 
 // RecvMultiTimeout waits for a message with the given tag from ANY of the
@@ -361,7 +399,7 @@ func (c *Comm) RecvMultiTimeout(srcs []int, tag int, d time.Duration) (data []fl
 		panic("comm: RecvMultiTimeout needs at least one source")
 	}
 	if len(srcs) == 1 {
-		data, err = c.recvWait(srcs[0], tag, true, d)
+		data, err = c.recvWait(srcs[0], tag, true, d, false)
 		return data, srcs[0], err
 	}
 	for _, s := range srcs {
@@ -440,8 +478,9 @@ func (c *Comm) multiTimer(mb *mailbox) *time.Timer {
 // recvWait is the shared receive wait loop: fault-aware and optionally
 // deadline-bounded. A lost timer wakeup cannot strand the loop: the
 // deadline is re-checked against the clock before every Wait, and the
-// timer only fires at (or after) the deadline.
-func (c *Comm) recvWait(src, tag int, timed bool, d time.Duration) ([]float32, error) {
+// timer only fires at (or after) the deadline. It returns ErrPeerDead
+// once src is dead, or with anyPeer once any rank of the group is.
+func (c *Comm) recvWait(src, tag int, timed bool, d time.Duration, anyPeer bool) ([]float32, error) {
 	if src < 0 || src >= len(c.group) {
 		panic(fmt.Sprintf("comm: recv from rank %d out of range [0,%d)", src, len(c.group)))
 	}
@@ -486,7 +525,7 @@ func (c *Comm) recvWait(src, tag int, timed bool, d time.Duration) ([]float32, e
 			}
 			panic(killedPanic{self})
 		}
-		if f.dead[srcW].Load() {
+		if f.dead[srcW].Load() || anyPeer && c.groupDead() {
 			mb.mu.Unlock()
 			if tm != nil {
 				tm.Stop()
@@ -500,6 +539,16 @@ func (c *Comm) recvWait(src, tag int, timed bool, d time.Duration) ([]float32, e
 		}
 		q.cond.Wait()
 	}
+}
+
+// groupDead reports whether any rank of the communicator is marked dead.
+func (c *Comm) groupDead() bool {
+	for _, w := range c.group {
+		if c.world.fault.dead[w].Load() {
+			return true
+		}
+	}
+	return false
 }
 
 // obsRecvWait records one receive-wait span: how long the caller blocked
@@ -552,11 +601,13 @@ func (c *Comm) TryRecv(src, tag int) (data []float32, ok bool) {
 // DrainAll discards every message queued for this rank across ALL
 // communicators — derived splits, duplicates, and proxy shadows included —
 // returning the payloads to the message pool, and reports how many it
-// dropped. Recovery paths need every communicator drained: a network
-// sharded over a group communicator splits further sub-communicators
-// internally (core.NewCtx's Spatial/Chan/ChanPeers), and a message a killed
-// incarnation left on one of those lines would silently offset the next
-// incarnation's fixed-tag gathers by a whole iteration.
+// dropped. A view a peer posted for an in-place collective is that peer's
+// live buffer: it is dropped, never pooled. Recovery paths need every
+// communicator drained: a network sharded over a group communicator splits
+// further sub-communicators internally (core.NewCtx's Spatial/Chan/
+// ChanPeers), and a message a killed incarnation left on one of those
+// lines would silently offset the next incarnation's fixed-tag gathers by
+// a whole iteration.
 // Call it while re-initialising a revived rank, when no goroutine of any
 // communicator over this rank is sending to or receiving on it, after
 // first consuming any control messages (stop sentinels) the caller must
@@ -565,13 +616,13 @@ func (c *Comm) DrainAll() int {
 	mb := c.world.mailboxes[c.group[c.rank]]
 	n := 0
 	mb.mu.Lock()
-	for _, q := range mb.queues {
+	for key, q := range mb.queues {
 		for {
 			data, ok := q.pop()
 			if !ok {
 				break
 			}
-			putBuf(data)
+			recycle(key.tag, data)
 			n++
 		}
 	}

@@ -170,6 +170,20 @@ func assign(m perfmodel.Machine, arch *nn.Arch, shapes []nn.Shape, cands [][]dis
 	}
 	fixed := make([]*dist.Placement, L)
 	assigned := 0
+	// The DP prices every (previous candidate, candidate) pair at every
+	// path step and on every longest-path round, and candidates share
+	// grids, so most redistributions repeat; each costs an O(p) scan of
+	// dist.SendWords. Price each once per call.
+	shuffles := make(map[shuffleKey]float64)
+	shuffle := func(sh nn.Shape, from, to dist.Grid) float64 {
+		k := shuffleKey{sh, from, to}
+		c, ok := shuffles[k]
+		if !ok {
+			c = m.ShuffleCost(sh, n, from, to)
+			shuffles[k] = c
+		}
+		return c
+	}
 
 	// An unassigned layer weighs its cheapest-communication candidate's
 	// cost, plus an epsilon so ties prefer paths through more of them.
@@ -210,7 +224,7 @@ func assign(m perfmodel.Machine, arch *nn.Arch, shapes []nn.Shape, cands [][]dis
 		}
 		// Solve the path as a line; non-path neighbors contribute via their
 		// fixed placements where available (approximation).
-		pathPls := solvePath(m, arch, shapes, cands, n, fixed, path)
+		pathPls := solvePath(m, arch, shapes, cands, n, fixed, path, shuffle)
 		progressed := false
 		for idx, li := range path {
 			if fixed[li] == nil {
@@ -259,11 +273,18 @@ func assign(m perfmodel.Machine, arch *nn.Arch, shapes []nn.Shape, cands [][]dis
 	return pls
 }
 
+// shuffleKey identifies one priced redistribution within an Optimize call,
+// whose batch size is fixed.
+type shuffleKey struct {
+	sh       nn.Shape
+	from, to dist.Grid
+}
+
 // solvePath runs the shortest-path DP over an explicit path of layer
 // indices; layers already fixed get that single candidate. The edge into
 // a layer carries the shuffle of its input (the previous path layer's
 // output).
-func solvePath(m perfmodel.Machine, arch *nn.Arch, shapes []nn.Shape, cands [][]dist.Placement, n int, fixed []*dist.Placement, path []int) []dist.Placement {
+func solvePath(m perfmodel.Machine, arch *nn.Arch, shapes []nn.Shape, cands [][]dist.Placement, n int, fixed []*dist.Placement, path []int, shuffle func(sh nn.Shape, from, to dist.Grid) float64) []dist.Placement {
 	P := len(path)
 	candOf := func(pi int) []dist.Placement {
 		li := path[pi]
@@ -288,7 +309,7 @@ func solvePath(m perfmodel.Machine, arch *nn.Arch, shapes []nn.Shape, cands [][]
 			}
 			bestC, bestJ := inf, 0
 			for j, ppl := range candOf(pi - 1) {
-				c := dp[pi-1][j] + m.ShuffleCost(inSh, n, ppl.Grid, pl.Grid)
+				c := dp[pi-1][j] + shuffle(inSh, ppl.Grid, pl.Grid)
 				if c < bestC {
 					bestC, bestJ = c, j
 				}

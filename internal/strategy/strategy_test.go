@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dist"
@@ -375,5 +376,21 @@ func TestOptimizeCostIsEvaluate(t *testing.T) {
 		if st.Cost != nc.MiniBatchTime {
 			t.Errorf("%s: Optimize cost %g, Evaluate %g", c.name, st.Cost, nc.MiniBatchTime)
 		}
+	}
+}
+
+// BenchmarkOptimize times the whole per-layer search on ResNet-50 at the
+// sizes ROADMAP's model table quotes.
+func BenchmarkOptimize(b *testing.B) {
+	m := perfmodel.Lassen()
+	arch := models.ResNet50(224, 1000)
+	for _, c := range []struct{ p, n int }{{16, 32}, {64, 64}} {
+		b.Run(fmt.Sprintf("resnet50-p%d-n%d", c.p, c.n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Optimize(m, arch, c.p, c.n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
