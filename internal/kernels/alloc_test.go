@@ -35,6 +35,27 @@ func TestGemmNNZeroAllocs(t *testing.T) {
 	assertZeroAllocs(t, "GemmNN/packed-pooled", func() { GemmNN(m, n, k, 1, a, b, 0, c) })
 }
 
+// TestGemmSkinnySwapZeroAllocs covers the skinny operand swap: the
+// per-sample conv forward (NN, NT: 512 x 4 x 4608) and backward-data (TN:
+// 4608 x 4 x 512) shapes, whose transposed tile merge borrows its scratch
+// from the workspace like every other edge tile.
+func TestGemmSkinnySwapZeroAllocs(t *testing.T) {
+	const big, n, small = 4608, 4, 512
+	a := make([]float32, big*small)
+	b := make([]float32, big*n)
+	c := make([]float32, big*n)
+	run := func() {
+		GemmNN(small, n, big, 1, a, b, 0, c)
+		GemmNT(small, n, big, 1, a, b, 0, c)
+		GemmTN(big, n, small, 1, a, b[:small*n], 0, c)
+	}
+	assertZeroAllocs(t, "Gemm/swapped", run)
+
+	old := SetMaxWorkers(4)
+	defer SetMaxWorkers(old)
+	assertZeroAllocs(t, "Gemm/swapped-pooled", run)
+}
+
 func TestConvForwardIm2colZeroAllocs(t *testing.T) {
 	x := tensor.New(2, 8, 32, 32)
 	x.FillPattern(0.1)

@@ -42,10 +42,10 @@
 // broadcasts, and 12 FMAs. beta scaling is folded into the first K panel's
 // store (overwrite for beta=0, accumulate for beta=1, per-tile pre-scale
 // otherwise) — there is no serial pre-pass over C. Edge tiles compute into
-// a stack tile and merge only the valid region, so the microkernel always
-// runs at full shape. Problems below a small m*n*k threshold take direct
-// unpacked loops instead. Transpose variants differ only in their pack
-// routines, so NT and TN run at NN speed.
+// a tile borrowed from the workspace and merge only the valid region, so
+// the microkernel always runs at full shape. Problems below a small m*n*k
+// threshold take direct unpacked loops instead. Transpose variants differ
+// only in their pack routines, so NT and TN run at NN speed.
 //
 // # Tile geometries
 //
@@ -72,6 +72,26 @@
 // the switch never moves a bit (TestGemmShortTileMatchesFullTileBitwise).
 // m >= 16 keeps the 16x32 tile, which is faster there; 6x16 geometries
 // have no twin. GemmKernelName names the full geometry only.
+//
+// # Skinny GEMMs
+//
+// A packed GEMM with fewer columns than one B strip and more rows than
+// columns (n < NR, m > n), and with no prepacked B, fused epilogue or
+// implicit-im2col A, computes Cᵀ = op(B)ᵀ·op(A)ᵀ instead: the operands,
+// their transposes and m/n swap. That is the per-sample training conv on
+// a small plane — filters or taps in M, the 1-4 plane positions in N —
+// which would otherwise pack its big weight matrix as A panels and sweep
+// B strips holding 1-4 useful columns of 32. Swapped, the weights pack
+// as full-width B strips and the plane as a (row-short) A panel. Like the
+// row-short twin, the rule is the operands' shape, not a knob; serving's
+// prepacked, fused and implicit-im2col calls never take it. alpha, which
+// the unswapped GEMM folds into packed A, is folded into packed B — the
+// caller's A — so every product is still (alpha·a)·b; the K panel
+// schedule and each element's ascending-k FMA sequence are unchanged, and
+// each tile is transposed and merged by the same loop, with the same beta
+// semantics, as an unswapped edge tile. The swap therefore moves no bit,
+// NaN payloads included (TestGemmSwappedMatchesUnswappedBitwise;
+// BenchmarkGemmSkinny times both sides).
 //
 // # Prepacked B and the packed-B memory layout
 //

@@ -128,6 +128,11 @@ func gemmSmall(transA, transB bool, m, n, k int, alpha float32, a, b []float32, 
 	}
 }
 
+// skinnySwap enables the operand swap of skinny packed GEMMs (see
+// gemmPacked). It is on in every build; tests turn it off to check that the
+// swapped path reproduces the unswapped bits.
+var skinnySwap = true
+
 // gemmState carries one packed-GEMM invocation through its pack and compute
 // phases. States are pooled and the pack panels come from the default
 // workspace, so a warm GEMM performs no heap allocations.
@@ -136,6 +141,7 @@ type gemmState struct {
 	alpha, beta    float32
 	a, b, c        []float32
 	transA, transB bool
+	swapped        bool // operands swapped: the GEMM computes Cᵀ, alpha scales op(B)
 
 	mr, nr int // register-tile geometry of the active microkernel
 	kern   microKernelFunc
@@ -187,14 +193,20 @@ func (s *gemmState) dispatch(n int, job parallelJob) {
 // microkernel over every (strip, micro-panel) tile. beta is folded into the
 // first K panel's store (overwrite for beta=0, accumulate for beta=1,
 // per-tile pre-scale otherwise) — there is no serial pre-pass over C.
-// Compute parallelism is over B strips: tiles in distinct strips touch
-// disjoint C columns.
+// Compute parallelism is over (B strip, row block) tiles, which are
+// disjoint in C.
 //
 // With a non-nil pb the pack-B phase is skipped entirely: strips come
 // straight out of the prepacked panel-blocked layout (which must have been
 // built under the active microkernel geometry). With a non-nil epi the
 // epilogue is applied to each C tile right after its last K panel's store,
 // while the tile is cache-hot (see Epilogue for the bitwise contract).
+//
+// A skinny GEMM (n < NR, m > n; nil pb, epi and aIm) computes
+// Cᵀ = op(B)ᵀ·op(A)ᵀ instead: operands, transposes and m/n swap, so the
+// big operand fills full-width B strips. alpha then scales the packed B
+// (the caller's A) and every tile merges transposed; the bits do not move
+// (package doc, "Skinny GEMMs").
 //
 // tr/id carry optional flight-recorder attribution: nil tr means no tracing
 // hooks run at all; with a ring, each pack/compute phase emits one span per
@@ -211,6 +223,12 @@ func gemmPacked(transA, transB bool, m, n, k int, alpha float32, a, b []float32,
 		}
 	}
 	s := gemmStatePool.Get().(*gemmState)
+	s.swapped = skinnySwap && pb == nil && epi == nil && aIm == nil && n < g.nr && m > n
+	if s.swapped {
+		transA, transB = !transB, !transA
+		m, n = n, m
+		a, b = b, a
+	}
 	s.m, s.n, s.k = m, n, k
 	s.alpha, s.beta = alpha, beta
 	s.a, s.b, s.c = a, b, c
@@ -294,13 +312,16 @@ func gemmPacked(transA, transB bool, m, n, k int, alpha float32, a, b []float32,
 
 // packAPanels packs A micro-panels [lo, hi) of the current K panel:
 // panel i holds rows i*MR..i*MR+MR of op(A), K-major with the MR rows
-// interleaved, scaled by alpha and zero-padded past row m.
+// interleaved, scaled by alpha (unless swapped) and zero-padded past row m.
 func (s *gemmState) packAPanels(lo, hi int) {
 	if s.aIm.x != nil {
 		s.packAIm2col(lo, hi)
 		return
 	}
 	kc, p0, m, k, alpha, mr := s.kc, s.p0, s.m, s.k, s.alpha, s.mr
+	if s.swapped {
+		alpha = 1
+	}
 	for pnl := lo; pnl < hi; pnl++ {
 		dst := s.aPanel[pnl*mr*kc : (pnl+1)*mr*kc]
 		i0 := pnl * mr
@@ -338,7 +359,8 @@ func (s *gemmState) packAPanels(lo, hi int) {
 
 // packBStrips packs B strips [lo, hi) of the current (K, N) panel: strip j
 // holds columns jj+j*NR..+NR of op(B), K-major with the NR columns
-// interleaved, zero-padded past column n.
+// interleaved, zero-padded past column n. A swapped GEMM scales the strip
+// by alpha afterwards (the padding is never stored, so its sign is moot).
 func (s *gemmState) packBStrips(lo, hi int) {
 	kc, p0, n, k, nrW := s.kc, s.p0, s.n, s.k, s.nr
 	for st := lo; st < hi; st++ {
@@ -349,12 +371,8 @@ func (s *gemmState) packBStrips(lo, hi int) {
 			for p := 0; p < kc; p++ {
 				src := s.b[(p0+p)*n+j0:]
 				o := p * nrW
-				for q := 0; q < nj; q++ {
-					dst[o+q] = src[q]
-				}
-				for q := nj; q < nrW; q++ {
-					dst[o+q] = 0
-				}
+				copy(dst[o:o+nj], src[:nj])
+				clear(dst[o+nj : o+nrW])
 			}
 		} else {
 			// op(B) = Bᵀ with B row-major N x K: column j of op(B) is
@@ -379,15 +397,19 @@ func (s *gemmState) packBStrips(lo, hi int) {
 					d[4], d[5], d[6], d[7] = b4[p], b5[p], b6[p], b7[p]
 				}
 			}
-			if q == nrW {
-				continue
-			}
-			for p := 0; p < kc; p++ {
-				d := dst[p*nrW : (p+1)*nrW]
-				for r := q; r < nj; r++ {
-					d[r] = s.b[(j0+r)*k+p0+p]
+			if q < nrW {
+				for p := 0; p < kc; p++ {
+					d := dst[p*nrW : (p+1)*nrW]
+					for r := q; r < nj; r++ {
+						d[r] = s.b[(j0+r)*k+p0+p]
+					}
+					clear(d[nj:])
 				}
-				clear(d[nj:])
+			}
+		}
+		if s.swapped && s.alpha != 1 {
+			for i := range dst {
+				dst[i] *= s.alpha
 			}
 		}
 	}
@@ -408,9 +430,10 @@ func (s *gemmState) bStripFor(st, kc int) []float32 {
 // computeStrips runs the microkernel over compute-domain items [lo, hi),
 // where item st*rowBlocks+rb is (B strip st, A row block rb). Full tiles
 // store straight into C; edge tiles (padded rows or columns) compute into a
-// stack tile and merge only the valid region. There is deliberately no
-// zero-value skip on packed A entries: a zero times an Inf/NaN in B must
-// propagate, and the branch would stall the FMA pipeline.
+// workspace tile and merge only the valid region. A swapped GEMM's C is the
+// transpose of its output, so every tile merges, transposed. There is
+// deliberately no zero-value skip on packed A entries: a zero times an
+// Inf/NaN in B must propagate, and the branch would stall the FMA pipeline.
 //
 // On the last K panel a fused epilogue (if any) is applied to each tile
 // right after its store, while the tile is still cache-resident — this is
@@ -444,7 +467,10 @@ func (s *gemmState) computeStrips(lo, hi int) {
 			iBase := pnl * mr
 			mi := min(mr, m-iBase)
 			cOff := iBase*n + jBase
-			if mi == mr && ni == nr {
+			if s.swapped {
+				cOff = jBase*m + iBase
+			}
+			if mi == mr && ni == nr && !s.swapped {
 				stored := false
 				if s.first {
 					switch s.beta {
@@ -461,11 +487,21 @@ func (s *gemmState) computeStrips(lo, hi int) {
 				}
 			} else {
 				if tileBuf == nil {
-					tileBuf = defaultWS.Get(maxMR * maxNR)
+					tileBuf = defaultWS.Get(2 * maxMR * maxNR) // tile, then its transpose
 					tile = *tileBuf
 				}
 				s.kern(kc, aPanel, bStrip, tile, nr, false)
-				mergeTile(s.c[cOff:], n, tile, nr, mi, ni, s.first, s.beta)
+				if s.swapped {
+					// C holds this GEMM's output transposed. The valid
+					// region is transposed first so the merge runs
+					// mergeTile's own loop: the same adds, hence the same
+					// NaN payloads, as the unswapped GEMM's edge tiles.
+					tt := tile[maxMR*maxNR:]
+					transposeTile(tt, tile, nr, mi, ni)
+					mergeTile(s.c[cOff:], m, tt, mi, ni, mi, s.first, s.beta)
+				} else {
+					mergeTile(s.c[cOff:], n, tile, nr, mi, ni, s.first, s.beta)
+				}
 			}
 			if s.epi != nil && s.last {
 				s.epi.apply(s.c[cOff:], n, mi, ni, jBase)
@@ -585,6 +621,17 @@ func mergeTile(c []float32, ldc int, tile []float32, tileLd, mi, ni int, first b
 			for q, v := range trow {
 				crow[q] = beta*crow[q] + v
 			}
+		}
+	}
+}
+
+// transposeTile writes the mi x ni region of src (row stride srcLd) to dst
+// as an ni x mi matrix (row stride mi).
+func transposeTile(dst, src []float32, srcLd, mi, ni int) {
+	for r := 0; r < mi; r++ {
+		row := src[r*srcLd : r*srcLd+ni]
+		for q, v := range row {
+			dst[q*mi+r] = v
 		}
 	}
 }

@@ -55,9 +55,9 @@ func pickGeom() microGeom {
 }
 
 // GemmKernelName reports which microkernel geometry is active
-// (avx512_16x32, avx2_6x16, go_6x16), for benchmark labels and /statz. It
-// names the full tile; GEMMs with fewer rows than that tile run its
-// row-short twin, which is not reported separately.
+// (avx512_16x32, avx2_6x16, go_16x32, go_6x16), for benchmark labels and
+// /statz. It names the full tile; GEMMs with fewer rows than that tile run
+// its row-short twin, which is not reported separately.
 func GemmKernelName() string { return activeGeom.name }
 
 // portableGeoms are the geometries available on every platform; the

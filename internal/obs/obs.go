@@ -65,6 +65,9 @@ const (
 	StageLayerBN    // one batchnorm layer forward
 	StageLayerOther // any other layer forward (relu/pool/add/...)
 	StageIm2col     // batched im2col lowering
+	// The pack stages name operands as the GEMM runs them: a skinny GEMM
+	// that swaps its operands (kernels package doc, "Skinny GEMMs") packs
+	// the caller's B in pack A and the caller's A in pack B.
 	StageGemmPackA  // packing A micro-panels (one span per K panel)
 	StageGemmPackB  // packing B strips (one span per (K,N) panel)
 	StageGemmKernel // microkernel sweep (one span per (K,N) panel)
