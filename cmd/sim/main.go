@@ -11,6 +11,10 @@
 //	    [-model smallcnn|synthetic] [-frontends N] [-admit-ns N]
 //	    [-faults] [-json FILE] [-out FILE] [-check-factor F]
 //
+// -policies defaults to every registered policy: least-loaded (the
+// shipped sched.Production), random, jsq2, jsq3, and ideal, the
+// omniscient bound that -check-factor measures production against.
+//
 // -quick runs the CI smoke grid: a small sweep plus the assertion (with
 // -check-factor) that the shipped production policy's p99 stays within
 // the given factor of the omniscient ideal bound on every cell.

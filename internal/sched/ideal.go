@@ -51,9 +51,3 @@ func (p *Ideal) Pick(now int64, b BatchView, reps []ReplicaView) int {
 
 // OnDispatch implements Policy.
 func (p *Ideal) OnDispatch(g int, now int64, n int) { p.ll.OnDispatch(g, now, n) }
-
-// OnResult implements Policy.
-func (p *Ideal) OnResult(g int, now int64, occ int) {}
-
-// OnHeartbeat implements Policy.
-func (p *Ideal) OnHeartbeat(g int, now int64, occ int) {}

@@ -68,12 +68,6 @@ func (p *JSQ) Pick(now int64, b BatchView, reps []ReplicaView) int {
 // OnDispatch implements Policy.
 func (p *JSQ) OnDispatch(g int, now int64, n int) { p.ll.OnDispatch(g, now, n) }
 
-// OnResult implements Policy.
-func (p *JSQ) OnResult(g int, now int64, occ int) {}
-
-// OnHeartbeat implements Policy.
-func (p *JSQ) OnHeartbeat(g int, now int64, occ int) {}
-
 // Random routes uniformly at random among eligible replicas — the naive
 // baseline every informed policy must beat; it brackets the scorecard from
 // below like the ideal bound brackets it from above.
@@ -117,9 +111,3 @@ func (p *Random) Pick(now int64, b BatchView, reps []ReplicaView) int {
 
 // OnDispatch implements Policy.
 func (p *Random) OnDispatch(g int, now int64, n int) {}
-
-// OnResult implements Policy.
-func (p *Random) OnResult(g int, now int64, occ int) {}
-
-// OnHeartbeat implements Policy.
-func (p *Random) OnHeartbeat(g int, now int64, occ int) {}

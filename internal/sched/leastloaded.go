@@ -52,9 +52,3 @@ func (p *LeastLoaded) OnDispatch(g int, now int64, n int) {
 		p.rot = (g + 1) % p.n
 	}
 }
-
-// OnResult implements Policy.
-func (p *LeastLoaded) OnResult(g int, now int64, occ int) {}
-
-// OnHeartbeat implements Policy.
-func (p *LeastLoaded) OnHeartbeat(g int, now int64, occ int) {}

@@ -6,18 +6,20 @@
 //
 // # Contract
 //
-// A Policy observes exactly four things, always under the caller's router
-// lock (implementations need no internal locking):
+// A Policy is four methods, always called under the caller's router lock
+// (implementations need no internal locking):
 //
+//	Name         the registry name
+//	Reset        (re)initialize for a fleet of n replicas and a seed
 //	Pick         choose the replica for one flushed batch
 //	OnDispatch   a batch was sent to the picked replica
-//	OnResult     a replica answered a batch (occ = its reported queue depth)
-//	OnHeartbeat  a standalone occupancy heartbeat arrived
 //
 // The ReplicaView slice passed to Pick is the only fleet state a policy may
 // read: liveness, the dispatcher-side in-flight count and its cap, and the
 // replica's last occupancy heartbeat. Policies must not retain the slice
-// past the call.
+// past the call. The one extension is Oracle: the simulator binds it to
+// policies implementing OmniscientPolicy, so the ideal bound can read the
+// true remaining work no production router can observe.
 //
 // # Determinism requirements
 //
@@ -25,7 +27,7 @@
 // every implementation must be deterministic: no wall-clock reads (the
 // caller supplies now), no global rand (seed private state from
 // Reset(n, seed) via Rand), no map iteration, and no state mutation outside
-// Reset and the four hooks. Pick must be a pure function of the policy's
+// Reset and OnDispatch. Pick must be a pure function of the policy's
 // state and its arguments. In particular, tie-break rotation state (e.g.
 // LeastLoaded's round-robin cursor) advances in OnDispatch — once per batch
 // actually dispatched — never inside Pick, so calling Pick twice in a row
@@ -34,12 +36,6 @@
 // Pick must return -1 only when no replica is eligible (live with in-flight
 // headroom): returning -1 while an eligible replica exists may stall the
 // production dispatcher, which blocks until the next result frees capacity.
-//
-// A heartbeat reporting occ 0 means the replica is idle; policies keeping
-// per-replica in-flight shadows (e.g. Shinjuku's long-batch tracker) must
-// clear them on it, because a replica rejoining after quarantine announces
-// itself exactly that way and must not inherit its dead incarnation's
-// state.
 package sched
 
 import (
@@ -72,9 +68,6 @@ func (v ReplicaView) eligible() bool { return v.Live && v.InFlight < v.Cap }
 type BatchView struct {
 	// N is the number of requests coalesced into the batch.
 	N int
-	// Deadline is the earliest rider deadline in nanoseconds on the
-	// caller's clock (the same clock as now); 0 means no deadline.
-	Deadline int64
 }
 
 // Policy routes flushed batches to replicas. See the package comment for
@@ -91,31 +84,6 @@ type Policy interface {
 	Pick(now int64, b BatchView, reps []ReplicaView) int
 	// OnDispatch records that a batch of n requests was sent to replica g.
 	OnDispatch(g int, now int64, n int)
-	// OnResult records that replica g answered a batch and reported
-	// occupancy occ.
-	OnResult(g int, now int64, occ int)
-	// OnHeartbeat records a standalone occupancy heartbeat from replica g.
-	// occ 0 announces an idle (possibly freshly rejoined) replica.
-	OnHeartbeat(g int, now int64, occ int)
-}
-
-// QueueOrderer is an optional Policy extension: when the dispatcher holds
-// several flushed batches waiting for capacity, SelectQueued picks which
-// one goes next (index into queued). Without it dispatch is FIFO. The
-// simulator honors it; the production batcher submits batches one at a
-// time, so ordering there reduces to FIFO.
-type QueueOrderer interface {
-	SelectQueued(now int64, queued []BatchView) int
-}
-
-// Preemptor is an optional Policy extension declaring a Shinjuku-style
-// processing quantum: an execution environment that can preempt (the
-// simulator's replica model) slices a batch's service into quanta of this
-// many nanoseconds, requeueing the remainder, so one heavy-tailed batch
-// cannot block a replica's queue head. Production replicas cannot preempt
-// a forward pass and ignore it.
-type Preemptor interface {
-	Quantum() int64
 }
 
 // Oracle exposes omniscient fleet state to the ideal lower-bound policy:
@@ -137,15 +105,13 @@ type OmniscientPolicy interface {
 // workflow.
 const Production = "least-loaded"
 
-// builders is the policy registry. Registration happens in each policy's
-// file via an init-free static table to keep construction deterministic.
+// builders is the policy registry: a static table, not init-time
+// registration, so construction stays deterministic.
 var builders = map[string]func() Policy{
 	"least-loaded": func() Policy { return NewLeastLoaded() },
 	"random":       func() Policy { return NewRandom() },
 	"jsq2":         func() Policy { return NewJSQ(2) },
 	"jsq3":         func() Policy { return NewJSQ(3) },
-	"edf":          func() Policy { return NewEDF() },
-	"shinjuku":     func() Policy { return NewShinjuku(DefaultQuantum) },
 	"ideal":        func() Policy { return NewIdeal() },
 }
 

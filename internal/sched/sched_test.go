@@ -100,49 +100,6 @@ func TestJSQDeterministicAndEligible(t *testing.T) {
 	}
 }
 
-func TestEDFQueueOrdering(t *testing.T) {
-	p := NewEDF()
-	p.Reset(2, 0)
-	queued := []BatchView{
-		{N: 4, Deadline: 0},
-		{N: 2, Deadline: 900},
-		{N: 1, Deadline: 500},
-		{N: 3, Deadline: 500},
-	}
-	if i := p.SelectQueued(100, queued); i != 2 {
-		t.Fatalf("EDF selected %d, want 2 (earliest deadline, FIFO tie)", i)
-	}
-	// No deadlines anywhere: FIFO.
-	queued = []BatchView{{N: 1}, {N: 2}, {N: 3}}
-	if i := p.SelectQueued(100, queued); i != 0 {
-		t.Fatalf("EDF on deadline-free queue selected %d, want 0", i)
-	}
-}
-
-func TestShinjukuSteersAroundOverdue(t *testing.T) {
-	p := NewShinjuku(1000)
-	p.Reset(2, 0)
-	vs := views(1, 2) // replica 0 less loaded...
-	p.OnDispatch(0, 0, 1)
-	p.OnDispatch(1, 0, 1)
-	// ...but its outstanding batch is overdue at now=5000 (> quantum 1000);
-	// replica 1's batch completed, so it is not overdue.
-	p.OnResult(1, 100, 0)
-	if g := p.Pick(5000, BatchView{}, vs); g != 1 {
-		t.Fatalf("Shinjuku picked %d, want 1 (steer around overdue head)", g)
-	}
-	// Every eligible replica overdue: falls back rather than returning -1.
-	p.OnDispatch(1, 0, 1)
-	if g := p.Pick(5000, BatchView{}, vs); g != 0 {
-		t.Fatalf("Shinjuku all-overdue fallback picked %d, want 0 (least loaded)", g)
-	}
-	// A rejoin heartbeat (occ 0) clears the dead incarnation's marker.
-	p.OnHeartbeat(0, 6000, 0)
-	if g := p.Pick(6000, BatchView{}, vs); g != 0 {
-		t.Fatalf("after rejoin heartbeat picked %d, want 0", g)
-	}
-}
-
 type fakeOracle struct{ work []int64 }
 
 func (o fakeOracle) RemainingWork(g int) int64 { return o.work[g] }

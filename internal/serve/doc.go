@@ -138,36 +138,36 @@
 // deterministic serving simulator (internal/sim). The contract, in full
 // in internal/sched's package comment:
 //
-//   - Observable state is exactly what the router passes: a
+//   - A policy is four methods: Name, Reset, Pick and OnDispatch.
+//     Observable state is exactly what the router passes: a
 //     sched.ReplicaView slice (Live, InFlight, Cap, Occ) and a
-//     sched.BatchView (N, earliest rider Deadline). Policies never see
-//     the clock beyond the `now` argument, never read global state, and
-//     never iterate maps.
+//     sched.BatchView (N). Occ is the replica's last occupancy report,
+//     refreshed by the result and heartbeat collectors outside the
+//     policy. Policies never see the clock beyond the `now` argument,
+//     never read global state, and never iterate maps.
 //   - Pick is pure: calling it twice in a row returns the same replica.
 //     All cursor/counter state advances in OnDispatch — once per batch
-//     actually dispatched, including failover re-dispatches — and in
-//     OnResult/OnHeartbeat, which deliver result occupancies, backlog
-//     heartbeats, and the idle heartbeat a rejoined replica announces
-//     itself with. This is what makes routing deterministic: a replayed
-//     sequence of events reproduces the same dispatch decisions.
+//     actually dispatched, including failover re-dispatches. This is what
+//     makes routing deterministic: a replayed sequence of events
+//     reproduces the same dispatch decisions.
 //   - Pick returns -1 only when no replica is eligible (live with
 //     in-flight < cap); anything else would stall the dispatcher, which
 //     blocks on capacity.
 //
-// All hooks run under the router's lock; a Policy instance must not be
-// shared between servers.
+// Pick and OnDispatch run under the router's lock; a Policy instance must
+// not be shared between servers.
 //
 // The scorecard workflow: cmd/sim races every registered policy —
-// least-loaded, random, jsq2/jsq3 (power-of-d-choices), edf
-// (deadline-ordered dispatch), shinjuku (long-batch steering with a
-// preemption budget), and the omniscient ideal lower bound — over swept
-// load/fleet/tail-heaviness grids on latency curves calibrated against
-// the measured `cmd/bench -exp obs` decomposition, with an optional
-// replica-kill failover scenario, and emits throughput/p50/p99/p999/
-// shed/fairness rows as a table and byte-stable JSON. The winner ships
-// as sched.Production (the router's nil-Policy default); CI re-runs the
-// quick sweep every push and fails if the shipped default drifts beyond
-// a fixed factor of the ideal bound.
+// least-loaded, random, jsq2/jsq3 (power-of-d-choices) and the
+// omniscient ideal lower bound — over swept load/fleet/tail-heaviness
+// grids on latency curves calibrated against the measured
+// `cmd/bench -exp obs` decomposition, with an optional replica-kill
+// failover scenario, and emits throughput/p50/p99/p999/shed/fairness rows
+// as a table and byte-stable JSON. The registry holds only policies a
+// production replica can run and the scorecard can tell apart. The winner
+// ships as sched.Production (the router's nil-Policy default); CI re-runs
+// the quick sweep every push and fails if the shipped default drifts
+// beyond a fixed factor of the ideal bound.
 //
 // # Failure model
 //

@@ -302,21 +302,6 @@ func (rt *router) pick(bv sched.BatchView) int {
 	return rt.pol.Pick(time.Now().UnixNano(), bv, rt.views)
 }
 
-// noteResult feeds an accepted result's occupancy report to the policy.
-func (rt *router) noteResult(g, occ int) {
-	rt.mu.Lock()
-	rt.pol.OnResult(g, time.Now().UnixNano(), occ)
-	rt.mu.Unlock()
-}
-
-// noteHeartbeat feeds a standalone (or stale-result) occupancy heartbeat
-// to the policy.
-func (rt *router) noteHeartbeat(g, occ int) {
-	rt.mu.Lock()
-	rt.pol.OnHeartbeat(g, time.Now().UnixNano(), occ)
-	rt.mu.Unlock()
-}
-
 // sendLocked ships slot's batch to replica g's leader. Caller holds rt.mu;
 // mailbox puts never take the router lock, so sending under it is safe.
 func (rt *router) sendLocked(g, slot int) {
@@ -340,7 +325,7 @@ func (rt *router) sendLocked(g, slot int) {
 // fails the batch. Called from this front-end's batcher goroutine.
 func (rt *router) submit(b *batch) bool {
 	t0 := time.Now()
-	bv := sched.BatchView{N: b.n, Deadline: b.deadlineNs}
+	bv := sched.BatchView{N: b.n}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	for {
@@ -443,13 +428,11 @@ func (rt *router) strand(g int, now int64) {
 }
 
 // rejoined re-admits replica g to this router's live set after the monitor
-// confirmed the new incarnation's probe answer. The idle heartbeat tells
-// the policy to drop any state it kept about the dead incarnation.
+// confirmed the new incarnation's probe answer.
 func (rt *router) rejoined(g int, now int64) {
 	rt.mu.Lock()
 	rt.live++
 	rt.inflight[g] = 0
-	rt.pol.OnHeartbeat(g, now, 0)
 	rt.dispatchRetriesLocked(now)
 	rt.cond.Broadcast()
 	rt.mu.Unlock()
@@ -475,7 +458,7 @@ func (rt *router) dispatchRetriesLocked(now int64) {
 			rt.cond.Signal()
 			continue
 		}
-		g := rt.pick(sched.BatchView{N: e.b.n, Deadline: e.b.deadlineNs})
+		g := rt.pick(sched.BatchView{N: e.b.n})
 		if g < 0 {
 			return // no headroom; resume when a slot frees or a replica rejoins
 		}
@@ -667,7 +650,7 @@ func (s *Server) startFleet(model *nn.InferNet) error {
 		for g := range groups {
 			s.wg.Add(2)
 			go s.resultCollector(fe, g, fe.rt.c.Dup())
-			go s.hbCollector(fe, g, fe.rt.c.Dup())
+			go s.hbCollector(g, fe.rt.c.Dup())
 		}
 	}
 	s.wg.Add(1)
@@ -736,13 +719,11 @@ func (s *Server) resultCollector(fe *frontEnd, g int, c *comm.Comm) {
 		b, sentAt := rt.claim(int(msg[0]), uint32(msg[1]))
 		if b == nil {
 			// Stale (failed-over or duplicated) result: no batch to claim,
-			// but the occupancy report is still fresh heartbeat signal.
-			rt.noteHeartbeat(g, int(msg[3]))
+			// but its occupancy report above still refreshed rep.occ.
 			fe.stats.droppedResults.Add(1)
 			c.Release(msg)
 			continue
 		}
-		rt.noteResult(g, int(msg[3]))
 		// Decompose the round trip: the leader reported wire (send ->
 		// dequeue) and compute (executor forward) in the result header; the
 		// remainder of sent -> claimed is the gather stage (result wire
@@ -772,9 +753,11 @@ func (s *Server) resultCollector(fe *frontEnd, g int, c *comm.Comm) {
 	}
 }
 
-// hbCollector tracks replica g's occupancy heartbeats (fanned to front-end
-// fe) for fe's router and feeds the failure monitor's liveness clock.
-func (s *Server) hbCollector(fe *frontEnd, g int, c *comm.Comm) {
+// hbCollector drains replica g's occupancy heartbeats on one front-end's
+// handle c (leaders fan each heartbeat to every front-end) into the
+// replica's Occ, which every router's Pick reads, and feeds the failure
+// monitor's liveness clock.
+func (s *Server) hbCollector(g int, c *comm.Comm) {
 	defer s.wg.Done()
 	rep := s.fleet.reps[g]
 	tick := s.cfg.HeartbeatInterval
@@ -796,7 +779,6 @@ func (s *Server) hbCollector(fe *frontEnd, g int, c *comm.Comm) {
 		}
 		rep.lastHeard.Store(time.Now().UnixNano())
 		rep.occ.Store(int32(v))
-		fe.rt.noteHeartbeat(g, int(v))
 	}
 }
 

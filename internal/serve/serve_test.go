@@ -236,12 +236,13 @@ func TestRouterRotationDeterministic(t *testing.T) {
 	}
 }
 
-// TestFleetServesWithPluggablePolicy runs live fleets behind non-default
-// routing policies — the production half of the scheduler lab's promise
-// that any sched registry policy drops into the real router — and checks
-// answers stay bitwise correct.
+// TestFleetServesWithPluggablePolicy runs live fleets behind every
+// registered routing policy — the production half of the scheduler lab's
+// promise that any sched registry policy drops into the real router — and
+// checks answers stay bitwise correct. ideal runs without an oracle here,
+// so it routes least-loaded.
 func TestFleetServesWithPluggablePolicy(t *testing.T) {
-	for _, name := range []string{"jsq2", "edf", "shinjuku"} {
+	for _, name := range sched.Names() {
 		t.Run(name, func(t *testing.T) {
 			pol, err := sched.New(name)
 			if err != nil {

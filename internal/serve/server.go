@@ -121,10 +121,10 @@ type Config struct {
 	PendingRequests int
 	// Policy is the replica-routing policy (see internal/sched for the
 	// contract and the registry: sched.New("jsq2") etc.). Nil selects
-	// sched.NewLeastLoaded(), the shipped default — the winner of the
-	// internal/sim policy races on the reference traces. The policy's
-	// hooks run under the router lock; one Policy value must not be shared
-	// between servers. With FrontEnds > 1 the policy applies to front-end
+	// sched.Production (least-loaded), the shipped default — the winner of
+	// the internal/sim policy races on the reference traces. Pick and
+	// OnDispatch run under the router lock; one Policy value must not be
+	// shared between servers. With FrontEnds > 1 the policy applies to front-end
 	// 0 and the others construct fresh instances of the same default, so
 	// leave it nil when sharding the front-end.
 	Policy sched.Policy
@@ -266,9 +266,6 @@ type batch struct {
 	// openedAt (UnixNano) marks when the first request landed; the gap to
 	// flush is the batch-wait stage of the latency decomposition.
 	openedAt int64
-	// deadlineNs is the earliest rider deadline (UnixNano; 0 = none),
-	// exposed to the routing policy as sched.BatchView.Deadline.
-	deadlineNs int64
 }
 
 // frontEnd is one front-end rank's runtime: its own admission lanes,
@@ -633,7 +630,6 @@ func (s *Server) Close() {
 func (s *Server) getBatch() *batch {
 	b := s.batchPool.Get().(*batch)
 	b.n = 0
-	b.deadlineNs = 0
 	return b
 }
 
@@ -663,11 +659,6 @@ func (s *Server) add(fe *frontEnd, b *batch, r *request) {
 	copy((*b.buf)[b.n*s.inLen:(b.n+1)*s.inLen], r.in)
 	if b.n == 0 {
 		b.openedAt = now.UnixNano()
-	}
-	if !r.deadline.IsZero() {
-		if dl := r.deadline.UnixNano(); b.deadlineNs == 0 || dl < b.deadlineNs {
-			b.deadlineNs = dl
-		}
 	}
 	b.reqs[b.n] = r
 	b.n++

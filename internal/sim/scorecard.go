@@ -43,7 +43,7 @@ func latValue(idx int) int64 {
 // accum collects one run's metrics.
 type accum struct {
 	offered, served, shedFull, shedExpired, failed, lateServed uint64
-	batches, dispatches, retries, recovered, preemptions       uint64
+	batches, dispatches, retries, recovered                    uint64
 	kills, detections, rejoins                                 uint64
 	samples                                                    uint64
 	hist                                                       [latBuckets]uint64

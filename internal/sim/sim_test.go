@@ -190,28 +190,6 @@ func TestDeadlineShedding(t *testing.T) {
 	}
 }
 
-func TestShinjukuPreemptsLongBatches(t *testing.T) {
-	pol, err := sched.New("shinjuku")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := smallConfig(pol)
-	// Heavy Pareto tail at high load so long batches exceed the quantum.
-	cfg.Traffic.Sigma = 1.5
-	cfg.Traffic.ParetoAlpha = 1.5
-	cfg.Traffic.ParetoMix = 0.3
-	cfg.Traffic.Rate = 60_000
-	w, err := NewWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc := w.Run()
-	conserve(t, acc)
-	if acc.preemptions == 0 {
-		t.Fatal("shinjuku quantum never preempted under a heavy tail")
-	}
-}
-
 func TestIdealNoWorseThanRandomOnHeavyTail(t *testing.T) {
 	res, err := RunSweep(SweepConfig{
 		Seed:     7,

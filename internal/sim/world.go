@@ -78,7 +78,6 @@ type simReplica struct {
 	queue     []*simBatch
 	cur       *simBatch
 	curStart  int64
-	curSlice  int64
 	curSpeed  float64
 	served    int   // completed batches (drives killAfter)
 	workLeft  int64 // oracle: committed compute ns not yet executed
@@ -97,8 +96,6 @@ func (r *simReplica) speedAt(now int64) float64 {
 type World struct {
 	cfg     Config
 	pol     sched.Policy
-	orderer sched.QueueOrderer
-	quantum int64
 	heap    eventHeap
 	now     int64
 	endAt   int64
@@ -110,7 +107,6 @@ type World struct {
 	reps    []*simReplica
 	live    int
 	views   []sched.ReplicaView
-	bviews  []sched.BatchView
 	forming *simBatch
 	flushEp uint32
 	dq      []*simBatch // flushed, waiting for a replica
@@ -177,16 +173,12 @@ func NewWorld(cfg Config) (*World, error) {
 	if o, ok := w.pol.(sched.OmniscientPolicy); ok {
 		o.BindOracle(w)
 	}
-	w.orderer, _ = w.pol.(sched.QueueOrderer)
-	if p, ok := w.pol.(sched.Preemptor); ok {
-		w.quantum = p.Quantum()
-	}
 	w.acc.init(cfg.Traffic.Tenants)
 	return w, nil
 }
 
 // RemainingWork implements sched.Oracle: the true committed compute ns
-// still ahead of replica g, with the in-service slice's progress
+// still ahead of replica g, with the in-service batch's progress
 // subtracted and straggler slowdown reflected.
 func (w *World) RemainingWork(g int) int64 {
 	rep := w.reps[g]
@@ -336,18 +328,6 @@ func (w *World) flushForming() {
 	w.acc.batches++
 }
 
-// bview is the policy-visible view of a batch: size and earliest rider
-// deadline.
-func (b *simBatch) bview() sched.BatchView {
-	var dl int64
-	for _, d := range b.deadline[:b.n] {
-		if d != 0 && (dl == 0 || d < dl) {
-			dl = d
-		}
-	}
-	return sched.BatchView{N: b.n, Deadline: dl}
-}
-
 func (w *World) refreshViews() {
 	for g, rep := range w.reps {
 		w.views[g] = sched.ReplicaView{
@@ -359,8 +339,8 @@ func (w *World) refreshViews() {
 	}
 }
 
-// pump dispatches queued batches while the policy finds capacity,
-// consulting QueueOrderer policies on which queued batch goes next.
+// pump dispatches queued batches in FIFO order while the policy finds
+// capacity.
 func (w *World) pump() {
 	for len(w.dq) > 0 {
 		if w.live == 0 {
@@ -372,23 +352,13 @@ func (w *World) pump() {
 			w.dq = w.dq[:0]
 			return
 		}
-		idx := 0
-		if w.orderer != nil && len(w.dq) > 1 {
-			w.bviews = w.bviews[:0]
-			for _, b := range w.dq {
-				w.bviews = append(w.bviews, b.bview())
-			}
-			if i := w.orderer.SelectQueued(w.now, w.bviews); i >= 0 && i < len(w.dq) {
-				idx = i
-			}
-		}
-		b := w.dq[idx]
+		b := w.dq[0]
 		w.refreshViews()
-		g := w.pol.Pick(w.now, b.bview(), w.views)
+		g := w.pol.Pick(w.now, sched.BatchView{N: b.n}, w.views)
 		if g < 0 {
 			return // no capacity; a result or rejoin will re-pump
 		}
-		copy(w.dq[idx:], w.dq[idx+1:])
+		copy(w.dq, w.dq[1:])
 		w.dq = w.dq[:len(w.dq)-1]
 		w.dispatch(b, g)
 	}
@@ -438,7 +408,6 @@ func (w *World) onBatchArrive(e event) {
 		// Leader-side backlog heartbeat, like leaderLoop's queue>1
 		// report riding tagHB.
 		rep.occ = len(rep.queue)
-		w.pol.OnHeartbeat(e.g, w.now, rep.occ)
 	}
 	w.startService(rep)
 }
@@ -451,14 +420,9 @@ func (w *World) startService(rep *simReplica) {
 	copy(rep.queue, rep.queue[1:])
 	rep.queue = rep.queue[:len(rep.queue)-1]
 	rep.cur = b
-	slice := b.svcLeft
-	if w.quantum > 0 && slice > w.quantum {
-		slice = w.quantum
-	}
 	rep.curStart = w.now
-	rep.curSlice = slice
 	rep.curSpeed = rep.speedAt(w.now)
-	w.heap.push(event{at: w.now + int64(float64(slice)*rep.curSpeed), kind: evServiceDone, g: rep.g, epoch: rep.epoch})
+	w.heap.push(event{at: w.now + int64(float64(b.svcLeft)*rep.curSpeed), kind: evServiceDone, g: rep.g, epoch: rep.epoch})
 }
 
 func (w *World) onServiceDone(e event) {
@@ -468,16 +432,8 @@ func (w *World) onServiceDone(e event) {
 	}
 	b := rep.cur
 	rep.cur = nil
-	b.svcLeft -= rep.curSlice
-	rep.workLeft -= rep.curSlice
-	if b.svcLeft > 0 {
-		// Preemption quantum expired: the batch yields the core and
-		// requeues behind the head (Shinjuku-style).
-		rep.queue = append(rep.queue, b)
-		w.acc.preemptions++
-		w.startService(rep)
-		return
-	}
+	rep.workLeft -= b.svcLeft
+	b.svcLeft = 0
 	rep.served++
 	if rep.killAfter > 0 && rep.served >= rep.killAfter {
 		// comm.FaultPlan.Kill: the group dies fail-stop at this result
@@ -500,7 +456,6 @@ func (w *World) onResultArrive(e event) {
 	rep.workLeft -= b.svcLeft // svcLeft is 0 here; keep the invariant obvious
 	rep.occ = b.occAtEnd
 	w.removePending(b)
-	w.pol.OnResult(e.g, w.now, rep.occ)
 	for i := 0; i < b.n; i++ {
 		w.acc.record(w.now - b.arrive[i])
 		w.acc.served++
@@ -598,9 +553,6 @@ func (w *World) onRejoin(e event) {
 	rep.served = 0
 	w.live++
 	w.acc.rejoins++
-	// The fresh incarnation announces itself idle, resetting any policy
-	// state about the dead one (mirrors the monitor's rejoin heartbeat).
-	w.pol.OnHeartbeat(e.g, w.now, 0)
 	w.pump()
 }
 
