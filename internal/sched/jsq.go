@@ -8,14 +8,17 @@ package sched
 // very large fleets) — while the d=2 choice already collapses the
 // max-queue-imbalance from O(log n / log log n) to O(log log n).
 //
-// When none of the d sampled replicas is eligible, Pick falls back to a
-// full least-loaded scan rather than returning -1: the contract requires
-// -1 only when no replica anywhere is eligible (a blind -1 could stall the
-// production dispatcher even though capacity exists).
+// The d replicas are drawn without replacement by a partial Fisher–Yates
+// shuffle of perm, a permutation of the replica indices sized in Reset, so
+// Pick allocates nothing. When none of the d sampled replicas is eligible,
+// Pick falls back to a full least-loaded scan rather than returning -1: the
+// contract requires -1 only when no replica anywhere is eligible (a blind
+// -1 could stall the production dispatcher even though capacity exists).
 type JSQ struct {
-	d   int
-	rng *Rand
-	ll  LeastLoaded
+	d    int
+	rng  *Rand
+	ll   LeastLoaded
+	perm []int
 }
 
 // NewJSQ returns a JSQ(d) policy. d below 1 is treated as 2.
@@ -41,15 +44,21 @@ func (p *JSQ) Name() string {
 func (p *JSQ) Reset(n int, seed int64) {
 	p.rng.Seed(seed ^ 0x6a73712d64) // "jsq-d" tag decorrelates from peers
 	p.ll.Reset(n, seed)
+	p.perm = make([]int, n)
+	for i := range p.perm {
+		p.perm[i] = i
+	}
 }
 
-// Pick implements Policy.
+// Pick implements Policy. reps must hold the n replicas of the last Reset.
 func (p *JSQ) Pick(now int64, b BatchView, reps []ReplicaView) int {
 	n := len(reps)
 	best := -1
 	bestLoad := 0
 	for i := 0; i < p.d && i < n; i++ {
-		g := p.rng.Intn(n)
+		j := i + p.rng.Intn(n-i)
+		p.perm[i], p.perm[j] = p.perm[j], p.perm[i]
+		g := p.perm[i]
 		rep := reps[g]
 		if !rep.eligible() {
 			continue

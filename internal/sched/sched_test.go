@@ -100,6 +100,31 @@ func TestJSQDeterministicAndEligible(t *testing.T) {
 	}
 }
 
+// TestJSQSamplesDistinctReplicas: with d equal to the fleet size, JSQ
+// looks at every replica, so it must always find the one with the least
+// InFlight + Occ. Sampling with replacement looks at one replica twice a
+// quarter of the time at n = d = 2 and misses the lighter one half of that.
+func TestJSQSamplesDistinctReplicas(t *testing.T) {
+	p := NewJSQ(2)
+	p.Reset(2, 3)
+	for _, light := range []int{0, 1} {
+		vs := views(1, 1)
+		vs[light].Occ = 0
+		vs[1-light].Occ = 2
+		for i := 0; i < 200; i++ {
+			if g := p.Pick(int64(i), BatchView{N: 1}, vs); g != light {
+				t.Fatalf("pick %d: JSQ(2) over 2 replicas chose %d, want the lighter %d", i, g, light)
+			}
+		}
+	}
+	vs := views(0, 1, 2, 3)
+	q := NewJSQ(2)
+	q.Reset(len(vs), 9)
+	if a := testing.AllocsPerRun(100, func() { q.Pick(0, BatchView{N: 1}, vs) }); a != 0 {
+		t.Fatalf("JSQ.Pick allocates %.1f times per call, want 0", a)
+	}
+}
+
 type fakeOracle struct{ work []int64 }
 
 func (o fakeOracle) RemainingWork(g int) int64 { return o.work[g] }

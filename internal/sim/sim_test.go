@@ -277,7 +277,7 @@ func TestFrontEndAdmissionCeiling(t *testing.T) {
 // single row unnoticed. Like the training and serving goldens it is pinned
 // on amd64 builds only. Regenerate only for a change meant to alter the
 // scorecard.
-const sweepGoldenSHA256 = "f5837552ebce017dd70c030dbca1f9a8287943e57018e8abe85231b312dfb012"
+const sweepGoldenSHA256 = "8d88e402cd80da53268b55e574fa70f6b7584fb71667e8361816264ef8a74a9d"
 
 func TestSweepSameSeedByteIdentical(t *testing.T) {
 	cfg := SweepConfig{
