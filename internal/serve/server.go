@@ -124,9 +124,9 @@ type Config struct {
 	// sched.Production (least-loaded), the shipped default — the winner of
 	// the internal/sim policy races on the reference traces. Pick and
 	// OnDispatch run under the router lock; one Policy value must not be
-	// shared between servers. With FrontEnds > 1 the policy applies to front-end
-	// 0 and the others construct fresh instances of the same default, so
-	// leave it nil when sharding the front-end.
+	// shared between servers. With FrontEnds > 1 the policy applies to
+	// front-end 0 and the others construct fresh instances of the same
+	// default, so leave it nil when sharding the front-end.
 	Policy sched.Policy
 
 	// TenantRate, when > 0, arms per-tenant token-bucket quotas on the
